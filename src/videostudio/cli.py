@@ -15,19 +15,17 @@ import numpy as np
 
 from .action_condition import (VocabularyEmbedder, build_indicator,
                                extract_action_phrases)
-from .camera_motion import synthesize_flow, warp_clip
-from .cond_blocks import (AnalyticGaussianDenoiser, ContextBundle,
-                          GaussianPrior)
+from .cond_blocks import ContextBundle
 from .errors import (BackendError, BadConfig, BadTensorFile, ChecksumMismatch,
                      DetectorMiss, NoCommonEntities, StageError,
                      ValidationError, VideoStudioError)
 from .numeric_core import derive_seed, save_tensor
-from .pipeline import (_resize_nearest, _slug, compute_metrics, decode_latent,
-                       encode_image, export_video, load_config, load_video,
+from .pipeline import (_camera_anchor, _oracle_denoiser, _scene_canvas_latent,
+                       _write_bytes, _write_references, compute_metrics,
+                       decode_latent, export_video, load_config, load_video,
                        resolve_backends, run_gradient_suite, run_pipeline,
                        tm_sweep)
-from .ref_images import (ReferenceBackends, ToyTextToImageBackend, encode_pgm,
-                         encode_ppm, build_entity_references)
+from .ref_images import ReferenceBackends, build_entity_references
 from .sampler import sample_image, sample_video
 from .script_engine import (find_common_entities, generate_entity_description,
                             generate_script, serialize_script)
@@ -54,9 +52,7 @@ def _parse_camera(text):
 
 
 def _write_text(path, text):
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    _write_bytes(path, text.encode("utf-8"))
 
 
 # --- subcommands -------------------------------------------------------------
@@ -85,19 +81,10 @@ def cmd_refs(args):
     if args.out_dir:
         _write_text(os.path.join(args.out_dir, "script.txt"),
                     serialize_script(script) + "\n")
-        index = {}
-        for k, name in enumerate(sorted(references)):
-            ref = references[name]
-            image_rel = f"refs/{_slug(k, name)}.ppm"
-            mask_rel = f"refs/{_slug(k, name)}_mask.pgm"
-            path = os.path.join(args.out_dir, image_rel)
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            with open(path, "wb") as fh:
-                fh.write(encode_ppm(ref.image))
-            with open(os.path.join(args.out_dir, mask_rel), "wb") as fh:
-                fh.write(encode_pgm(ref.mask))
-            index[name] = {"kind": ref.kind, "image": image_rel, "mask": mask_rel,
-                           "description": descriptions[name]}
+        index = _write_references(references, lambda rel, payload: _write_bytes(
+            os.path.join(args.out_dir, rel), payload))
+        for name, entry in index.items():
+            entry["description"] = descriptions[name]
         _write_text(os.path.join(args.out_dir, "refs.json"),
                     json.dumps(index, indent=2, sort_keys=True) + "\n")
     print(f"entities: {len(references)}")
@@ -142,7 +129,10 @@ def cmd_gradcheck(args):
 def cmd_tm_sweep(args):
     config = _load(args)
     camera = _parse_camera(args.camera) if args.camera else ("right", "medium")
-    tms = (tuple(int(x) for x in args.tms.split(",")) if args.tms else (1, 5, 20))
+    try:
+        tms = tuple(int(x) for x in args.tms.split(",")) if args.tms else (1, 5, 20)
+    except ValueError:
+        raise BadConfig(f"--tms wants comma-separated integers, got {args.tms!r}") from None
     rows = tm_sweep(config, camera, tms)
     print(f"{'t_m':>5} {'displacement_err':>18} {'anchor_mse':>14}")
     for row in rows:
@@ -154,20 +144,11 @@ def cmd_tm_sweep(args):
     return 0
 
 
-def _oracle_scene_latent(config, prompt, seed):
-    c, h, w = config.latent_shape
-    t2i = ToyTextToImageBackend(config.reference_size)
-    img = t2i.generate(prompt, derive_seed(seed, "scene-canvas"))
-    return encode_image(_resize_nearest(img.data, h, w), c)
-
-
 def cmd_sample_image(args):
     config = _load(args)
-    c, h, w = config.latent_shape
     schedule = config.noise_schedule()
-    target = _oracle_scene_latent(config, args.prompt, config.seed)
-    denoiser = AnalyticGaussianDenoiser(
-        GaussianPrior(target, config.prior_variance), schedule, (c, h, w))
+    target = _scene_canvas_latent(config, args.prompt, config.seed)
+    denoiser = _oracle_denoiser(config, target)
     extractor = config.feature_extractor()
     bundle = ContextBundle(extractor.text_features(args.prompt),
                            np.zeros((0, config.channels)),
@@ -181,16 +162,13 @@ def cmd_sample_image(args):
 
 def cmd_sample_video(args):
     config = _load(args)
-    c, h, w = config.latent_shape
     frames = config.frames
     camera = _parse_camera(args.camera) if args.camera else ("static", "medium")
     schedule = config.noise_schedule()
     table = config.speed_table()
-    scene_latent = _oracle_scene_latent(config, args.prompt, config.seed)
-    field = synthesize_flow(camera[0], camera[1], frames, h, w, table)
-    anchor = warp_clip(np.tile(scene_latent[:, None, :, :], (1, frames, 1, 1)), field)
-    denoiser = AnalyticGaussianDenoiser(
-        GaussianPrior(anchor, config.prior_variance), schedule, (c, frames, h, w))
+    scene_latent = _scene_canvas_latent(config, args.prompt, config.seed)
+    anchor = _camera_anchor(scene_latent, camera, frames, table)
+    denoiser = _oracle_denoiser(config, anchor)
     extractor = config.feature_extractor()
     y_s = extractor.image_features(np.clip(decode_latent(scene_latent), 0.0, 1.0))
     vocab = config.action_vocabulary()
@@ -281,6 +259,9 @@ def main(argv=None):
     except VideoStudioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code(exc)
+    except Exception as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -341,10 +341,6 @@ class AdamW:
         self.hyper = hyper or AdamWHyper()
         self.state = {}
 
-    def zero_grad(self):
-        for _, p in self.named_params:
-            p.grad = None
-
     def step(self):
         self.state = adamw_step(self.named_params, self.hyper, self.state)
 

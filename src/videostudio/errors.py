@@ -121,12 +121,6 @@ class NoCommonEntities(VideoStudioError):
     pass
 
 
-# --- internal invariant violations (CLI exit code 4) ---
-
-class InternalInvariant(VideoStudioError):
-    pass
-
-
 class StageError(VideoStudioError):
     """Wraps a failure with the pipeline stage it happened in."""
 

@@ -17,13 +17,12 @@ import hashlib
 import struct
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import BadTensorFile, ShapeMismatch
 
 __all__ = [
     "Tensor", "Parameter", "AttentionParams", "AdamWHyper", "Rng",
-    "matmul", "softmax_lastdim", "gelu", "layer_norm", "concat",
+    "matmul", "softmax_lastdim", "layer_norm",
     "conv2d_3x3", "temporal_conv1d", "cross_attention",
     "adamw_step", "finite_diff_check", "hash64", "derive_seed",
     "save_tensor", "load_tensor",
@@ -66,9 +65,6 @@ class Tensor:
 
     def item(self):
         return self.data.item()
-
-    def detach(self):
-        return Tensor(self.data.copy())
 
     def _accumulate(self, grad):
         if self.grad is None:
@@ -268,21 +264,6 @@ def softmax_lastdim(t):
     return out
 
 
-def gelu(t):
-    """x * Phi(x) with the exact Gaussian CDF."""
-    t = _ensure(t)
-    x = t.data
-    cdf = 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
-    out = _node(x * cdf, (t,))
-
-    def back(g):
-        if t.requires_grad:
-            pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
-            t._accumulate(g * (cdf + x * pdf))
-    out._backward = back
-    return out
-
-
 def layer_norm(t, gain, bias, eps=1e-5):
     """Normalize the last dim to zero mean / unit variance, then affine."""
     t, gain, bias = _ensure(t), _ensure(gain), _ensure(bias)
@@ -302,25 +283,8 @@ def layer_norm(t, gain, bias, eps=1e-5):
             bias._accumulate(_unbroadcast(g.sum(axis=reduce_axes), bias.data.shape))
         if t.requires_grad:
             gy = g * gain.data
-            n = x.shape[-1]
             term = gy - gy.mean(axis=-1, keepdims=True) - xhat * (gy * xhat).mean(axis=-1, keepdims=True)
             t._accumulate(term * inv)
-    out._backward = back
-    return out
-
-
-def concat(tensors, axis=0):
-    tensors = [_ensure(t) for t in tensors]
-    out = _node(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors))
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def back(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                index = [slice(None)] * g.ndim
-                index[axis] = slice(lo, hi)
-                t._accumulate(g[tuple(index)])
     out._backward = back
     return out
 
@@ -442,10 +406,6 @@ class AttentionParams:
 
     def parameters(self):
         return [(p.name, p) for p in (self.w_q, self.w_k, self.w_v, self.w_o)]
-
-    def set_trainable(self, flag):
-        for _, p in self.parameters():
-            p.trainable = bool(flag)
 
 
 def _split_heads(t, heads):

@@ -37,7 +37,8 @@ from .camera_motion import (DEFAULT_SPEED_TABLE, SPEEDS, SpeedTable,
 from .cond_blocks import (AnalyticGaussianDenoiser, ContextBundle, GaussianPrior,
                           ImgDenoiser, SpatioTemporalBlock, TriContextBlock,
                           VidContext, VidDenoiser, ToyFeatureExtractor,
-                          concat_foreground_features, tri_context_forward)
+                          _resize_nearest, concat_foreground_features,
+                          tri_context_forward)
 from .errors import (BadConfig, ChecksumMismatch, DetectorMiss,
                      NoCommonEntities, ShapeMismatch, StageError, TooFewFrames,
                      UnknownDirection, UnknownSpeed)
@@ -119,12 +120,17 @@ def _merge_config(defaults, override, prefix=""):
     return out
 
 
-def _want_int(doc, dotted, lo=None, hi=None):
-    value = doc
+def _lookup(doc, dotted):
     for part in dotted.split("."):
-        value = value[part]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise BadConfig(f"{dotted} must be an integer, got {value!r}")
+        doc = doc[part]
+    return doc
+
+
+def _want(doc, dotted, types, lo=None, hi=None):
+    value = _lookup(doc, dotted)
+    if isinstance(value, bool) or not isinstance(value, types):
+        what = "an integer" if types is int else "a number"
+        raise BadConfig(f"{dotted} must be {what}, got {value!r}")
     if lo is not None and value < lo:
         raise BadConfig(f"{dotted} must be >= {lo}, got {value}")
     if hi is not None and value > hi:
@@ -132,17 +138,12 @@ def _want_int(doc, dotted, lo=None, hi=None):
     return value
 
 
+def _want_int(doc, dotted, lo=None, hi=None):
+    return _want(doc, dotted, int, lo, hi)
+
+
 def _want_number(doc, dotted, lo=None, hi=None):
-    value = doc
-    for part in dotted.split("."):
-        value = value[part]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise BadConfig(f"{dotted} must be a number, got {value!r}")
-    if lo is not None and value < lo:
-        raise BadConfig(f"{dotted} must be >= {lo}, got {value}")
-    if hi is not None and value > hi:
-        raise BadConfig(f"{dotted} must be <= {hi}, got {value}")
-    return float(value)
+    return float(_want(doc, dotted, (int, float), lo, hi))
 
 
 class PipelineConfig:
@@ -208,9 +209,7 @@ class PipelineConfig:
         if doc["text_to_image"]["kind"] not in ("toy", "http"):
             raise BadConfig("text_to_image.kind must be 'toy' or 'http'")
         for dotted in ("chat.path", "vocabulary_path"):
-            value = doc
-            for part in dotted.split("."):
-                value = value[part]
+            value = _lookup(doc, dotted)
             if value is not None and not os.path.exists(value):
                 raise BadConfig(f"{dotted} points at a missing file: {value!r}")
 
@@ -353,13 +352,6 @@ def _image_data(obj):
     if hasattr(obj, "data"):    # RgbImage / Mask
         obj = obj.data
     return np.asarray(obj, dtype=np.float64)
-
-
-def _resize_nearest(data, out_h, out_w):
-    h, w = data.shape[:2]
-    rows = np.minimum((np.arange(out_h) * h) // out_h, h - 1)
-    cols = np.minimum((np.arange(out_w) * w) // out_w, w - 1)
-    return data[rows][:, cols]
 
 
 # --- scene compositing --------------------------------------------------------
@@ -567,13 +559,14 @@ def fg_bg_similarity(scene_image, fg_ref, bg_ref, embedder=None):
     """Embedding cosine of the scene image against each reference, in [0, 1].
 
     Negative cosines clip to zero so the declared range holds for any
-    embedder.
+    embedder.  A missing (None) reference scores None.
     """
     embedder = embedder or ToyEmbedder()
     s = embedder.embed(scene_image)
-    fg_sim = min(1.0, max(0.0, _cosine(s, embedder.embed(fg_ref))))
-    bg_sim = min(1.0, max(0.0, _cosine(s, embedder.embed(bg_ref))))
-    return fg_sim, bg_sim
+
+    def sim(ref):
+        return None if ref is None else min(1.0, max(0.0, _cosine(s, embedder.embed(ref))))
+    return sim(fg_ref), sim(bg_ref)
 
 
 def compute_metrics(video, embedder=None, detector=None):
@@ -585,28 +578,45 @@ def compute_metrics(video, embedder=None, detector=None):
         sc_mean = float(np.mean(list(per_entity.values())))
     except NoCommonEntities:
         per_entity, skipped, sc_mean = {}, [], None
-    fg_sims, bg_sims = [], []
+    sims = []
     for scene in video.scenes:
         fg_ref = next((video.references[n] for n in scene.spec.foreground
                        if n in video.references), None)
         bg_ref = video.references.get(scene.spec.background)
-        s = embedder.embed(scene.scene_image)
-        fg_sims.append(None if fg_ref is None
-                       else min(1.0, max(0.0, _cosine(s, embedder.embed(fg_ref)))))
-        bg_sims.append(None if bg_ref is None
-                       else min(1.0, max(0.0, _cosine(s, embedder.embed(bg_ref)))))
+        sims.append(fg_bg_similarity(scene.scene_image, fg_ref, bg_ref, embedder))
     return MetricsReport(
         frame_consistency=fc,
         frame_consistency_mean=float(np.mean(fc)) if fc else None,
         scene_consistency=per_entity,
         scene_consistency_mean=sc_mean,
         skipped_entities=skipped,
-        fg_sim=fg_sims,
-        bg_sim=bg_sims,
+        fg_sim=[fg for fg, _ in sims],
+        bg_sim=[bg for _, bg in sims],
     )
 
 
 # --- the three stages -----------------------------------------------------------
+
+def _scene_canvas_latent(config, prompt, seed):
+    """Latent of the toy text-to-image render of ``prompt`` at the latent size."""
+    c, h, w = config.latent_shape
+    img = ToyTextToImageBackend(config.reference_size).generate(
+        prompt, derive_seed(seed, "scene-canvas"))
+    return encode_image(_resize_nearest(img.data, h, w), c)
+
+
+def _camera_anchor(scene_latent, camera, frames, table):
+    """The scene latent held for ``frames`` frames and moved by ``camera``."""
+    _, h, w = scene_latent.shape
+    field = synthesize_flow(camera[0], camera[1], frames, h, w, table)
+    return warp_clip(np.tile(scene_latent[:, None, :, :], (1, frames, 1, 1)), field)
+
+
+def _oracle_denoiser(config, target):
+    """Analytic denoiser whose prior mean is ``target``."""
+    return AnalyticGaussianDenoiser(GaussianPrior(target, config.prior_variance),
+                                    config.noise_schedule(), target.shape)
+
 
 def _scene_bundle(spec, references, extractor):
     y_t = extractor.text_features(spec.prompt)
@@ -630,8 +640,7 @@ def _generate_scene(spec, config, references, extractor, vocab, t2i_backend,
     target = encode_image(composite, c)
     bundle = _scene_bundle(spec, references, extractor)
     img_cfg = config.image_sampler_config(derive_seed(scene_seed, "image"))
-    denoiser = image_denoiser or AnalyticGaussianDenoiser(
-        GaussianPrior(target, config.prior_variance), schedule, (c, h, w))
+    denoiser = image_denoiser or _oracle_denoiser(config, target)
     scene_latent = sample_image(denoiser, bundle, schedule, img_cfg)
     scene_image = latent_to_image(scene_latent)
 
@@ -640,11 +649,9 @@ def _generate_scene(spec, config, references, extractor, vocab, t2i_backend,
     y_a = build_indicator(phrases, vocab, VocabularyEmbedder(vocab))
     camera = (spec.camera.direction, spec.camera.speed)
     table = config.speed_table()
-    field = synthesize_flow(camera[0], camera[1], frames, h, w, table)
-    anchor = warp_clip(np.tile(scene_latent[:, None, :, :], (1, frames, 1, 1)), field)
+    anchor = _camera_anchor(scene_latent, camera, frames, table)
     vid_cfg = config.video_sampler_config(derive_seed(scene_seed, "video"))
-    vdenoiser = video_denoiser or AnalyticGaussianDenoiser(
-        GaussianPrior(anchor, config.prior_variance), schedule, (c, frames, h, w))
+    vdenoiser = video_denoiser or _oracle_denoiser(config, anchor)
     clip_latent = sample_video(vdenoiser, y_s, y_a, camera, schedule, vid_cfg,
                                ref_latent=scene_latent[:, None, :, :],
                                speed_table=table)
@@ -731,6 +738,25 @@ def _slug(index, name):
     return f"{index:02d}_{keep}"
 
 
+def _write_bytes(path, payload):
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "wb") as fh:
+        fh.write(payload)
+
+
+def _write_references(references, put_bytes):
+    """Encode each reference as refs/<slug>.ppm plus a PGM mask; return the index."""
+    index = {}
+    for k, name in enumerate(sorted(references)):
+        ref = references[name]
+        image_rel = f"refs/{_slug(k, name)}.ppm"
+        mask_rel = f"refs/{_slug(k, name)}_mask.pgm"
+        put_bytes(image_rel, encode_ppm(ref.image))
+        put_bytes(mask_rel, encode_pgm(ref.mask))
+        index[name] = {"kind": ref.kind, "image": image_rel, "mask": mask_rel}
+    return index
+
+
 def export_video(video, out_dir):
     """Write frames (PPM), latents (VSTN) and a checksummed manifest.
 
@@ -741,10 +767,7 @@ def export_video(video, out_dir):
     checksums = {}
 
     def put_bytes(rel, payload):
-        path = os.path.join(out_dir, rel)
-        os.makedirs(os.path.dirname(path) or out_dir, exist_ok=True)
-        with open(path, "wb") as fh:
-            fh.write(payload)
+        _write_bytes(os.path.join(out_dir, rel), payload)
         checksums[rel] = hashlib.sha256(payload).hexdigest()
 
     def put_tensor(rel, array):
@@ -757,14 +780,7 @@ def export_video(video, out_dir):
     script_text = serialize_script(video.script)
     put_bytes("script.txt", (script_text + "\n").encode("utf-8"))
 
-    ref_entries = {}
-    for k, name in enumerate(sorted(video.references)):
-        ref = video.references[name]
-        image_rel = f"refs/{_slug(k, name)}.ppm"
-        mask_rel = f"refs/{_slug(k, name)}_mask.pgm"
-        put_bytes(image_rel, encode_ppm(ref.image))
-        put_bytes(mask_rel, encode_pgm(ref.mask))
-        ref_entries[name] = {"kind": ref.kind, "image": image_rel, "mask": mask_rel}
+    ref_entries = _write_references(video.references, put_bytes)
 
     scene_entries = []
     for scene in video.scenes:
@@ -932,24 +948,19 @@ def tm_sweep(config, camera=("right", "medium"), tms=(1, 5, 20),
     at the default prior variance) at every depth -- the quality bound
     the sweep checks.
     """
-    c, h, w = config.latent_shape
     frames = config.frames
     schedule = config.noise_schedule()
     table = config.speed_table()
     direction, speed = camera
     seed = derive_seed(config.seed, "tm-sweep")
-    t2i = ToyTextToImageBackend(config.reference_size)
-    img = t2i.generate(prompt, derive_seed(seed, "scene-canvas"))
-    scene_latent = encode_image(_resize_nearest(img.data, h, w), c)
-    field = synthesize_flow(direction, speed, frames, h, w, table)
-    anchor = warp_clip(np.tile(scene_latent[:, None, :, :], (1, frames, 1, 1)), field)
+    scene_latent = _scene_canvas_latent(config, prompt, seed)
+    anchor = _camera_anchor(scene_latent, camera, frames, table)
+    denoiser = _oracle_denoiser(config, anchor)
     y_s = np.zeros((0, config.channels))
     y_a = np.zeros(config.vocab_size)
     rows = []
     for tm in tms:
         cfg = config.video_sampler_config(seed, t_m=tm)
-        denoiser = AnalyticGaussianDenoiser(
-            GaussianPrior(anchor, config.prior_variance), schedule, (c, frames, h, w))
         clip = sample_video(denoiser, y_s, y_a, camera, schedule, cfg,
                             ref_latent=scene_latent[:, None, :, :], speed_table=table)
         base = decode_latent(clip[:, 0])

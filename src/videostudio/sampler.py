@@ -95,14 +95,6 @@ class SamplerConfig:
         self.t_m = int(t_m)
         self.seed = int(seed)
 
-    @classmethod
-    def image_defaults(cls, seed=0):
-        return cls(steps=50, eta=0.0, guidance_scale=1.0, seed=seed)
-
-    @classmethod
-    def video_defaults(cls, seed=0):
-        return cls(steps=70, eta=1.0, guidance_scale=12.0, t_m=5, seed=seed)
-
 
 def respaced_timesteps(total_steps, inference_steps):
     """Uniform respacing: tau_k = round(T * (1 - k/S)), k = 0..S."""

@@ -138,3 +138,20 @@ def test_tm_sweep_command(tmp_path, capsys):
     assert rows[0]["t_m"] == 1
     assert "displacement_error" in rows[0] and "anchor_mse" in rows[0]
     capsys.readouterr()
+
+
+def test_tm_sweep_rejects_non_integer_depths(capsys):
+    assert main(["tm-sweep", "--tms", "a,b"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--tms" in err
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
+def test_unexpected_error_exits_4_with_one_line(tmp_path, capsys):
+    # a manifest without its keys is not validated yet; whatever escapes
+    # must still end as exit 4 and a one-line message
+    (tmp_path / "manifest.json").write_text("{}")
+    assert main(["metrics", "--out-dir", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: KeyError: ")
+    assert err.count("\n") == 1

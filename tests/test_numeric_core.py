@@ -1,13 +1,17 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import videostudio
 from videostudio.errors import BadTensorFile, ShapeMismatch
 from videostudio.numeric_core import (AdamWHyper, AttentionParams, Parameter,
                                       Rng, Tensor, adamw_step, conv2d_3x3,
                                       cross_attention, derive_seed,
-                                      finite_diff_check, gelu, hash64,
+                                      finite_diff_check, hash64,
                                       layer_norm, load_tensor, save_tensor,
                                       softmax_lastdim, temporal_conv1d)
 
@@ -39,16 +43,9 @@ def test_finite_diff_on_composite_expression():
 
     def fn():
         h = softmax_lastdim(x @ w)
-        return (gelu(h) * h).sum()
+        return (h * h).sum()
 
     assert finite_diff_check(fn, [w]) < 1e-6
-
-
-def test_gelu_matches_erf_definition():
-    xs = np.linspace(-4, 4, 41)
-    out = gelu(Tensor(xs)).data
-    want = xs * 0.5 * (1.0 + np.vectorize(math.erf)(xs / np.sqrt(2.0)))
-    assert np.allclose(out, want, atol=1e-12)
 
 
 def test_softmax_rows_sum_to_one_and_shift_invariant():
@@ -307,3 +304,14 @@ def test_finite_diff_check_reports_max_relative_error():
     w = Parameter(rng.normal((3,)), name="w")
     err = finite_diff_check(lambda: (Tensor(np.ones(3)) * w).sum(), [w])
     assert err < 1e-8
+
+
+def test_package_import_leaves_scipy_out():
+    # numpy is the only runtime dependency; a fresh interpreter proves it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(videostudio.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, videostudio; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

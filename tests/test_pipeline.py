@@ -280,6 +280,8 @@ def test_fg_bg_similarity_self_is_exactly_one():
     fg_sim, bg_sim = fg_bg_similarity(img, img, other)
     assert fg_sim == 1.0
     assert 0.0 <= bg_sim <= 1.0
+    # a missing reference has no similarity rather than a crash
+    assert fg_bg_similarity(img, None, img) == (None, 1.0)
 
 
 # --- end-to-end runs ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from videostudio.cond_blocks import AnalyticGaussianDenoiser, GaussianPrior
 from videostudio.errors import (BadRange, BadTimestepOrder, NonFiniteField,
                                 ShapeMismatch)
 from videostudio.numeric_core import Rng
+from videostudio.pipeline import load_config
 from videostudio.sampler import (NoiseSchedule, SamplerConfig,
                                  apply_camera_intervention, cfg_epsilon,
                                  ddim_step, make_schedule, respaced_timesteps,
@@ -295,7 +296,7 @@ def test_sampler_config_validation():
         SamplerConfig(eta=1.5)
     with pytest.raises(BadRange):
         SamplerConfig(t_m=-1)
-    img = SamplerConfig.image_defaults(seed=3)
+    img = load_config().image_sampler_config(3)
     assert (img.steps, img.eta, img.guidance_scale, img.seed) == (50, 0.0, 1.0, 3)
-    vid = SamplerConfig.video_defaults()
+    vid = load_config().video_sampler_config(0)
     assert (vid.steps, vid.eta, vid.guidance_scale, vid.t_m) == (70, 1.0, 12.0, 5)
