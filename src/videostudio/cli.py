@@ -13,22 +13,18 @@ import sys
 
 import numpy as np
 
-from .action_condition import (VocabularyEmbedder, build_indicator,
-                               extract_action_phrases)
 from .cond_blocks import ContextBundle
 from .errors import (BackendError, BadConfig, BadTensorFile, ChecksumMismatch,
                      DetectorMiss, NoCommonEntities, StageError,
                      ValidationError, VideoStudioError)
 from .numeric_core import derive_seed, save_tensor
-from .pipeline import (_camera_anchor, _oracle_denoiser, _scene_canvas_latent,
-                       _write_bytes, _write_references, compute_metrics,
-                       decode_latent, export_video, load_config, load_video,
+from .pipeline import (_build_references, _oracle_denoiser, _sample_clip,
+                       _scene_canvas_latent, _write_bytes, _write_references,
+                       compute_metrics, export_video, load_config, load_video,
                        resolve_backends, run_gradient_suite, run_pipeline,
                        tm_sweep)
-from .ref_images import ReferenceBackends, build_entity_references
-from .sampler import sample_image, sample_video
-from .script_engine import (find_common_entities, generate_entity_description,
-                            generate_script, serialize_script)
+from .sampler import sample_image
+from .script_engine import generate_script, serialize_script
 
 __all__ = ["main"]
 
@@ -72,12 +68,7 @@ def cmd_refs(args):
     config = _load(args)
     backends = resolve_backends(config, args.mock_llm)
     script = generate_script(args.prompt, backends.chat, config.retry_policy())
-    descriptions = {rec.name: generate_entity_description(rec, args.prompt, backends.chat)
-                    for rec in find_common_entities(script)}
-    references = build_entity_references(
-        script, descriptions,
-        ReferenceBackends(backends.text_to_image, backends.segmenter),
-        config.seed)
+    references, descriptions = _build_references(config, script, args.prompt, backends)
     if args.out_dir:
         _write_text(os.path.join(args.out_dir, "script.txt"),
                     serialize_script(script) + "\n")
@@ -162,22 +153,10 @@ def cmd_sample_image(args):
 
 def cmd_sample_video(args):
     config = _load(args)
-    frames = config.frames
     camera = _parse_camera(args.camera) if args.camera else ("static", "medium")
-    schedule = config.noise_schedule()
-    table = config.speed_table()
     scene_latent = _scene_canvas_latent(config, args.prompt, config.seed)
-    anchor = _camera_anchor(scene_latent, camera, frames, table)
-    denoiser = _oracle_denoiser(config, anchor)
-    extractor = config.feature_extractor()
-    y_s = extractor.image_features(np.clip(decode_latent(scene_latent), 0.0, 1.0))
-    vocab = config.action_vocabulary()
-    phrases = extract_action_phrases(args.prompt, vocab)
-    y_a = build_indicator(phrases, vocab, VocabularyEmbedder(vocab))
-    vid_cfg = config.video_sampler_config(derive_seed(config.seed, "video"),
-                                          t_m=args.tm)
-    clip = sample_video(denoiser, y_s, y_a, camera, schedule, vid_cfg,
-                        ref_latent=scene_latent[:, None, :, :], speed_table=table)
+    clip = _sample_clip(config, scene_latent, args.prompt, camera,
+                        derive_seed(config.seed, "video"), args.tm)
     save_tensor(args.out, clip)
     print(f"wrote {args.out} shape {list(clip.shape)}")
     return 0

@@ -53,11 +53,6 @@ class ContextBundle:
                              np.zeros((0, self.y_f.shape[1])),
                              np.zeros((0, self.y_b.shape[1])))
 
-    @classmethod
-    def null(cls, channels=DEFAULT_CONTEXT_CHANNELS):
-        z = np.zeros((0, channels))
-        return cls(z, z, z)
-
 
 class VidContext:
     """Scene-reference features plus the action indicator for the video stage."""
@@ -418,6 +413,9 @@ class AnalyticGaussianDenoiser:
         self.prior = prior
         self.schedule = schedule
         self.latent_shape = tuple(latent_shape)
+
+    def null_cond(self, cond):
+        return None  # predict ignores conditioning, so guidance needs no second call
 
     def predict(self, x, t, *_cond):
         return analytic_gaussian_epsilon(x, t, self.prior, self.schedule)

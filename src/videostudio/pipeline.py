@@ -215,6 +215,7 @@ class PipelineConfig:
 
         self.doc = doc
         self._schedule = None
+        self._extractor = ToyFeatureExtractor(self.channels, self.text_len, self.image_tokens)
         self._vocab = None
 
     def noise_schedule(self):
@@ -251,7 +252,7 @@ class PipelineConfig:
         return self._vocab
 
     def feature_extractor(self):
-        return ToyFeatureExtractor(self.channels, self.text_len, self.image_tokens)
+        return self._extractor
 
 
 def load_config(path=None, overrides=None):
@@ -405,7 +406,6 @@ class SceneOutput:
     clip_latent: np.ndarray     # [C, F, H, W]
     frames: list                # F decoded RgbImages
     entity_boxes: dict          # name -> (r0, r1, c0, c1) in frame pixels
-    anchor_latent: np.ndarray = None  # oracle target; diagnostic, not exported
 
 
 @dataclass
@@ -629,35 +629,55 @@ def _scene_bundle(spec, references, extractor):
     return ContextBundle(y_t, y_f, y_b)
 
 
-def _generate_scene(spec, config, references, extractor, vocab, t2i_backend,
+def _sample_clip(config, scene_latent, prompt, camera, seed, t_m=None, denoiser=None):
+    """Clip latent [C, F, H, W] for one scene latent, moved by ``camera``.
+
+    The denoiser is conditioned on y_s, the features of the decoded scene
+    latent, and y_a, the action indicator of ``prompt``.  Without a
+    denoiser the clip comes from the oracle anchored on the camera-moved
+    scene latent.
+    """
+    table = config.speed_table()
+    if denoiser is None:
+        anchor = _camera_anchor(scene_latent, camera, config.frames, table)
+        denoiser = _oracle_denoiser(config, anchor)
+    y_s = config.feature_extractor().image_features(
+        np.clip(decode_latent(scene_latent), 0.0, 1.0))
+    vocab = config.action_vocabulary()
+    y_a = build_indicator(extract_action_phrases(prompt, vocab), vocab,
+                          VocabularyEmbedder(vocab))
+    return sample_video(denoiser, y_s, y_a, camera, config.noise_schedule(),
+                        config.video_sampler_config(seed, t_m),
+                        ref_latent=scene_latent[:, None, :, :], speed_table=table)
+
+
+def _build_references(config, script, prompt, backends):
+    """Entity descriptions from the chat backend, then masked reference images."""
+    descriptions = {rec.name: generate_entity_description(rec, prompt, backends.chat)
+                    for rec in find_common_entities(script)}
+    references = build_entity_references(
+        script, descriptions,
+        ReferenceBackends(backends.text_to_image, backends.segmenter), config.seed)
+    return references, descriptions
+
+
+def _generate_scene(spec, config, references, t2i_backend,
                     image_denoiser=None, video_denoiser=None):
     c, h, w = config.latent_shape
-    frames = config.frames
-    schedule = config.noise_schedule()
     scene_seed = derive_seed(config.seed, "scene", spec.index)
 
     composite, boxes = compose_scene(spec, references, h, w, t2i_backend, scene_seed)
-    target = encode_image(composite, c)
-    bundle = _scene_bundle(spec, references, extractor)
+    bundle = _scene_bundle(spec, references, config.feature_extractor())
     img_cfg = config.image_sampler_config(derive_seed(scene_seed, "image"))
-    denoiser = image_denoiser or _oracle_denoiser(config, target)
-    scene_latent = sample_image(denoiser, bundle, schedule, img_cfg)
-    scene_image = latent_to_image(scene_latent)
+    denoiser = image_denoiser or _oracle_denoiser(config, encode_image(composite, c))
+    scene_latent = sample_image(denoiser, bundle, config.noise_schedule(), img_cfg)
 
-    y_s = extractor.image_features(scene_image.data)
-    phrases = extract_action_phrases(spec.prompt, vocab)
-    y_a = build_indicator(phrases, vocab, VocabularyEmbedder(vocab))
     camera = (spec.camera.direction, spec.camera.speed)
-    table = config.speed_table()
-    anchor = _camera_anchor(scene_latent, camera, frames, table)
-    vid_cfg = config.video_sampler_config(derive_seed(scene_seed, "video"))
-    vdenoiser = video_denoiser or _oracle_denoiser(config, anchor)
-    clip_latent = sample_video(vdenoiser, y_s, y_a, camera, schedule, vid_cfg,
-                               ref_latent=scene_latent[:, None, :, :],
-                               speed_table=table)
-    decoded = [latent_to_image(clip_latent[:, f]) for f in range(frames)]
-    return SceneOutput(spec, scene_seed, scene_latent, scene_image,
-                       clip_latent, decoded, boxes, anchor)
+    clip_latent = _sample_clip(config, scene_latent, spec.prompt, camera,
+                               derive_seed(scene_seed, "video"), denoiser=video_denoiser)
+    decoded = [latent_to_image(clip_latent[:, f]) for f in range(config.frames)]
+    return SceneOutput(spec, scene_seed, scene_latent, latent_to_image(scene_latent),
+                       clip_latent, decoded, boxes)
 
 
 def run_pipeline(prompt, config, backends=None):
@@ -675,17 +695,9 @@ def run_pipeline(prompt, config, backends=None):
 
         stage = "references"
         if not config.no_refs:
-            descriptions = {}
-            for rec in find_common_entities(script):
-                descriptions[rec.name] = generate_entity_description(rec, prompt, backends.chat)
-            references = build_entity_references(
-                script, descriptions,
-                ReferenceBackends(backends.text_to_image, backends.segmenter),
-                config.seed)
+            references, _ = _build_references(config, script, prompt, backends)
 
         stage = "scenes"
-        extractor = config.feature_extractor()
-        vocab = config.action_vocabulary()
         image_denoiser = video_denoiser = None
         if config.denoiser == "network":
             c, h, w = config.latent_shape
@@ -700,8 +712,7 @@ def run_pipeline(prompt, config, backends=None):
                 config.heads, vocab_size=config.vocab_size,
                 scene_channels=config.channels)
         for spec in script.scenes:
-            scenes.append(_generate_scene(spec, config, references, extractor,
-                                          vocab, backends.text_to_image,
+            scenes.append(_generate_scene(spec, config, references, backends.text_to_image,
                                           image_denoiser, video_denoiser))
 
         stage = "metrics"
@@ -949,20 +960,15 @@ def tm_sweep(config, camera=("right", "medium"), tms=(1, 5, 20),
     the sweep checks.
     """
     frames = config.frames
-    schedule = config.noise_schedule()
     table = config.speed_table()
     direction, speed = camera
     seed = derive_seed(config.seed, "tm-sweep")
     scene_latent = _scene_canvas_latent(config, prompt, seed)
     anchor = _camera_anchor(scene_latent, camera, frames, table)
     denoiser = _oracle_denoiser(config, anchor)
-    y_s = np.zeros((0, config.channels))
-    y_a = np.zeros(config.vocab_size)
     rows = []
     for tm in tms:
-        cfg = config.video_sampler_config(seed, t_m=tm)
-        clip = sample_video(denoiser, y_s, y_a, camera, schedule, cfg,
-                            ref_latent=scene_latent[:, None, :, :], speed_table=table)
+        clip = _sample_clip(config, scene_latent, prompt, camera, seed, tm, denoiser)
         base = decode_latent(clip[:, 0])
         errs = []
         for f in range(1, min(max_probe, frames - 1) + 1):

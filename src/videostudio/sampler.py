@@ -195,16 +195,18 @@ def _values(pred):
     return np.asarray(getattr(pred, "data", pred), dtype=np.float64)
 
 
-def _predict_eps(denoiser, x, t, cond, null_cond, scale):
+def _predict_eps(denoiser, x, t, cond, scale):
     eps_c = _values(denoiser.predict(x, t, *cond))
     if scale == 1.0:
+        return eps_c
+    null_cond = denoiser.null_cond(cond)
+    if null_cond is None:  # conditioning has no effect: guidance is the identity
         return eps_c
     eps_u = _values(denoiser.predict(x, t, *null_cond))
     return cfg_epsilon(eps_u, eps_c, scale)
 
 
-def _sample(denoiser, shape, cond, null_cond, schedule, config,
-            intervene_after=0, field=None):
+def _sample(denoiser, shape, cond, schedule, config, intervene_after=0, field=None):
     rng = Rng(config.seed)
     taus = respaced_timesteps(schedule.T, config.steps)
     x = rng.normal(shape)
@@ -218,7 +220,7 @@ def _sample(denoiser, shape, cond, null_cond, schedule, config,
             eps_hat = x.copy()  # the boundary state is its own noise
             x = _boundary_step(x, x0_hat, t_next, schedule, config.eta, rng)
         else:
-            eps_hat = _predict_eps(denoiser, x, t, cond, null_cond, config.guidance_scale)
+            eps_hat = _predict_eps(denoiser, x, t, cond, config.guidance_scale)
             x = ddim_step(x, eps_hat, t, t_next, schedule, config.eta, rng)
         if k + 1 == intervene_after and t_next >= 1:
             x = apply_camera_intervention(x, eps_hat, t_next, schedule, field)
@@ -229,12 +231,11 @@ def sample_image(denoiser, bundle, schedule, config):
     """Run the image-stage DDIM loop and return the final [4, H, W] latent.
 
     ``denoiser.predict(x, t, bundle)`` must return an eps estimate of the
-    latent's shape.  Guidance contrasts ``bundle`` against its null
-    counterpart; scale 1 skips the unconditional call entirely.
+    latent's shape.  Guidance contrasts ``bundle`` against
+    ``denoiser.null_cond((bundle,))``; scale 1, or a None null condition,
+    skips the unconditional call entirely.
     """
-    shape = tuple(denoiser.latent_shape)
-    null = bundle.null_like() if bundle is not None else None
-    return _sample(denoiser, shape, (bundle,), (null,), schedule, config)
+    return _sample(denoiser, tuple(denoiser.latent_shape), (bundle,), schedule, config)
 
 
 def sample_video(denoiser, y_s, y_a, camera, schedule, config,
@@ -243,8 +244,10 @@ def sample_video(denoiser, y_s, y_a, camera, schedule, config,
 
     camera: (direction, speed) pair.  After config.t_m completed updates
     the current latent is pushed toward its camera-warped clean estimate
-    exactly once, reusing the latest (guided) eps.  The reference latent
-    rides along to the denoiser on every call.
+    exactly once, reusing the latest (guided) eps.  The denoiser sees
+    ``predict(x, t, VidContext(y_s, y_a), ref_latent)``; guidance contrasts
+    that with ``denoiser.null_cond(...)``, and scale 1 or a None null
+    condition means one call per step.
     """
     shape = tuple(denoiser.latent_shape)
     if len(shape) != 4:
@@ -254,8 +257,5 @@ def sample_video(denoiser, y_s, y_a, camera, schedule, config,
     direction, speed = camera
     frames, height, width = shape[1], shape[2], shape[3]
     field = synthesize_flow(direction, speed, frames, height, width, speed_table)
-    ctx = VidContext(y_s, y_a)
-    cond = (ctx, ref_latent)
-    null_cond = (ctx.null_like(), ref_latent)
-    return _sample(denoiser, shape, cond, null_cond, schedule, config,
+    return _sample(denoiser, shape, (VidContext(y_s, y_a), ref_latent), schedule, config,
                    intervene_after=config.t_m, field=field)

@@ -97,7 +97,8 @@ def test_tri_context_sums_three_attention_streams():
 def test_tri_context_rejects_wrong_token_width():
     block = TriContextBlock(Rng(5), channels=8)
     with pytest.raises(ShapeMismatch):
-        tri_context_forward(np.zeros((3, 4)), ContextBundle.null(8), block)
+        empty = np.zeros((0, 8))
+        tri_context_forward(np.zeros((3, 4)), ContextBundle(empty, empty, empty), block)
 
 
 # --- spatio-temporal block -----------------------------------------------------------

@@ -110,15 +110,23 @@ def test_cfg_is_affine_extrapolation():
 
 
 class _CountingDenoiser:
-    """Returns zero eps and counts predict calls."""
+    """Returns zero eps and counts predict calls; its null condition is ("null",)."""
 
     def __init__(self, shape):
         self.latent_shape = tuple(shape)
         self.calls = 0
 
+    def null_cond(self, cond):
+        return ("null",)
+
     def predict(self, x, t, bundle):
         self.calls += 1
         return np.zeros_like(x)
+
+
+class _UnconditionalDenoiser(_CountingDenoiser):
+    def null_cond(self, cond):
+        return None
 
 
 def test_guidance_scale_one_skips_unconditional_pass():
@@ -129,6 +137,26 @@ def test_guidance_scale_one_skips_unconditional_pass():
     den.calls = 0
     sample_image(den, None, sched, SamplerConfig(steps=10, eta=0.0, guidance_scale=7.5, seed=0))
     assert den.calls == 20
+
+
+def test_none_null_condition_means_one_call_per_step():
+    sched = make_schedule(100, 0.001, 0.02)
+    den = _UnconditionalDenoiser((2, 4, 4))
+    sample_image(den, None, sched, SamplerConfig(steps=10, eta=0.0, guidance_scale=7.5, seed=0))
+    assert den.calls == 10
+
+
+def test_guided_oracle_video_predicts_once_per_step(monkeypatch):
+    sched = make_schedule(50, 0.001, 0.02)
+    mu = Rng(6).normal((2, 3, 4, 4))
+    den = AnalyticGaussianDenoiser(GaussianPrior(mu, 1e-4), sched, (2, 3, 4, 4))
+    calls = []
+    original = den.predict
+    monkeypatch.setattr(den, "predict", lambda *a: calls.append(a) or original(*a))
+    cfg = SamplerConfig(steps=12, eta=1.0, guidance_scale=12.0, t_m=3, seed=4)
+    sample_video(den, np.zeros((4, 8)), np.zeros(16), ("right", "medium"), sched, cfg)
+    # the first step uses the pure-noise boundary hook instead of predict
+    assert len(calls) == cfg.steps - 1
 
 
 # --- single DDIM update ----------------------------------------------------------
