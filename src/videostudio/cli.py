@@ -14,9 +14,7 @@ import sys
 import numpy as np
 
 from .cond_blocks import ContextBundle
-from .errors import (BackendError, BadConfig, BadTensorFile, ChecksumMismatch,
-                     DetectorMiss, NoCommonEntities, StageError,
-                     ValidationError, VideoStudioError)
+from .errors import BadConfig, StageError, VideoStudioError
 from .numeric_core import derive_seed, save_tensor
 from .pipeline import (_build_references, _oracle_denoiser, _sample_clip,
                        _scene_canvas_latent, _write_bytes, _write_references,
@@ -220,11 +218,7 @@ def _build_parser():
 
 
 def _exit_code(exc):
-    if isinstance(exc, (ValidationError, NoCommonEntities, DetectorMiss)):
-        return 2
-    if isinstance(exc, (BackendError, BadTensorFile, ChecksumMismatch)):
-        return 3
-    return 4
+    return exc.exit_code if isinstance(exc, VideoStudioError) else 4
 
 
 def main(argv=None):

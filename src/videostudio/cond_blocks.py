@@ -359,7 +359,7 @@ def train_step(denoiser, batch, schedule, rng, opt=None, p_drop=0.1):
         x_t = schedule.alpha_at(t) * x0 + schedule.sigma_at(t) * eps
         use = cond
         if p_drop > 0.0 and rng.uniform() < p_drop:
-            use = denoiser.null_cond(cond)
+            use = denoiser.null_cond(cond) or cond  # None: conditioning has no effect
         pred = denoiser.predict(x_t, t, *use)
         diff = pred - Tensor(eps)
         term = (diff * diff).mean()

@@ -1,18 +1,21 @@
 """Error types shared across the package.
 
 Each stage raises a dedicated subclass so callers (and the CLI) can map
-failures to exit codes without string matching.
+failures to exit codes without string matching.  ``exit_code`` is the
+code the CLI returns for the class; subclasses inherit it.
 """
 
 
 class VideoStudioError(Exception):
     """Base class for every error this package raises deliberately."""
 
+    exit_code = 4
+
 
 # --- structural / validation problems (CLI exit code 2) ---
 
 class ValidationError(VideoStudioError):
-    pass
+    exit_code = 2
 
 
 class MalformedScene(ValidationError):
@@ -93,10 +96,20 @@ class TooFewFrames(ValidationError):
     pass
 
 
-# --- backend / environment problems (CLI exit code 3) ---
+# --- metrics that cannot be computed on this video (CLI exit code 2) ---
+
+class DetectorMiss(VideoStudioError):
+    exit_code = 2
+
+
+class NoCommonEntities(VideoStudioError):
+    exit_code = 2
+
+
+# --- backend / file-integrity problems (CLI exit code 3) ---
 
 class BackendError(VideoStudioError):
-    pass
+    exit_code = 3
 
 
 class ScriptGenerationExhausted(BackendError):
@@ -106,20 +119,14 @@ class ScriptGenerationExhausted(BackendError):
 
 
 class BadTensorFile(VideoStudioError):
-    pass
+    exit_code = 3
 
 
 class ChecksumMismatch(VideoStudioError):
-    pass
+    exit_code = 3
 
 
-class DetectorMiss(VideoStudioError):
-    pass
-
-
-class NoCommonEntities(VideoStudioError):
-    pass
-
+# --- wrapper: the CLI reports the exit code of ``cause`` ---
 
 class StageError(VideoStudioError):
     """Wraps a failure with the pipeline stage it happened in."""

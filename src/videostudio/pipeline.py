@@ -180,8 +180,12 @@ class PipelineConfig:
         self.image_tokens = _want_int(doc, "model.image_tokens", 1)
 
         self.total_steps = _want_int(doc, "schedule.steps", 1)
-        _want_number(doc, "schedule.beta_start", 0.0)
-        _want_number(doc, "schedule.beta_end", 0.0, 1.0)
+        beta_start = _want_number(doc, "schedule.beta_start", 0.0, 1.0)
+        beta_end = _want_number(doc, "schedule.beta_end", beta_start, 1.0)
+        for dotted, beta in (("schedule.beta_start", beta_start), ("schedule.beta_end", beta_end)):
+            if not 0.0 < beta < 1.0:
+                raise BadConfig(f"{dotted} must lie strictly inside (0, 1), got {beta}")
+        self._schedule = make_schedule(self.total_steps, beta_start, beta_end)
         for key in ("image_sampler", "video_sampler"):
             _want_int(doc, f"{key}.steps", 1, self.total_steps)
             _want_number(doc, f"{key}.eta", 0.0, 1.0)
@@ -214,14 +218,10 @@ class PipelineConfig:
                 raise BadConfig(f"{dotted} points at a missing file: {value!r}")
 
         self.doc = doc
-        self._schedule = None
         self._extractor = ToyFeatureExtractor(self.channels, self.text_len, self.image_tokens)
         self._vocab = None
 
     def noise_schedule(self):
-        if self._schedule is None:
-            s = self.doc["schedule"]
-            self._schedule = make_schedule(s["steps"], s["beta_start"], s["beta_end"])
         return self._schedule
 
     def speed_table(self):
@@ -839,7 +839,61 @@ def export_video(video, out_dir):
     return manifest_path
 
 
+def _typed(value, types, what):
+    """``value`` if it has type ``types`` (a bool is not an int); else ChecksumMismatch."""
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ChecksumMismatch(f"manifest {what} is missing or not of type {types.__name__}")
+    return value
+
+
+def _manifest_files(manifest):
+    """Check the manifest's structure; return every file path it references."""
+    _typed(manifest, dict, "document")
+    for key, types in (("version", int), ("prompt", str), ("seed", int), ("script", str),
+                       ("frames_per_scene", int), ("references", dict), ("scenes", list),
+                       ("checksums", dict)):
+        _typed(manifest.get(key), types, key)
+    files = []
+    for name, entry in manifest["references"].items():
+        where = f"references[{name!r}]"
+        _typed(entry, dict, where)
+        for key in ("kind", "image", "mask"):
+            _typed(entry.get(key), str, f"{where}.{key}")
+        files += [entry["image"], entry["mask"]]
+    for k, entry in enumerate(manifest["scenes"]):
+        where = f"scenes[{k}]"
+        _typed(entry, dict, where)
+        for key in ("index", "seed"):
+            _typed(entry.get(key), int, f"{where}.{key}")
+        for name, box in _typed(entry.get("entity_boxes"), dict, f"{where}.entity_boxes").items():
+            what = f"{where}.entity_boxes[{name!r}]"
+            if len([_typed(v, int, what) for v in _typed(box, list, what)]) != 4:
+                raise ChecksumMismatch(f"manifest {what} is not four ints")
+        paths = _typed(entry.get("files"), dict, f"{where}.files")
+        frames = _typed(paths.get("frames"), list, f"{where}.files.frames")
+        files += [_typed(rel, str, f"{where}.files.frames") for rel in frames]
+        files += [_typed(paths.get(key), str, f"{where}.files.{key}")
+                  for key in ("scene_image", "scene_latent", "clip_latent")]
+    for rel, digest in manifest["checksums"].items():
+        _typed(digest, str, f"checksums[{rel!r}]")
+    return files
+
+
+def _tree_path(out_dir, rel):
+    """``out_dir/rel``, refusing paths that are absolute or leave the tree."""
+    if (not rel or "\0" in rel or os.path.isabs(rel)
+            or os.path.normpath(rel).split(os.sep)[0] == os.pardir):
+        raise ChecksumMismatch(f"manifest path {rel!r} is not inside the exported tree")
+    return os.path.join(out_dir, rel)
+
+
 def load_manifest(out_dir, verify=True):
+    """Read manifest.json and check its structure.
+
+    With ``verify``, every referenced file must have a checksum entry and
+    every checksummed file, inside the tree, must match it.  Any failure
+    is ChecksumMismatch; ``load_video`` reads only paths inside the tree.
+    """
     path = os.path.join(out_dir, "manifest.json")
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -848,10 +902,15 @@ def load_manifest(out_dir, verify=True):
         raise ChecksumMismatch(f"cannot read manifest: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ChecksumMismatch(f"manifest is not valid JSON: {exc}") from exc
+    files = _manifest_files(manifest)
     if verify:
-        for rel, expected in manifest.get("checksums", {}).items():
+        checksums = manifest["checksums"]
+        for rel in files:
+            if rel not in checksums:
+                raise ChecksumMismatch(f"{rel}: no checksum entry in the manifest")
+        for rel, expected in checksums.items():
             try:
-                with open(os.path.join(out_dir, rel), "rb") as fh:
+                with open(_tree_path(out_dir, rel), "rb") as fh:
                     actual = hashlib.sha256(fh.read()).hexdigest()
             except OSError as exc:
                 raise ChecksumMismatch(f"{rel}: {exc}") from exc
@@ -868,7 +927,7 @@ def load_video(out_dir, verify=True):
     records = {rec.name: rec for rec in find_common_entities(script)}
 
     def read_bytes(rel):
-        with open(os.path.join(out_dir, rel), "rb") as fh:
+        with open(_tree_path(out_dir, rel), "rb") as fh:
             return fh.read()
 
     references = {}
@@ -879,11 +938,13 @@ def load_video(out_dir, verify=True):
 
     scenes = []
     for entry in manifest["scenes"]:
-        spec = specs[entry["index"]]
+        spec = specs.get(entry["index"])
+        if spec is None:
+            raise ChecksumMismatch(f"manifest scene {entry['index']} is not in its script")
         frames = [decode_ppm(read_bytes(rel)) for rel in entry["files"]["frames"]]
         scene_image = decode_ppm(read_bytes(entry["files"]["scene_image"]))
-        scene_latent = load_tensor(os.path.join(out_dir, entry["files"]["scene_latent"]))
-        clip_latent = load_tensor(os.path.join(out_dir, entry["files"]["clip_latent"]))
+        scene_latent = load_tensor(_tree_path(out_dir, entry["files"]["scene_latent"]))
+        clip_latent = load_tensor(_tree_path(out_dir, entry["files"]["clip_latent"]))
         boxes = {name: tuple(box) for name, box in entry["entity_boxes"].items()}
         scenes.append(SceneOutput(spec, entry["seed"], scene_latent, scene_image,
                                   clip_latent, frames, boxes))

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from videostudio import cli, errors
 from videostudio.cli import main
 from videostudio.numeric_core import load_tensor
 from videostudio.pipeline import build_mock_llm_fixture, load_manifest
@@ -147,11 +148,36 @@ def test_tm_sweep_rejects_non_integer_depths(capsys):
     assert "Traceback" not in err and err.count("\n") == 1
 
 
-def test_unexpected_error_exits_4_with_one_line(tmp_path, capsys):
-    # a manifest without its keys is not validated yet; whatever escapes
-    # must still end as exit 4 and a one-line message
-    (tmp_path / "manifest.json").write_text("{}")
+def test_unexpected_error_exits_4_with_one_line(tmp_path, capsys, monkeypatch):
+    def broken_load(out_dir, verify=True):
+        raise KeyError("script")
+    monkeypatch.setattr(cli, "load_video", broken_load)
     assert main(["metrics", "--out-dir", str(tmp_path)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: KeyError: ")
     assert err.count("\n") == 1
+
+
+def test_metrics_on_keyless_manifest_exits_3(tmp_path, capsys):
+    (tmp_path / "manifest.json").write_text("{}")
+    assert main(["metrics", "--out-dir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: manifest ") and err.count("\n") == 1
+
+
+def _error_classes(base=errors.VideoStudioError):
+    return [base] + [c for sub in base.__subclasses__() for c in _error_classes(sub)]
+
+
+def _exit_code_at_seed(cls):
+    # the isinstance lists the CLI used before each class carried its code
+    if issubclass(cls, (errors.ValidationError, errors.NoCommonEntities, errors.DetectorMiss)):
+        return 2
+    if issubclass(cls, (errors.BackendError, errors.BadTensorFile, errors.ChecksumMismatch)):
+        return 3
+    return 4
+
+
+@pytest.mark.parametrize("cls", _error_classes(), ids=lambda cls: cls.__name__)
+def test_every_error_class_keeps_its_exit_code(cls):
+    assert cli._exit_code(cls.__new__(cls)) == _exit_code_at_seed(cls)

@@ -262,6 +262,10 @@ def test_train_step_null_drop_path():
     for _ in range(30):
         train_step(spy2, [(np.zeros((2, 4, 4)), ("cond",))], sched, rng, p_drop=0.0)
     assert spy2.saw_cond and not spy2.saw_null
+    spy3 = Spy()
+    spy3.null_cond = lambda cond: None  # conditioning has no effect: keep it
+    train_step(spy3, [(np.zeros((2, 4, 4)), ("cond",))], sched, Rng(27), p_drop=1.0)
+    assert spy3.saw_cond and not spy3.saw_null
 
 
 # --- analytic oracle ---------------------------------------------------------------------

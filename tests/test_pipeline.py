@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -90,6 +92,17 @@ def test_config_type_and_range_validation():
         load_config(overrides={"chat": {"kind": "telepathy"}})
     with pytest.raises(BadConfig):
         load_config(overrides={"speeds": {"translation": {"slowish": 0.5}}})
+
+
+@pytest.mark.parametrize("schedule,key", [
+    ({"beta_start": 0}, "schedule.beta_start"),
+    ({"beta_start": float("nan")}, "schedule.beta_start"),
+    ({"beta_start": 0.01, "beta_end": 0.001}, "schedule.beta_end"),
+    ({"beta_end": 1.0}, "schedule.beta_end"),
+])
+def test_bad_noise_schedule_fails_at_load(schedule, key):
+    with pytest.raises(BadConfig, match=key):
+        load_config(overrides={"schedule": schedule})
 
 
 def test_config_file_loading(tmp_path):
@@ -435,6 +448,88 @@ def test_checksum_fault_injection(tmp_path):
         load_manifest(str(tmp_path))
     with pytest.raises(ChecksumMismatch):
         load_manifest(str(tmp_path / "not_there"))
+
+
+@pytest.fixture(scope="module")
+def _exported(tmp_path_factory):
+    out = tmp_path_factory.mktemp("exported")
+    video, _ = _run(SCRIPT2)
+    export_video(video, str(out))
+    return out
+
+
+def _tampered_tree(exported, tmp_path, edit):
+    """Copy of the exported tree whose manifest went through ``edit``."""
+    tree = tmp_path / "tree"
+    shutil.copytree(exported, tree)
+    manifest = json.loads((tree / "manifest.json").read_text())
+    edit(manifest, tree)
+    (tree / "manifest.json").write_text(json.dumps(manifest))
+    return tree
+
+
+def _drop_script(manifest, tree):
+    del manifest["script"]
+
+
+def _frames_as_string(manifest, tree):
+    manifest["scenes"][0]["files"]["frames"] = manifest["scenes"][0]["files"]["frames"][0]
+
+
+def _box_of_three(manifest, tree):
+    manifest["scenes"][0]["entity_boxes"]["workshop"] = [0, 16, 0]
+
+
+@pytest.mark.parametrize("edit", [_drop_script, _frames_as_string, _box_of_three])
+def test_malformed_manifest_is_a_checksum_mismatch(_exported, tmp_path, edit):
+    tree = _tampered_tree(_exported, tmp_path, edit)
+    with pytest.raises(ChecksumMismatch):
+        load_video(str(tree))
+
+
+def test_file_without_checksum_entry_is_refused(_exported, tmp_path):
+    def corrupt_and_unlist(manifest, tree):
+        victim = tree / "scene_1" / "frame_0.ppm"
+        raw = bytearray(victim.read_bytes())
+        raw[-1] ^= 0x01
+        victim.write_bytes(bytes(raw))
+        del manifest["checksums"]["scene_1/frame_0.ppm"]
+    tree = _tampered_tree(_exported, tmp_path, corrupt_and_unlist)
+    with pytest.raises(ChecksumMismatch, match="no checksum entry"):
+        load_video(str(tree))
+    load_video(str(tree), verify=False)  # an unverified load still reads it
+
+
+def _outside_copy(tree):
+    """A byte-identical copy of a reference image beside the tree; its digest."""
+    outside = tree.parent / "outside.ppm"
+    shutil.copyfile(tree / "refs" / "01_workshop.ppm", outside)
+    return outside, hashlib.sha256(outside.read_bytes()).hexdigest()
+
+
+def _reference_escapes(manifest, tree):
+    _, digest = _outside_copy(tree)
+    manifest["references"]["workshop"]["image"] = "../outside.ppm"
+    manifest["checksums"]["../outside.ppm"] = digest
+
+
+def _reference_is_absolute(manifest, tree):
+    outside, digest = _outside_copy(tree)
+    manifest["references"]["workshop"]["image"] = str(outside)
+    manifest["checksums"][str(outside)] = digest
+
+
+def _checksum_entry_escapes(manifest, tree):
+    _, digest = _outside_copy(tree)
+    manifest["checksums"]["refs/../../outside.ppm"] = digest
+
+
+@pytest.mark.parametrize("edit", [_reference_escapes, _reference_is_absolute,
+                                  _checksum_entry_escapes])
+def test_manifest_paths_stay_inside_the_tree(_exported, tmp_path, edit):
+    tree = _tampered_tree(_exported, tmp_path, edit)
+    with pytest.raises(ChecksumMismatch, match="not inside the exported tree"):
+        load_video(str(tree))
 
 
 def test_identical_seeds_export_identical_checksums(tmp_path):
