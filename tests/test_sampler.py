@@ -124,11 +124,6 @@ class _CountingDenoiser:
         return np.zeros_like(x)
 
 
-class _UnconditionalDenoiser(_CountingDenoiser):
-    def null_cond(self, cond):
-        return None
-
-
 def test_guidance_scale_one_skips_unconditional_pass():
     sched = make_schedule(100, 0.001, 0.02)
     den = _CountingDenoiser((2, 4, 4))
@@ -141,7 +136,8 @@ def test_guidance_scale_one_skips_unconditional_pass():
 
 def test_none_null_condition_means_one_call_per_step():
     sched = make_schedule(100, 0.001, 0.02)
-    den = _UnconditionalDenoiser((2, 4, 4))
+    den = _CountingDenoiser((2, 4, 4))
+    den.null_cond = lambda cond: None  # conditioning has no effect
     sample_image(den, None, sched, SamplerConfig(steps=10, eta=0.0, guidance_scale=7.5, seed=0))
     assert den.calls == 10
 
