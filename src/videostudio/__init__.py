@@ -20,11 +20,10 @@ from .numeric_core import (Parameter, Rng, Tensor, derive_seed,
 from .script_engine import (CameraMove, EntityRecord, MockChatBackend,
                             RetryPolicy, SceneSpec, VideoScript,
                             find_common_entities, generate_entity_description,
-                            generate_script, parse_script, read_script,
-                            serialize_script, validate_script, write_script)
-from .ref_images import (EntityReference, Mask, ReferenceBackends, RgbImage,
-                         ToyTextToImageBackend, build_entity_references,
-                         read_ppm, write_ppm)
+                            generate_script, parse_script, serialize_script,
+                            validate_script)
+from .ref_images import (EntityReference, Mask, RgbImage, ToyTextToImageBackend,
+                         build_entity_references)
 from .camera_motion import (DEFAULT_SPEED_TABLE, DIRECTIONS, SPEEDS,
                             SpeedTable, synthesize_flow, warp_clip, warp_frame)
 from .sampler import (NoiseSchedule, SamplerConfig, apply_camera_intervention,
@@ -32,8 +31,7 @@ from .sampler import (NoiseSchedule, SamplerConfig, apply_camera_intervention,
                       respaced_timesteps, sample_image, sample_video)
 from .action_condition import (ActionVocabulary, VocabularyEmbedder,
                                build_indicator, default_vocabulary,
-                               extract_action_phrases, indicator_from_names,
-                               load_vocabulary)
+                               extract_action_phrases, load_vocabulary)
 from .cond_blocks import (AdamW, AnalyticGaussianDenoiser, ContextBundle,
                           GaussianPrior, ImgDenoiser, ToyFeatureExtractor,
                           TriContextBlock, SpatioTemporalBlock, VidContext,

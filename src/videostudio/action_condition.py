@@ -12,7 +12,7 @@ import json
 
 import numpy as np
 
-from .errors import EmptyPrompt, EmptyVocabulary, ShapeMismatch, UnknownActionCategory
+from .errors import EmptyPrompt, EmptyVocabulary, ShapeMismatch
 from .numeric_core import Parameter, Rng, Tensor, hash64, matmul
 
 DROP_THRESHOLD = 0.2
@@ -31,7 +31,7 @@ class ActionVocabulary:
         if embeddings.ndim != 2 or embeddings.shape[0] != len(names):
             raise ShapeMismatch(f"embeddings {embeddings.shape} vs {len(names)} names")
         norms = np.linalg.norm(embeddings, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-6):
+        if not np.all(np.abs(norms - 1.0) <= 1e-6):  # NaN fails too
             raise ShapeMismatch("vocabulary embeddings must be unit-norm")
         self.names = names
         self.embeddings = embeddings
@@ -39,12 +39,6 @@ class ActionVocabulary:
     @property
     def size(self):
         return len(self.names)
-
-    def index_of(self, name):
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise UnknownActionCategory(f"no action named {name!r}") from None
 
 
 _DEFAULT_ACTIONS = (
@@ -75,45 +69,22 @@ def load_vocabulary(path):
     return ActionVocabulary(names, embeddings)
 
 
-def save_vocabulary(path, vocab):
-    rows = [{"name": n, "embedding": e.tolist()}
-            for n, e in zip(vocab.names, vocab.embeddings)]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(rows, fh, indent=1)
+def extract_action_phrases(prompt, vocab):
+    """The vocabulary names that occur in the prompt, in vocabulary order.
 
-
-def _ngram_extractor(vocab):
-    def extract(prompt):
-        words = prompt.lower().split()
-        found = []
-        for name in vocab.names:
-            target = name.lower().split()
-            n = len(target)
-            for i in range(len(words) - n + 1):
-                window = [w.strip(".,;:!?") for w in words[i:i + n]]
-                if window == target:
-                    if name not in found:
-                        found.append(name)
-                    break
-        return found
-    return extract
-
-
-def extract_action_phrases(prompt, extractor):
-    """Ordered, deduplicated action phrases found in the prompt.
-
-    ``extractor`` is either a callable(prompt) -> phrases or an
-    ActionVocabulary (then a vocabulary n-gram scan is used).
+    A name matches a run of whole words, ignoring case and the
+    punctuation ``.,;:!?`` at word edges; each name is reported once.
     """
     if not prompt or not prompt.strip():
         raise EmptyPrompt("prompt must be nonempty")
-    if isinstance(extractor, ActionVocabulary):
-        extractor = _ngram_extractor(extractor)
-    phrases = []
-    for phrase in extractor(prompt):
-        if phrase not in phrases:
-            phrases.append(phrase)
-    return phrases
+    words = [w.strip(".,;:!?") for w in prompt.lower().split()]
+    found = []
+    for name in vocab.names:
+        target = name.lower().split()
+        n = len(target)
+        if any(words[i:i + n] == target for i in range(len(words) - n + 1)):
+            found.append(name)
+    return found
 
 
 class VocabularyEmbedder:
@@ -156,14 +127,6 @@ def build_indicator(phrases, vocab, embedder, threshold=DROP_THRESHOLD):
     top = max(accepted.values())
     for idx, cos in accepted.items():
         values[idx] = cos / top
-    return values
-
-
-def indicator_from_names(names, vocab):
-    """Unit indicator for known category names (exact matches only)."""
-    values = np.zeros(vocab.size, dtype=np.float64)
-    for name in names:
-        values[vocab.index_of(name)] = 1.0
     return values
 
 

@@ -24,9 +24,9 @@ import numpy as np
 
 from .action_condition import ActionEmbedding, embed_indicator
 from .errors import DivisionAtTZero, ShapeMismatch
-from .numeric_core import (AdamWHyper, AttentionParams, Parameter, Rng, Tensor,
-                           adamw_step, cross_attention, hash64, layer_norm,
-                           load_tensor, matmul, save_tensor, temporal_conv1d)
+from .numeric_core import (AttentionParams, Parameter, Rng, Tensor,
+                           cross_attention, hash64, layer_norm, load_tensor,
+                           matmul, save_tensor, temporal_conv1d)
 
 DEFAULT_CONTEXT_CHANNELS = 32
 DEFAULT_TEXT_LEN = 77
@@ -88,21 +88,20 @@ def concat_foreground_features(feature_blocks, channels=DEFAULT_CONTEXT_CHANNELS
 class TriContextBlock:
     """CA over text (frozen), fg, bg (both trainable), then frozen SA."""
 
-    def __init__(self, rng, channels, heads=4, inner_dim=None,
-                 text_channels=None, fg_channels=None, bg_channels=None, name="tri"):
-        d = inner_dim or channels
+    def __init__(self, rng, channels, heads=4, text_channels=None,
+                 fg_channels=None, bg_channels=None, name="tri"):
         self.channels = channels
         self.ca1 = AttentionParams.init(rng.child("ca1"), channels,
-                                        text_channels or channels, d, heads,
+                                        text_channels or channels, channels, heads,
                                         trainable=False, name=f"{name}.ca1")
         self.ca2 = AttentionParams.init(rng.child("ca2"), channels,
-                                        fg_channels or channels, d, heads,
+                                        fg_channels or channels, channels, heads,
                                         trainable=True, name=f"{name}.ca2")
         self.ca3 = AttentionParams.init(rng.child("ca3"), channels,
-                                        bg_channels or channels, d, heads,
+                                        bg_channels or channels, channels, heads,
                                         trainable=True, name=f"{name}.ca3")
-        self.sa = AttentionParams.init(rng.child("sa"), channels, channels, d, heads,
-                                       trainable=False, name=f"{name}.sa")
+        self.sa = AttentionParams.init(rng.child("sa"), channels, channels, channels,
+                                       heads, trainable=False, name=f"{name}.sa")
 
     def parameters(self):
         out = []
@@ -122,29 +121,19 @@ def tri_context_forward(x, bundle, block):
     return x + cross_attention(y, y, block.sa)
 
 
-def baseline_single_context_forward(x, y_t, block):
-    """The pre-adaptation block: text cross-attention plus self-attention."""
-    x = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
-    y = cross_attention(x, Tensor(y_t), block.ca1)
-    return x + cross_attention(y, y, block.sa)
-
-
 class SpatioTemporalBlock:
     """CA over scene features + action bias, then spatial and temporal SA."""
 
-    def __init__(self, rng, channels, vocab_size, heads=4, inner_dim=None,
-                 scene_channels=None, name="st"):
-        d = inner_dim or channels
+    def __init__(self, rng, channels, vocab_size, heads=4, scene_channels=None,
+                 name="st"):
         self.channels = channels
         self.ca = AttentionParams.init(rng.child("ca"), channels,
-                                       scene_channels or channels, d, heads,
-                                       trainable=True, name=f"{name}.ca")
+                                       scene_channels or channels, channels, heads,
+                                       name=f"{name}.ca")
         self.sa_spatial = AttentionParams.init(rng.child("sas"), channels, channels,
-                                               d, heads, trainable=True,
-                                               name=f"{name}.sa_spatial")
+                                               channels, heads, name=f"{name}.sa_spatial")
         self.sa_temporal = AttentionParams.init(rng.child("sat"), channels, channels,
-                                                d, heads, trainable=True,
-                                                name=f"{name}.sa_temporal")
+                                                channels, heads, name=f"{name}.sa_temporal")
         self.f = ActionEmbedding.init(rng.child("f"), vocab_size, channels,
                                       trainable=True, name=f"{name}.f")
 
@@ -163,17 +152,6 @@ class SpatioTemporalBlock:
         sites = spatial.swapaxes(0, 1)  # [HW, F, C]
         temporal = cross_attention(sites, sites, self.sa_temporal)
         return tokens + temporal.swapaxes(0, 1)
-
-
-def spatio_temporal_forward(x, ctx, block):
-    """Block forward on a [C, F, H, W] latent-token layout."""
-    x = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
-    if x.data.ndim != 4 or x.data.shape[0] != block.channels:
-        raise ShapeMismatch(f"expected [C,F,H,W] with C={block.channels}, got {x.data.shape}")
-    c, f, h, w = x.data.shape
-    tokens = x.transpose((1, 2, 3, 0)).reshape(f, h * w, c)
-    z = block.forward_tokens(tokens, ctx)
-    return z.reshape(f, h, w, c).transpose((3, 0, 1, 2))
 
 
 # --- denoisers --------------------------------------------------------------
@@ -262,29 +240,26 @@ class VidDenoiser:
 
     The scene-reference latent rides along as frame 0 through embedding,
     temporal convolution and every block, and is stripped from the output.
+    Every parameter trains.
     """
 
     def __init__(self, rng, latent_shape=(4, 8, 16, 16), channels=32, blocks=2,
-                 heads=4, vocab_size=16, scene_channels=DEFAULT_CONTEXT_CHANNELS,
-                 trainable="all"):
-        base_trainable = trainable == "all"
+                 heads=4, vocab_size=16, scene_channels=DEFAULT_CONTEXT_CHANNELS):
         self.latent_shape = tuple(latent_shape)
         self.channels = channels
         self.w_embed, self.b_embed = _affine_params(rng.child("embed"),
-                                                    latent_shape[0], channels,
-                                                    base_trainable, "embed")
+                                                    latent_shape[0], channels, True, "embed")
         self.k_temporal = Parameter(rng.normal((channels, channels, 3)) / np.sqrt(3 * channels),
-                                    trainable=base_trainable, name="temporal.k")
-        self.b_temporal = Parameter(np.zeros(channels), trainable=base_trainable,
-                                    name="temporal.b")
-        self.ln_gain = Parameter(np.ones(channels), trainable=base_trainable, name="ln.gain")
-        self.ln_bias = Parameter(np.zeros(channels), trainable=base_trainable, name="ln.bias")
+                                    name="temporal.k")
+        self.b_temporal = Parameter(np.zeros(channels), name="temporal.b")
+        self.ln_gain = Parameter(np.ones(channels), name="ln.gain")
+        self.ln_bias = Parameter(np.zeros(channels), name="ln.bias")
         self.blocks = [SpatioTemporalBlock(rng.child("block", i), channels, vocab_size,
                                            heads, scene_channels=scene_channels,
                                            name=f"block{i}")
                        for i in range(blocks)]
         self.w_out, self.b_out = _affine_params(rng.child("out"), channels,
-                                                latent_shape[0], base_trainable, "out")
+                                                latent_shape[0], True, "out")
 
     def parameters(self):
         out = [(self.w_embed.name, self.w_embed), (self.b_embed.name, self.b_embed),
@@ -329,15 +304,35 @@ class VidDenoiser:
 
 
 class AdamW:
-    """Stateful convenience wrapper around adamw_step."""
+    """AdamW over ``(name, Parameter)`` pairs; weight decay is decoupled
+    from the moment update.
 
-    def __init__(self, named_params, hyper=None):
-        self.named_params = list(named_params)
-        self.hyper = hyper or AdamWHyper()
-        self.state = {}
+    Frozen parameters (trainable=False) and parameters with no gradient
+    are skipped.  Moments are kept per position in ``named_params``.
+    """
+
+    def __init__(self, named_params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8,
+                 weight_decay=0.0):
+        self.params = [p for _, p in named_params]
+        self.lr, self.beta1, self.beta2 = lr, beta1, beta2
+        self.eps, self.weight_decay = eps, weight_decay
+        self.moments = [None] * len(self.params)
+        self.steps = 0
 
     def step(self):
-        self.state = adamw_step(self.named_params, self.hyper, self.state)
+        self.steps += 1
+        b1, b2 = self.beta1, self.beta2
+        for i, p in enumerate(self.params):
+            if not p.trainable or p.grad is None:
+                continue
+            m, v = self.moments[i] or (np.zeros_like(p.data), np.zeros_like(p.data))
+            m = b1 * m + (1 - b1) * p.grad
+            v = b2 * v + (1 - b2) * p.grad * p.grad
+            self.moments[i] = (m, v)
+            mhat = m / (1 - b1 ** self.steps)
+            vhat = v / (1 - b2 ** self.steps)
+            p.data = p.data - self.lr * (mhat / (np.sqrt(vhat) + self.eps)
+                                         + self.weight_decay * p.data)
 
 
 def train_step(denoiser, batch, schedule, rng, opt=None, p_drop=0.1):

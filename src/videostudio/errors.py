@@ -76,10 +76,6 @@ class EmptyVocabulary(ValidationError):
     pass
 
 
-class UnknownActionCategory(ValidationError):
-    pass
-
-
 class UnknownDirection(ValidationError):
     pass
 

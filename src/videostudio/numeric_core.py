@@ -7,13 +7,14 @@ replays the closures in reverse topological order, the same tape idiom
 used by small research autograd stacks.  A central-difference checker
 polices each analytic gradient.
 
-Also home to the counter-based RNG wrapper, the AdamW update, and the
-binary tensor file format used to persist latents and weights.
+Also home to the counter-based RNG wrapper and the binary tensor file
+format used to persist latents and weights.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 
 import numpy as np
@@ -21,10 +22,10 @@ import numpy as np
 from .errors import BadTensorFile, ShapeMismatch
 
 __all__ = [
-    "Tensor", "Parameter", "AttentionParams", "AdamWHyper", "Rng",
+    "Tensor", "Parameter", "AttentionParams", "Rng",
     "matmul", "softmax_lastdim", "layer_norm",
     "conv2d_3x3", "temporal_conv1d", "cross_attention",
-    "adamw_step", "finite_diff_check", "hash64", "derive_seed",
+    "finite_diff_check", "hash64", "derive_seed",
     "save_tensor", "load_tensor",
 ]
 
@@ -289,8 +290,8 @@ def layer_norm(t, gain, bias, eps=1e-5):
     return out
 
 
-def conv2d_3x3(x, kernel, bias=None, pad=1):
-    """2-D cross-correlation, stride 1.
+def conv2d_3x3(x, kernel, bias=None):
+    """2-D cross-correlation, stride 1, zero padding 1 (same size out).
 
     x: [C, H, W]; kernel: [C_out, C, 3, 3]; bias: [C_out] or None.
     """
@@ -300,13 +301,12 @@ def conv2d_3x3(x, kernel, bias=None, pad=1):
     if kernel.data.shape[1] != x.data.shape[0]:
         raise ShapeMismatch("conv2d_3x3 channel mismatch")
     c, h, w = x.data.shape
-    xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad)))
-    oh, ow = h + 2 * pad - 2, w + 2 * pad - 2
-    out_data = np.zeros((kernel.data.shape[0], oh, ow), dtype=x.data.dtype)
+    xp = np.pad(x.data, ((0, 0), (1, 1), (1, 1)))
+    out_data = np.zeros((kernel.data.shape[0], h, w), dtype=x.data.dtype)
     for u in range(3):
         for v in range(3):
             out_data += np.einsum("oc,chw->ohw", kernel.data[:, :, u, v],
-                                  xp[:, u:u + oh, v:v + ow])
+                                  xp[:, u:u + h, v:v + w])
     parents = (x, kernel) if bias is None else (x, kernel, _ensure(bias))
     if bias is not None:
         bias = parents[2]
@@ -318,23 +318,23 @@ def conv2d_3x3(x, kernel, bias=None, pad=1):
             gk = np.zeros_like(kernel.data)
             for u in range(3):
                 for v in range(3):
-                    gk[:, :, u, v] = np.einsum("ohw,chw->oc", g, xp[:, u:u + oh, v:v + ow])
+                    gk[:, :, u, v] = np.einsum("ohw,chw->oc", g, xp[:, u:u + h, v:v + w])
             kernel._accumulate(gk)
         if x.requires_grad:
             gxp = np.zeros_like(xp)
             for u in range(3):
                 for v in range(3):
-                    gxp[:, u:u + oh, v:v + ow] += np.einsum("oc,ohw->chw",
-                                                            kernel.data[:, :, u, v], g)
-            x._accumulate(gxp[:, pad:pad + h, pad:pad + w] if pad else gxp)
+                    gxp[:, u:u + h, v:v + w] += np.einsum("oc,ohw->chw",
+                                                          kernel.data[:, :, u, v], g)
+            x._accumulate(gxp[:, 1:1 + h, 1:1 + w])
         if bias is not None and bias.requires_grad:
             bias._accumulate(g.sum(axis=(1, 2)))
     out._backward = back
     return out
 
 
-def temporal_conv1d(x, kernel, bias=None, pad=1):
-    """Width-3 cross-correlation along the frame axis.
+def temporal_conv1d(x, kernel, bias=None):
+    """Width-3 cross-correlation along the frame axis, zero padding 1.
 
     x: [C, F, H, W]; kernel: [C_out, C, 3]; bias: [C_out] or None.
     """
@@ -344,11 +344,10 @@ def temporal_conv1d(x, kernel, bias=None, pad=1):
     if kernel.data.shape[1] != x.data.shape[0]:
         raise ShapeMismatch("temporal_conv1d channel mismatch")
     c, f, h, w = x.data.shape
-    xp = np.pad(x.data, ((0, 0), (pad, pad), (0, 0), (0, 0)))
-    of = f + 2 * pad - 2
-    out_data = np.zeros((kernel.data.shape[0], of, h, w), dtype=x.data.dtype)
+    xp = np.pad(x.data, ((0, 0), (1, 1), (0, 0), (0, 0)))
+    out_data = np.zeros((kernel.data.shape[0], f, h, w), dtype=x.data.dtype)
     for u in range(3):
-        out_data += np.einsum("oc,cfhw->ofhw", kernel.data[:, :, u], xp[:, u:u + of])
+        out_data += np.einsum("oc,cfhw->ofhw", kernel.data[:, :, u], xp[:, u:u + f])
     parents = (x, kernel) if bias is None else (x, kernel, _ensure(bias))
     if bias is not None:
         bias = parents[2]
@@ -359,13 +358,13 @@ def temporal_conv1d(x, kernel, bias=None, pad=1):
         if kernel.requires_grad:
             gk = np.zeros_like(kernel.data)
             for u in range(3):
-                gk[:, :, u] = np.einsum("ofhw,cfhw->oc", g, xp[:, u:u + of])
+                gk[:, :, u] = np.einsum("ofhw,cfhw->oc", g, xp[:, u:u + f])
             kernel._accumulate(gk)
         if x.requires_grad:
             gxp = np.zeros_like(xp)
             for u in range(3):
-                gxp[:, u:u + of] += np.einsum("oc,ofhw->cfhw", kernel.data[:, :, u], g)
-            x._accumulate(gxp[:, pad:pad + f] if pad else gxp)
+                gxp[:, u:u + f] += np.einsum("oc,ofhw->cfhw", kernel.data[:, :, u], g)
+            x._accumulate(gxp[:, 1:1 + f])
         if bias is not None and bias.requires_grad:
             bias._accumulate(g.sum(axis=(1, 2, 3)))
     out._backward = back
@@ -446,40 +445,6 @@ def cross_attention(x, ctx, params):
     attn = softmax_lastdim(scores)
     mixed = _merge_heads(matmul(attn, v))
     return matmul(mixed, params.w_o)
-
-
-# --- optimizer -----------------------------------------------------------
-
-
-class AdamWHyper:
-    def __init__(self, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.0):
-        self.lr, self.beta1, self.beta2 = lr, beta1, beta2
-        self.eps, self.weight_decay = eps, weight_decay
-
-
-def adamw_step(named_params, hyper, state):
-    """One AdamW update over ``(name, Parameter)`` pairs.
-
-    Frozen parameters (trainable=False) and parameters with no gradient
-    are skipped.  Weight decay is decoupled from the moment update.
-    ``state`` maps names to (m, v) and carries a shared step counter.
-    """
-    state = dict(state)
-    step = state.get("step", 0) + 1
-    state["step"] = step
-    b1, b2 = hyper.beta1, hyper.beta2
-    for name, p in named_params:
-        if not p.trainable or p.grad is None:
-            continue
-        m, v = state.get(name, (np.zeros_like(p.data), np.zeros_like(p.data)))
-        m = b1 * m + (1 - b1) * p.grad
-        v = b2 * v + (1 - b2) * p.grad * p.grad
-        state[name] = (m, v)
-        mhat = m / (1 - b1 ** step)
-        vhat = v / (1 - b2 ** step)
-        p.data = p.data - hyper.lr * (mhat / (np.sqrt(vhat) + hyper.eps)
-                                      + hyper.weight_decay * p.data)
-    return state
 
 
 # --- gradient checking ---------------------------------------------------
@@ -574,16 +539,25 @@ def save_tensor(path, array):
 
 
 def load_tensor(path):
+    """Read a file written by ``save_tensor``; BadTensorFile unless it is
+    well formed and every value is finite."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != _MAGIC:
         raise BadTensorFile(f"{path}: bad magic {raw[:4]!r}")
+    if len(raw) < 12:
+        raise BadTensorFile(f"{path}: header is {len(raw)} bytes, expected at least 12")
     version, rank = struct.unpack_from("<II", raw, 4)
     if version != _VERSION:
         raise BadTensorFile(f"{path}: unsupported version {version}")
+    if len(raw) < 12 + 8 * rank:
+        raise BadTensorFile(f"{path}: header is truncated before its {rank} dims")
     dims = struct.unpack_from(f"<{rank}Q", raw, 12)
     payload = raw[12 + 8 * rank:]
-    count = int(np.prod(dims)) if rank else 1
+    count = math.prod(dims)
     if len(payload) != 4 * count:
         raise BadTensorFile(f"{path}: payload is {len(payload)} bytes, expected {4 * count}")
-    return np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+    arr = np.frombuffer(payload, dtype="<f4")
+    if not np.isfinite(arr).all():
+        raise BadTensorFile(f"{path}: payload holds NaN or Inf")
+    return arr.reshape(dims).copy()

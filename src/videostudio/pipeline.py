@@ -23,6 +23,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -41,15 +42,15 @@ from .cond_blocks import (AnalyticGaussianDenoiser, ContextBundle, GaussianPrior
                           tri_context_forward)
 from .errors import (BadConfig, ChecksumMismatch, DetectorMiss,
                      NoCommonEntities, ShapeMismatch, StageError, TooFewFrames,
-                     UnknownDirection, UnknownSpeed)
+                     UnknownDirection, UnknownSpeed, ValidationError)
 from .numeric_core import (AttentionParams, Parameter, Rng, Tensor,
                            conv2d_3x3, cross_attention, derive_seed,
                            finite_diff_check, hash64, layer_norm, load_tensor,
                            save_tensor, temporal_conv1d)
 from .ref_images import (EntityReference, LuminanceSegmenter, RgbImage,
-                         ReferenceBackends, RemoteTextToImageBackend,
-                         ToyTextToImageBackend, build_entity_references,
-                         decode_pgm, decode_ppm, encode_pgm, encode_ppm)
+                         RemoteTextToImageBackend, ToyTextToImageBackend,
+                         build_entity_references, decode_pgm, decode_ppm,
+                         encode_pgm, encode_ppm)
 from .sampler import SamplerConfig, make_schedule, sample_image, sample_video
 from .script_engine import (HttpChatBackend, MockChatBackend, RetryPolicy,
                             build_aspect_query, build_chat_request,
@@ -131,6 +132,8 @@ def _want(doc, dotted, types, lo=None, hi=None):
     if isinstance(value, bool) or not isinstance(value, types):
         what = "an integer" if types is int else "a number"
         raise BadConfig(f"{dotted} must be {what}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise BadConfig(f"{dotted} must be finite, got {value}")
     if lo is not None and value < lo:
         raise BadConfig(f"{dotted} must be >= {lo}, got {value}")
     if hi is not None and value > hi:
@@ -216,10 +219,19 @@ class PipelineConfig:
             value = _lookup(doc, dotted)
             if value is not None and not os.path.exists(value):
                 raise BadConfig(f"{dotted} points at a missing file: {value!r}")
+        path = doc["vocabulary_path"]
+        try:
+            vocab = load_vocabulary(path) if path else default_vocabulary(self.channels)
+        except (OSError, ValueError, KeyError, TypeError, ValidationError) as exc:
+            raise BadConfig(f"action vocabulary {path or '(default)'!r} is unusable: "
+                            f"{type(exc).__name__}: {exc}") from exc
+        if vocab.size != self.vocab_size:
+            raise BadConfig(f"vocabulary has {vocab.size} actions, "
+                            f"model.vocab_size says {self.vocab_size}")
 
         self.doc = doc
         self._extractor = ToyFeatureExtractor(self.channels, self.text_len, self.image_tokens)
-        self._vocab = None
+        self._vocabulary = vocab
 
     def noise_schedule(self):
         return self._schedule
@@ -242,14 +254,7 @@ class PipelineConfig:
                              t_m=s["t_m"] if t_m is None else t_m, seed=seed)
 
     def action_vocabulary(self):
-        if self._vocab is None:
-            path = self.doc["vocabulary_path"]
-            vocab = load_vocabulary(path) if path else default_vocabulary(self.channels)
-            if vocab.size != self.vocab_size:
-                raise BadConfig(f"vocabulary has {vocab.size} actions, "
-                                f"model.vocab_size says {self.vocab_size}")
-            self._vocab = vocab
-        return self._vocab
+        return self._vocabulary
 
     def feature_extractor(self):
         return self._extractor
@@ -655,9 +660,7 @@ def _build_references(config, script, prompt, backends):
     """Entity descriptions from the chat backend, then masked reference images."""
     descriptions = {rec.name: generate_entity_description(rec, prompt, backends.chat)
                     for rec in find_common_entities(script)}
-    references = build_entity_references(
-        script, descriptions,
-        ReferenceBackends(backends.text_to_image, backends.segmenter), config.seed)
+    references = build_entity_references(script, descriptions, backends, config.seed)
     return references, descriptions
 
 

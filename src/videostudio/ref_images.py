@@ -34,17 +34,9 @@ class RgbImage:
             raise DimensionMismatch(f"image must be [H, W, 3], got {data.shape}")
         if data.shape[0] < MIN_SIDE or data.shape[1] < MIN_SIDE:
             raise DimensionMismatch(f"image sides must be >= {MIN_SIDE}, got {data.shape[:2]}")
-        if data.min() < 0.0 or data.max() > 1.0:
+        if not (data.min() >= 0.0 and data.max() <= 1.0):  # NaN fails too
             raise DimensionMismatch("image values must lie in [0, 1]")
         self.data = data
-
-    @property
-    def height(self):
-        return self.data.shape[0]
-
-    @property
-    def width(self):
-        return self.data.shape[1]
 
 
 class Mask:
@@ -54,7 +46,7 @@ class Mask:
         data = np.asarray(data, dtype=np.float64)
         if data.ndim != 2:
             raise DimensionMismatch(f"mask must be [H, W], got {data.shape}")
-        if data.min() < 0.0 or data.max() > 1.0:
+        if not (data.min() >= 0.0 and data.max() <= 1.0):  # NaN fails too
             raise DimensionMismatch("mask values must lie in [0, 1]")
         self.data = data
 
@@ -148,12 +140,6 @@ class LuminanceSegmenter:
         return Mask(mask)
 
 
-def generate_entity_image(description, backend, seed):
-    if not description or not description.strip():
-        raise BackendError("entity description is empty")
-    return backend.generate(description, seed)
-
-
 def segment_salient(image, segmenter):
     mask = segmenter.segment(image)
     if mask.data.shape != image.data.shape[:2]:
@@ -184,7 +170,7 @@ def build_entity_references(script, descriptions, backends, seed):
         if not description:
             raise BackendError(f"entity {record.name!r} has no description")
         entity_seed = derive_seed(seed, "entity", record.name)
-        image = generate_entity_image(description, backends.text_to_image, entity_seed)
+        image = backends.text_to_image.generate(description, entity_seed)
         mask = segment_salient(image, backends.segmenter)
         keep = "fg" if record.kind == "foreground" else "bg"
         masked = apply_mask(image, mask, keep)
@@ -192,47 +178,47 @@ def build_entity_references(script, descriptions, backends, seed):
     return references
 
 
-class ReferenceBackends:
-    def __init__(self, text_to_image=None, segmenter=None):
-        self.text_to_image = text_to_image or ToyTextToImageBackend()
-        self.segmenter = segmenter or LuminanceSegmenter()
-
-
 # --- PPM / PGM ----------------------------------------------------------------
+
+
+def _encode_netpbm(magic, data):
+    """Binary Netpbm with maxval 255 from [H, W] or [H, W, 3] floats in [0, 1]."""
+    h, w = data.shape[:2]
+    header = magic + f"\n{w} {h}\n255\n".encode("ascii")
+    return header + np.round(data * 255.0).astype(np.uint8).tobytes()
+
+
+def _decode_netpbm(raw, magic, channels):
+    """[H, W, channels] floats in [0, 1] from binary 8-bit Netpbm bytes."""
+    (w, h, maxval), offset = _read_header(raw, magic)
+    if w < 1 or h < 1:
+        raise DimensionMismatch(f"{magic.decode()} sides must be positive, got {w}x{h}")
+    if not 1 <= maxval <= 255:  # 2-byte samples (maxval > 255) are not supported
+        raise DimensionMismatch(f"{magic.decode()} maxval must lie in 1..255, got {maxval}")
+    size = w * h * channels
+    body = raw[offset:offset + size]
+    if len(body) != size:
+        raise DimensionMismatch(f"{magic.decode()} payload truncated")
+    arr = np.frombuffer(body, dtype=np.uint8).reshape(h, w, channels)
+    return arr.astype(np.float64) / maxval
 
 
 def encode_ppm(image):
     """Binary P6, maxval 255."""
-    h, w = image.data.shape[:2]
-    header = f"P6\n{w} {h}\n255\n".encode("ascii")
-    body = np.round(image.data * 255.0).astype(np.uint8).tobytes()
-    return header + body
+    return _encode_netpbm(b"P6", image.data)
 
 
 def decode_ppm(raw):
-    fields, offset = _read_header(raw, b"P6")
-    w, h, maxval = fields
-    body = raw[offset:offset + 3 * w * h]
-    if len(body) != 3 * w * h:
-        raise DimensionMismatch("PPM payload truncated")
-    arr = np.frombuffer(body, dtype=np.uint8).reshape(h, w, 3)
-    return RgbImage(arr.astype(np.float64) / maxval)
+    return RgbImage(_decode_netpbm(raw, b"P6", 3))
 
 
 def encode_pgm(mask):
-    h, w = mask.data.shape
-    header = f"P5\n{w} {h}\n255\n".encode("ascii")
-    return header + np.round(mask.data * 255.0).astype(np.uint8).tobytes()
+    """Binary P5, maxval 255."""
+    return _encode_netpbm(b"P5", mask.data)
 
 
 def decode_pgm(raw):
-    fields, offset = _read_header(raw, b"P5")
-    w, h, maxval = fields
-    body = raw[offset:offset + w * h]
-    if len(body) != w * h:
-        raise DimensionMismatch("PGM payload truncated")
-    arr = np.frombuffer(body, dtype=np.uint8).reshape(h, w)
-    return Mask(arr.astype(np.float64) / maxval)
+    return Mask(_decode_netpbm(raw, b"P5", 1)[:, :, 0])
 
 
 def _read_header(raw, magic):
@@ -256,23 +242,3 @@ def _read_header(raw, magic):
             raise DimensionMismatch(f"malformed header field {raw[start:offset]!r}") from None
     offset += 1  # single whitespace after maxval
     return fields, offset
-
-
-def write_ppm(path, image):
-    with open(path, "wb") as fh:
-        fh.write(encode_ppm(image))
-
-
-def read_ppm(path):
-    with open(path, "rb") as fh:
-        return decode_ppm(fh.read())
-
-
-def write_pgm(path, mask):
-    with open(path, "wb") as fh:
-        fh.write(encode_pgm(mask))
-
-
-def read_pgm(path):
-    with open(path, "rb") as fh:
-        return decode_pgm(fh.read())

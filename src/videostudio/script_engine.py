@@ -235,16 +235,6 @@ def find_common_entities(script):
     return list(records.values())
 
 
-def read_script(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_script(fh.read())
-
-
-def write_script(path, script):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_script(script) + "\n")
-
-
 # --- chat wire format -----------------------------------------------------------
 
 

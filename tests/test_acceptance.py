@@ -18,7 +18,7 @@ from videostudio.cond_blocks import (AdamW, AnalyticGaussianDenoiser,
                                      ContextBundle, GaussianPrior,
                                      ImgDenoiser, train_step)
 from videostudio.errors import ScriptGenerationExhausted
-from videostudio.numeric_core import AdamWHyper, Rng
+from videostudio.numeric_core import Rng
 from videostudio.pipeline import (GroundTruthDetector, ToyEmbedder,
                                   _resize_nearest, build_mock_llm_fixture,
                                   decode_latent, encode_image,
@@ -150,7 +150,7 @@ def test_criterion_07_training_moves_only_the_adapters():
                         blocks=2, heads=2, text_channels=8, fg_channels=8,
                         bg_channels=8)
     before = {name: p.data.copy() for name, p in model.parameters()}
-    opt = AdamW(model.parameters(), AdamWHyper(lr=1e-3))
+    opt = AdamW(model.parameters(), lr=1e-3)
     data = rng.child("data")
     x0 = data.normal((4, 6, 6))
     bundle = ContextBundle(data.normal((3, 8)), data.normal((2, 8)),
@@ -302,7 +302,7 @@ def test_criterion_12_epsilon_training_halves_the_loss():
     model = ImgDenoiser(rng.child("model"), latent_shape=(4, 6, 6), channels=8,
                         blocks=2, heads=2, text_channels=8, fg_channels=8,
                         bg_channels=8, trainable="all")
-    opt = AdamW(model.parameters(), AdamWHyper(lr=3e-3))
+    opt = AdamW(model.parameters(), lr=3e-3)
     data = rng.child("data")
     x0 = data.normal((4, 6, 6))  # single-mode target
     bundle = ContextBundle(data.normal((3, 8)), data.normal((2, 8)),

@@ -125,6 +125,16 @@ def test_sample_video_honours_camera_flag(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_sample_video_with_unreadable_vocabulary_exits_2(tmp_path, capsys):
+    vocab = tmp_path / "vocab.json"
+    vocab.write_text("{not json")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"vocabulary_path": str(vocab)}))
+    assert main(["sample-video", "--prompt", "x", "--out", str(tmp_path / "clip.vstn"),
+                 "--config", str(config)]) == 2
+    assert "vocabulary" in capsys.readouterr().err
+
+
 def test_gradcheck_command(capsys):
     assert main(["gradcheck"]) == 0
     printed = capsys.readouterr().out

@@ -7,13 +7,11 @@ from videostudio.cond_blocks import (AdamW, AnalyticGaussianDenoiser,
                                      ToyFeatureExtractor, TriContextBlock,
                                      VidContext, VidDenoiser,
                                      analytic_gaussian_epsilon,
-                                     baseline_single_context_forward,
                                      concat_foreground_features, load_weights,
-                                     save_weights, spatio_temporal_forward,
-                                     timestep_embedding, train_step,
-                                     tri_context_forward)
+                                     save_weights, timestep_embedding,
+                                     train_step, tri_context_forward)
 from videostudio.errors import DivisionAtTZero, ShapeMismatch
-from videostudio.numeric_core import AdamWHyper, Rng, Tensor
+from videostudio.numeric_core import Rng, Tensor
 from videostudio.sampler import make_schedule
 
 
@@ -74,9 +72,10 @@ def test_zeroed_adapters_reproduce_single_context_baseline():
     block.ca2.w_o.data = np.zeros_like(block.ca2.w_o.data)
     block.ca3.w_o.data = np.zeros_like(block.ca3.w_o.data)
     bundle = _bundle(rng.child("ctx"))
+    text_only = ContextBundle(bundle.y_t, np.zeros((0, 8)), np.zeros((0, 8)))
     x = rng.normal((5, 8))
     tri = tri_context_forward(x, bundle, block).data
-    single = baseline_single_context_forward(x, bundle.y_t, block).data
+    single = tri_context_forward(x, text_only, block).data
     assert np.max(np.abs(tri - single)) < 1e-12
 
 
@@ -107,36 +106,26 @@ def test_spatio_temporal_forward_shape_and_residual():
     rng = Rng(6)
     block = SpatioTemporalBlock(rng.child("blk"), channels=8, vocab_size=4, heads=2)
     ctx = VidContext(rng.child("ctx").normal((3, 8)), np.array([1.0, 0.0, 0.5, 0.0]))
-    x = rng.child("x").normal((8, 3, 2, 2))
-    out = spatio_temporal_forward(x, ctx, block)
-    assert out.data.shape == (8, 3, 2, 2)
-    # residual wiring: zeroing every output projection keeps x intact
-    for att in (block.sa_temporal,):
-        att.w_o.data = np.zeros_like(att.w_o.data)
-    out = spatio_temporal_forward(x, ctx, block).data
-    assert np.allclose(out, x, atol=1e-13)
-
-
-def test_spatio_temporal_rejects_bad_layout():
-    block = SpatioTemporalBlock(Rng(7), channels=8, vocab_size=4)
-    ctx = VidContext(np.zeros((2, 8)), np.zeros(4))
-    with pytest.raises(ShapeMismatch):
-        spatio_temporal_forward(np.zeros((4, 2, 2, 2)), ctx, block)
-    with pytest.raises(ShapeMismatch):
-        spatio_temporal_forward(np.zeros((8, 2, 2)), ctx, block)
+    tokens = Tensor(rng.child("x").normal((3, 4, 8)))  # [F, HW, C]
+    out = block.forward_tokens(tokens, ctx)
+    assert out.data.shape == (3, 4, 8)
+    # residual wiring: zeroing the temporal output projection keeps the tokens intact
+    block.sa_temporal.w_o.data = np.zeros_like(block.sa_temporal.w_o.data)
+    out = block.forward_tokens(tokens, ctx).data
+    assert np.allclose(out, tokens.data, atol=1e-13)
 
 
 def test_temporal_attention_mixes_across_frames():
     rng = Rng(8)
     block = SpatioTemporalBlock(rng.child("blk"), channels=8, vocab_size=4, heads=1)
     ctx = VidContext(rng.child("ctx").normal((2, 8)), np.zeros(4))
-    x = rng.child("x").normal((8, 4, 2, 2))
-    base = spatio_temporal_forward(x, ctx, block).data
+    x = rng.child("x").normal((4, 4, 8))  # [F, HW, C]
+    base = block.forward_tokens(Tensor(x), ctx).data
     bumped = x.copy()
-    bumped[:, 3] += 10.0  # only the last frame changes
-    moved = spatio_temporal_forward(bumped, ctx, block).data
+    bumped[3] += 10.0  # only the last frame changes
+    moved = block.forward_tokens(Tensor(bumped), ctx).data
     # earlier frames must feel it through temporal self-attention
-    assert np.max(np.abs(moved[:, 0] - base[:, 0])) > 1e-8
+    assert np.max(np.abs(moved[0] - base[0])) > 1e-8
 
 
 # --- timestep embedding ---------------------------------------------------------------
@@ -208,7 +197,7 @@ def test_train_step_moves_only_adapters():
     den = ImgDenoiser(Rng(17), latent_shape=(2, 4, 4), channels=8, blocks=1,
                       heads=2, text_channels=8, fg_channels=8, bg_channels=8)
     before = {name: p.data.copy() for name, p in den.parameters()}
-    opt = AdamW(den.parameters(), AdamWHyper(lr=1e-3))
+    opt = AdamW(den.parameters(), lr=1e-3)
     batch = [(Rng(18).normal((2, 4, 4)), (_bundle(Rng(19)),))]
     rng = Rng(20)
     for _ in range(5):

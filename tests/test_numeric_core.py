@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 import videostudio
+from videostudio.cond_blocks import AdamW
 from videostudio.errors import BadTensorFile, ShapeMismatch
-from videostudio.numeric_core import (AdamWHyper, AttentionParams, Parameter,
-                                      Rng, Tensor, adamw_step, conv2d_3x3,
-                                      cross_attention, derive_seed,
+from videostudio.numeric_core import (AttentionParams, Parameter, Rng, Tensor,
+                                      conv2d_3x3, cross_attention, derive_seed,
                                       finite_diff_check, hash64,
                                       layer_norm, load_tensor, save_tensor,
                                       softmax_lastdim, temporal_conv1d)
@@ -195,24 +195,22 @@ def _adamw_scalar_reference(grads, lr, beta1, beta2, eps, wd, x0):
 
 
 def test_adamw_matches_scalar_recurrence():
-    hyper = AdamWHyper(lr=0.01, beta1=0.9, beta2=0.99, eps=1e-8, weight_decay=0.1)
     p = Parameter(np.array(2.0), name="x")
-    state = {}
+    opt = AdamW([("x", p)], lr=0.01, beta1=0.9, beta2=0.99, eps=1e-8, weight_decay=0.1)
     grads = [0.3, -1.2, 0.7, 0.01, 2.0, -0.4]
     for g in grads:
         p.grad = np.array(g)
-        state = adamw_step([("x", p)], hyper, state)
+        opt.step()
     want = _adamw_scalar_reference(grads, 0.01, 0.9, 0.99, 1e-8, 0.1, 2.0)
     assert abs(float(p.data) - want) < 1e-12
 
 
 def test_adamw_skips_frozen_parameters():
-    hyper = AdamWHyper(lr=0.5)
     frozen = Parameter(np.array([1.0, 2.0]), trainable=False, name="f")
     live = Parameter(np.array([1.0, 2.0]), trainable=True, name="l")
     frozen.grad = np.array([1.0, 1.0])
     live.grad = np.array([1.0, 1.0])
-    adamw_step([("f", frozen), ("l", live)], hyper, {})
+    AdamW([("f", frozen), ("l", live)], lr=0.5).step()
     assert np.array_equal(frozen.data, [1.0, 2.0])
     assert not np.array_equal(live.data, [1.0, 2.0])
 
@@ -294,6 +292,23 @@ def test_vstn_truncation_detected(tmp_path):
     raw = path.read_bytes()
     path.write_bytes(raw[:len(raw) // 2])
     with pytest.raises(BadTensorFile):
+        load_tensor(path)
+
+
+@pytest.mark.parametrize("cut", [6, 12, 19], ids=["in-version", "before-dims", "in-dims"])
+def test_vstn_truncated_header_is_a_bad_tensor_file(tmp_path, cut):
+    path = tmp_path / "t.vstn"
+    save_tensor(path, np.arange(6.0).reshape(2, 3))
+    path.write_bytes(path.read_bytes()[:cut])
+    with pytest.raises(BadTensorFile, match="header"):
+        load_tensor(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_vstn_non_finite_payload_is_refused(tmp_path, bad):
+    path = tmp_path / "t.vstn"
+    save_tensor(path, np.array([1.0, bad]))
+    with pytest.raises(BadTensorFile, match="NaN or Inf"):
         load_tensor(path)
 
 

@@ -105,6 +105,40 @@ def test_bad_noise_schedule_fails_at_load(schedule, key):
         load_config(overrides={"schedule": schedule})
 
 
+@pytest.mark.parametrize("overrides,key", [
+    ({"video_sampler": {"guidance_scale": float("nan")}}, "video_sampler.guidance_scale"),
+    ({"oracle": {"prior_variance": float("nan")}}, "oracle.prior_variance"),
+    ({"image_sampler": {"guidance_scale": float("inf")}}, "image_sampler.guidance_scale"),
+    ({"speeds": {"translation": {"slow": float("nan")}}}, "speeds.translation.slow"),
+])
+def test_non_finite_config_numbers_fail_at_load(overrides, key):
+    with pytest.raises(BadConfig, match=key):
+        load_config(overrides=overrides)
+
+
+@pytest.mark.parametrize("text", [
+    "{not json",
+    '[{"embedding": [1.0, 0.0]}]',
+    '["running"]',
+    '[{"name": "running", "embedding": "up"}]',
+    '[{"name": "running", "embedding": [NaN, 0.0]}]',
+], ids=["not-json", "no-name", "row-not-object", "embedding-not-numbers", "nan-embedding"])
+def test_unusable_vocabulary_fails_at_load(tmp_path, text):
+    path = tmp_path / "vocab.json"
+    path.write_text(text)
+    with pytest.raises(BadConfig, match="vocabulary"):
+        load_config(overrides={"vocabulary_path": str(path)})
+
+
+def test_vocabulary_size_mismatch_fails_at_load(tmp_path):
+    path = tmp_path / "vocab.json"
+    path.write_text(json.dumps([{"name": "running", "embedding": [1.0, 0.0]}]))
+    with pytest.raises(BadConfig, match="model.vocab_size"):
+        load_config(overrides={"vocabulary_path": str(path)})
+    config = load_config(overrides={"vocabulary_path": str(path), "model": {"vocab_size": 1}})
+    assert config.action_vocabulary().names == ["running"]
+
+
 def test_config_file_loading(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"seed": 42, "model": {"frames": 6}}))

@@ -3,13 +3,12 @@ import pytest
 
 from videostudio.errors import BackendError, DimensionMismatch
 from videostudio.numeric_core import Rng
-from videostudio.ref_images import (LuminanceSegmenter, Mask,
-                                    ReferenceBackends, RgbImage,
+from videostudio.pipeline import PipelineBackends
+from videostudio.ref_images import (LuminanceSegmenter, Mask, RgbImage,
                                     ToyTextToImageBackend, apply_mask,
                                     build_entity_references, decode_pgm,
                                     decode_ppm, encode_pgm, encode_ppm,
-                                    generate_entity_image, read_pgm, read_ppm,
-                                    segment_salient, write_pgm, write_ppm)
+                                    segment_salient)
 from videostudio.script_engine import parse_script
 
 SCRIPT = parse_script(
@@ -30,7 +29,7 @@ def test_rgb_image_validation():
     with pytest.raises(DimensionMismatch):
         RgbImage(np.full((8, 8, 3), -0.1))
     img = RgbImage(np.zeros((9, 12, 3)))
-    assert (img.height, img.width) == (9, 12)
+    assert img.data.shape == (9, 12, 3)
 
 
 def test_mask_validation():
@@ -39,6 +38,15 @@ def test_mask_validation():
         Mask(np.ones((4, 4, 1)))
     with pytest.raises(DimensionMismatch):
         Mask(np.full((4, 4), 2.0))
+
+
+def test_nan_pixels_are_refused():
+    data = np.zeros((8, 8, 3))
+    data[2, 3, 1] = np.nan
+    with pytest.raises(DimensionMismatch):
+        RgbImage(data)
+    with pytest.raises(DimensionMismatch):
+        Mask(data[:, :, 1])
 
 
 # --- toy text-to-image -----------------------------------------------------------
@@ -129,8 +137,12 @@ def test_apply_mask_fg_and_bg_partition():
 
 # --- reference building -----------------------------------------------------------------
 
+def _backends():
+    return PipelineBackends(None, ToyTextToImageBackend(), LuminanceSegmenter())
+
+
 def test_build_entity_references_covers_all_entities():
-    backends = ReferenceBackends()
+    backends = _backends()
     descriptions = {"red fox": "a compact auburn fox", "snowy forest": "white pines"}
     refs = build_entity_references(SCRIPT, descriptions, backends, seed=3)
     assert set(refs) == {"red fox", "snowy forest"}
@@ -148,7 +160,7 @@ def test_build_entity_references_covers_all_entities():
 
 
 def test_build_entity_references_deterministic_per_name():
-    backends = ReferenceBackends()
+    backends = _backends()
     descriptions = {"red fox": "a compact auburn fox", "snowy forest": "white pines"}
     a = build_entity_references(SCRIPT, descriptions, backends, seed=3)
     b = build_entity_references(SCRIPT, descriptions, backends, seed=3)
@@ -158,11 +170,12 @@ def test_build_entity_references_deterministic_per_name():
 
 
 def test_build_entity_references_missing_description():
-    backends = ReferenceBackends()
+    backends = _backends()
     with pytest.raises(BackendError):
         build_entity_references(SCRIPT, {"red fox": "a fox"}, backends, seed=3)
-    with pytest.raises(BackendError):
-        generate_entity_image("", backends.text_to_image, 0)
+    with pytest.raises(BackendError):  # blank, so the backend refuses it
+        build_entity_references(SCRIPT, {"red fox": "a fox", "snowy forest": "  "},
+                                backends, seed=3)
 
 
 # --- PPM / PGM round trips ----------------------------------------------------------------
@@ -185,16 +198,6 @@ def test_pgm_round_trip():
     assert np.array_equal(back.data, mask.data)
 
 
-def test_ppm_pgm_file_helpers(tmp_path):
-    rng = Rng(3)
-    img = RgbImage(np.round(rng.uniform((12, 8, 3)) * 255.0) / 255.0)
-    mask = Mask((rng.uniform((12, 8)) > 0.5).astype(float))
-    write_ppm(tmp_path / "img.ppm", img)
-    write_pgm(tmp_path / "mask.pgm", mask)
-    assert np.array_equal(read_ppm(tmp_path / "img.ppm").data, img.data)
-    assert np.array_equal(read_pgm(tmp_path / "mask.pgm").data, mask.data)
-
-
 def test_ppm_header_structure():
     img = RgbImage(np.zeros((8, 10, 3)))
     raw = encode_ppm(img)
@@ -209,3 +212,13 @@ def test_decode_rejects_garbage():
         decode_ppm(b"P6\n10 8\n255\n" + bytes(10))  # truncated payload
     with pytest.raises(DimensionMismatch):
         decode_pgm(b"P5\n2\n255\n" + bytes(4))
+    with pytest.raises(DimensionMismatch):
+        decode_pgm(b"P5\n0 4\n255\n")  # no pixels
+
+
+@pytest.mark.parametrize("maxval", [0, 256, 65535])
+def test_decode_refuses_maxval_outside_8_bits(maxval):
+    with pytest.raises(DimensionMismatch, match="maxval"):
+        decode_ppm(f"P6\n8 8\n{maxval}\n".encode() + bytes(2 * 8 * 8 * 3))
+    with pytest.raises(DimensionMismatch, match="maxval"):
+        decode_pgm(f"P5\n8 8\n{maxval}\n".encode() + bytes(2 * 8 * 8))

@@ -21,9 +21,8 @@ from videostudio.script_engine import (MAX_FOREGROUNDS, MAX_SCENES,
                                        generate_entity_description,
                                        generate_script, normalize_entity_name,
                                        parse_chat_response, parse_script,
-                                       read_script, request_hash,
-                                       serialize_script, validate_script,
-                                       write_script)
+                                       request_hash, serialize_script,
+                                       validate_script)
 
 GOOD = """[Scene 1: prompt: a fox trots through snow | foreground: red fox | background: snowy forest | camera: right, slow]
 [Scene 2: prompt: the fox digs for mice | foreground: red fox | background: snowy forest | camera: static, medium]"""
@@ -120,13 +119,6 @@ def test_round_trip_randomized_scripts():
                                                SPEEDS[int(r.integers(0, len(SPEEDS)))])))
         script = VideoScript("", scenes)
         assert parse_script(serialize_script(script)).scenes == scenes
-
-
-def test_script_file_round_trip(tmp_path):
-    script = parse_script(GOOD)
-    path = tmp_path / "script.txt"
-    write_script(path, script)
-    assert read_script(path).scenes == script.scenes
 
 
 # --- validation --------------------------------------------------------------------
