@@ -49,14 +49,15 @@ _DEFAULT_ACTIONS = (
 )
 
 
-def default_vocabulary(channels=32, names=_DEFAULT_ACTIONS):
-    """Synthetic vocabulary with orthogonalized random embeddings."""
-    rng = Rng(hash64("action-vocab", channels))
-    raw = rng.normal((len(names), channels))
+def default_vocabulary(channels=32):
+    """Synthetic vocabulary of ``_DEFAULT_ACTIONS`` with orthogonalized
+    random embeddings."""
+    n = len(_DEFAULT_ACTIONS)
+    raw = Rng(hash64("action-vocab", channels)).normal((n, channels))
     q, _ = np.linalg.qr(raw.T)  # columns orthonormal; needs V <= channels
-    if q.shape[1] < len(names):
+    if q.shape[1] < n:
         raise ShapeMismatch("channel width too small to orthogonalize the vocabulary")
-    return ActionVocabulary(names, q.T[: len(names)])
+    return ActionVocabulary(_DEFAULT_ACTIONS, q.T[:n])
 
 
 def load_vocabulary(path):
@@ -101,11 +102,11 @@ class VocabularyEmbedder:
         return vec / np.linalg.norm(vec)
 
 
-def build_indicator(phrases, vocab, embedder, threshold=DROP_THRESHOLD):
+def build_indicator(phrases, vocab, embedder):
     """Map phrases to a [0,1]^V indicator.
 
     Each phrase picks the category with the highest cosine (ties go to the
-    lowest index).  Phrases whose best cosine is below ``threshold`` are
+    lowest index).  Phrases whose best cosine is below ``DROP_THRESHOLD`` are
     dropped; the rest are divided by the max accepted cosine, so the
     strongest action reads exactly 1.0.  Duplicate phrases are harmless.
     """
@@ -119,7 +120,7 @@ def build_indicator(phrases, vocab, embedder, threshold=DROP_THRESHOLD):
         cosines = vocab.embeddings @ (e / norm)
         idx = int(np.argmax(cosines))  # argmax returns the first max: lowest index wins
         best = float(cosines[idx])
-        if best < threshold:
+        if best < DROP_THRESHOLD:
             continue
         accepted[idx] = max(best, accepted.get(idx, 0.0))
     if not accepted:
@@ -137,10 +138,9 @@ class ActionEmbedding:
         self.w, self.b = w, b
 
     @classmethod
-    def init(cls, rng, vocab_size, channels, trainable=True, name="f"):
-        w = Parameter(rng.normal((vocab_size, channels)) / np.sqrt(vocab_size),
-                      trainable=trainable, name=f"{name}.w")
-        b = Parameter(np.zeros(channels), trainable=trainable, name=f"{name}.b")
+    def init(cls, rng, vocab_size, channels, name="f"):
+        w = Parameter(rng.normal((vocab_size, channels)) / np.sqrt(vocab_size), name=f"{name}.w")
+        b = Parameter(np.zeros(channels), name=f"{name}.b")
         return cls(w, b)
 
     def parameters(self):

@@ -27,8 +27,8 @@ from .script_engine import generate_script, serialize_script
 __all__ = ["main"]
 
 
-def _load(args, extra=None):
-    overrides = dict(extra or {})
+def _load(args):
+    overrides = {}
     if getattr(args, "seed", None) is not None:
         overrides["seed"] = args.seed
     if getattr(args, "out_dir", None):
@@ -54,7 +54,7 @@ def _write_text(path, text):
 def cmd_script(args):
     config = _load(args)
     backends = resolve_backends(config, args.mock_llm)
-    script = generate_script(args.prompt, backends.chat, config.retry_policy())
+    script = generate_script(args.prompt, backends.chat, config.max_attempts)
     text = serialize_script(script)
     print(text)
     if args.out_dir:
@@ -65,7 +65,7 @@ def cmd_script(args):
 def cmd_refs(args):
     config = _load(args)
     backends = resolve_backends(config, args.mock_llm)
-    script = generate_script(args.prompt, backends.chat, config.retry_policy())
+    script = generate_script(args.prompt, backends.chat, config.max_attempts)
     references, descriptions = _build_references(config, script, args.prompt, backends)
     if args.out_dir:
         _write_text(os.path.join(args.out_dir, "script.txt"),

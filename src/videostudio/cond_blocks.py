@@ -134,8 +134,7 @@ class SpatioTemporalBlock:
                                                channels, heads, name=f"{name}.sa_spatial")
         self.sa_temporal = AttentionParams.init(rng.child("sat"), channels, channels,
                                                 channels, heads, name=f"{name}.sa_temporal")
-        self.f = ActionEmbedding.init(rng.child("f"), vocab_size, channels,
-                                      trainable=True, name=f"{name}.f")
+        self.f = ActionEmbedding.init(rng.child("f"), vocab_size, channels, name=f"{name}.f")
 
     def parameters(self):
         out = []

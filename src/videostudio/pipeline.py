@@ -25,7 +25,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -52,8 +52,7 @@ from .ref_images import (EntityReference, LuminanceSegmenter, RgbImage,
                          build_entity_references, decode_pgm, decode_ppm,
                          encode_pgm, encode_ppm)
 from .sampler import SamplerConfig, make_schedule, sample_image, sample_video
-from .script_engine import (HttpChatBackend, MockChatBackend, RetryPolicy,
-                            build_aspect_query, build_chat_request,
+from .script_engine import (HttpChatBackend, MockChatBackend, build_aspect_query, build_chat_request,
                             build_description_query, build_script_query,
                             find_common_entities, generate_entity_description,
                             generate_script, parse_script, request_hash,
@@ -88,8 +87,8 @@ _DEFAULT_CONFIG = {
     "image_sampler": {"steps": 50, "eta": 0.0, "guidance_scale": 1.0},
     "video_sampler": {"steps": 70, "eta": 1.0, "guidance_scale": 12.0, "t_m": 5},
     "oracle": {"prior_variance": 1e-4},
-    "reference": {"size": 64, "threshold": 0.5, "smooth": False},
-    "retry": {"max_attempts": 3, "on_exhaustion": "error"},
+    "reference": {"size": 64, "threshold": 0.5},
+    "retry": {"max_attempts": 3},
     "speeds": {
         "translation": {"slow": 0.5, "medium": 1.0, "fast": 2.0},
         "zoom": {"slow": 0.01, "medium": 0.02, "fast": 0.04},
@@ -198,11 +197,7 @@ class PipelineConfig:
         self.prior_variance = _want_number(doc, "oracle.prior_variance", 0.0)
         self.reference_size = _want_int(doc, "reference.size", 8)
         self.reference_threshold = _want_number(doc, "reference.threshold", 0.0, 1.0)
-        self.reference_smooth = bool(doc["reference"]["smooth"])
-
-        _want_int(doc, "retry.max_attempts", 1)
-        if doc["retry"]["on_exhaustion"] not in ("error", "best_effort_last"):
-            raise BadConfig("retry.on_exhaustion must be 'error' or 'best_effort_last'")
+        self.max_attempts = _want_int(doc, "retry.max_attempts", 1)
 
         for group in ("translation", "zoom"):
             table = doc["speeds"][group]
@@ -239,10 +234,6 @@ class PipelineConfig:
     def speed_table(self):
         s = self.doc["speeds"]
         return SpeedTable(s["translation"], s["zoom"])
-
-    def retry_policy(self):
-        r = self.doc["retry"]
-        return RetryPolicy(r["max_attempts"], r["on_exhaustion"])
 
     def image_sampler_config(self, seed):
         s = self.doc["image_sampler"]
@@ -306,7 +297,7 @@ def resolve_backends(config, mock_llm=None):
         if not t2i_cfg["url"]:
             raise BadConfig("text_to_image.kind is 'http' but text_to_image.url is not set")
         t2i = RemoteTextToImageBackend(t2i_cfg["url"], config.reference_size)
-    segmenter = LuminanceSegmenter(config.reference_threshold, config.reference_smooth)
+    segmenter = LuminanceSegmenter(config.reference_threshold)
     return PipelineBackends(chat, t2i, segmenter)
 
 
@@ -434,15 +425,7 @@ class MetricsReport:
     bg_sim: list
 
     def to_dict(self):
-        return {
-            "frame_consistency": self.frame_consistency,
-            "frame_consistency_mean": self.frame_consistency_mean,
-            "scene_consistency": self.scene_consistency,
-            "scene_consistency_mean": self.scene_consistency_mean,
-            "skipped_entities": self.skipped_entities,
-            "fg_sim": self.fg_sim,
-            "bg_sim": self.bg_sim,
-        }
+        return asdict(self)
 
 
 # --- toy embedder and detector --------------------------------------------------
@@ -694,7 +677,7 @@ def run_pipeline(prompt, config, backends=None):
     script, references, scenes = None, {}, []
     stage = "script"
     try:
-        script = generate_script(prompt, backends.chat, config.retry_policy())
+        script = generate_script(prompt, backends.chat, config.max_attempts)
 
         stage = "references"
         if not config.no_refs:
@@ -1007,15 +990,18 @@ def expected_translation(direction, speed, frame_index, table=None):
     return (-frame_index * v * ux, -frame_index * v * uy)
 
 
-def tm_sweep(config, camera=("right", "medium"), tms=(1, 5, 20),
-             prompt="a bright marble rolling over a dark desk", max_probe=6):
+_SWEEP_PROMPT = "a bright marble rolling over a dark desk"
+_SWEEP_MAX_PROBE = 6
+
+
+def tm_sweep(config, camera=("right", "medium"), tms=(1, 5, 20)):
     """Displacement error and anchor fit across intervention depths.
 
-    One anchored-oracle clip per T_m, all else identical (same seed, same
-    noise draws).  Each row reports the mean L2 gap between estimated and
-    camera-implied per-frame translation over frames 1..max_probe, plus
-    the MSE between the final clip latent and the camera-consistent
-    anchor.  Documented behavior under the tight oracle prior: the
+    One anchored-oracle clip of ``_SWEEP_PROMPT`` per T_m, all else
+    identical (same seed, same noise draws).  Each row reports the mean L2
+    gap between estimated and camera-implied per-frame translation over
+    frames 1.._SWEEP_MAX_PROBE, plus the MSE between the final clip latent
+    and the camera-consistent anchor.  Documented behavior under the tight oracle prior: the
     anchor already carries the camera motion, so displacement error is
     non-increasing in T_m (zero throughout), and the denoiser re-absorbs
     the intervention's blend echo on later steps, so anchor MSE stays at
@@ -1027,15 +1013,15 @@ def tm_sweep(config, camera=("right", "medium"), tms=(1, 5, 20),
     table = config.speed_table()
     direction, speed = camera
     seed = derive_seed(config.seed, "tm-sweep")
-    scene_latent = _scene_canvas_latent(config, prompt, seed)
+    scene_latent = _scene_canvas_latent(config, _SWEEP_PROMPT, seed)
     anchor = _camera_anchor(scene_latent, camera, frames, table)
     denoiser = _oracle_denoiser(config, anchor)
     rows = []
     for tm in tms:
-        clip = _sample_clip(config, scene_latent, prompt, camera, seed, tm, denoiser)
+        clip = _sample_clip(config, scene_latent, _SWEEP_PROMPT, camera, seed, tm, denoiser)
         base = decode_latent(clip[:, 0])
         errs = []
-        for f in range(1, min(max_probe, frames - 1) + 1):
+        for f in range(1, min(_SWEEP_MAX_PROBE, frames - 1) + 1):
             est = estimate_translation(base, decode_latent(clip[:, f]))
             exp = expected_translation(direction, speed, f, table)
             errs.append(float(np.hypot(est[0] - exp[0], est[1] - exp[1])))
@@ -1049,10 +1035,14 @@ def tm_sweep(config, camera=("right", "medium"), tms=(1, 5, 20),
 
 # --- gradient audit ---------------------------------------------------------------
 
-def run_gradient_suite(seed=0, trials=4, eps=1e-5):
+_GRADCHECK_TRIALS = 4
+_GRADCHECK_EPS = 1e-5
+
+
+def run_gradient_suite(seed=0):
     """Finite-difference audit of every differentiable block family.
 
-    ``trials`` randomized shape draws each for cross-attention, the
+    ``_GRADCHECK_TRIALS`` randomized shape draws each for cross-attention, the
     tri-context block, the spatio-temporal block, both convolutions and
     the action embedding (plus layer norm), all in double precision.
     Returns the worst relative error, the per-case table and the 1e-4
@@ -1062,10 +1052,10 @@ def run_gradient_suite(seed=0, trials=4, eps=1e-5):
     cases = []
 
     def audit(label, params, fn):
-        err = finite_diff_check(fn, params, eps)
+        err = finite_diff_check(fn, params, _GRADCHECK_EPS)
         cases.append({"case": label, "rel_err": err})
 
-    for i in range(trials):
+    for i in range(_GRADCHECK_TRIALS):
         r = rng.child("xattn", i)
         heads = 1 + i % 2
         cq = heads * (2 + int(r.integers(0, 2)))
@@ -1079,7 +1069,7 @@ def run_gradient_suite(seed=0, trials=4, eps=1e-5):
         audit(f"cross-attention[{i}]", [q for _, q in p.parameters()],
               lambda x=x, ctx=ctx, p=p, w=w: (cross_attention(x, ctx, p) * w).sum())
 
-    for i in range(trials):
+    for i in range(_GRADCHECK_TRIALS):
         r = rng.child("tri", i)
         heads = 1 + i % 2
         ch = heads * (2 + int(r.integers(0, 2)))
@@ -1092,7 +1082,7 @@ def run_gradient_suite(seed=0, trials=4, eps=1e-5):
               lambda x=x, bundle=bundle, block=block, w=w:
               (tri_context_forward(x, bundle, block) * w).sum())
 
-    for i in range(trials):
+    for i in range(_GRADCHECK_TRIALS):
         r = rng.child("st", i)
         heads = 1 + i % 2
         ch = heads * (2 + int(r.integers(0, 2)))
@@ -1106,7 +1096,7 @@ def run_gradient_suite(seed=0, trials=4, eps=1e-5):
               lambda tokens=tokens, ctx=ctx, block=block, w=w:
               (block.forward_tokens(tokens, ctx) * w).sum())
 
-    for i in range(trials):
+    for i in range(_GRADCHECK_TRIALS):
         r = rng.child("conv", i)
         cin, cout = 1 + int(r.integers(0, 3)), 1 + int(r.integers(0, 3))
         h, w_ = 3 + int(r.integers(0, 2)), 3 + int(r.integers(0, 2))
@@ -1118,7 +1108,7 @@ def run_gradient_suite(seed=0, trials=4, eps=1e-5):
               lambda x=x, kernel=kernel, bias=bias, w=w:
               (conv2d_3x3(x, kernel, bias) * w).sum())
 
-    for i in range(trials):
+    for i in range(_GRADCHECK_TRIALS):
         r = rng.child("tconv", i)
         cin, cout = 1 + int(r.integers(0, 3)), 1 + int(r.integers(0, 3))
         f, h, w_ = 2 + int(r.integers(0, 3)), 2, 2
@@ -1130,7 +1120,7 @@ def run_gradient_suite(seed=0, trials=4, eps=1e-5):
               lambda x=x, kernel=kernel, bias=bias, w=w:
               (temporal_conv1d(x, kernel, bias) * w).sum())
 
-    for i in range(trials):
+    for i in range(_GRADCHECK_TRIALS):
         r = rng.child("act", i)
         vocab, ch = 2 + int(r.integers(0, 4)), 2 + int(r.integers(0, 4))
         f = ActionEmbedding.init(r.child("f"), vocab, ch)
@@ -1157,8 +1147,7 @@ def run_gradient_suite(seed=0, trials=4, eps=1e-5):
 
 # --- mock fixtures -----------------------------------------------------------------
 
-def build_mock_llm_fixture(prompt, script_text, descriptions=None,
-                           examples=None, model="local-chat"):
+def build_mock_llm_fixture(prompt, script_text, descriptions=None, model="local-chat"):
     """Request-hash table covering one full run against a MockChatBackend.
 
     Maps the script query plus, per entity, the aspect and description
@@ -1170,7 +1159,7 @@ def build_mock_llm_fixture(prompt, script_text, descriptions=None,
     def put(messages, answer):
         table[request_hash(build_chat_request(messages, model))] = answer
 
-    put(build_script_query(prompt, examples), script_text)
+    put(build_script_query(prompt), script_text)
     script = parse_script(script_text)
     descriptions = descriptions or {}
     for rec in find_common_entities(script):

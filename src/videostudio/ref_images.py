@@ -121,23 +121,14 @@ class RemoteTextToImageBackend:
 class LuminanceSegmenter:
     """Salient = brighter than a luminance threshold (Rec. 709 weights)."""
 
-    def __init__(self, threshold=0.5, smooth=False):
+    def __init__(self, threshold=0.5):
         self.threshold = threshold
-        self.smooth = smooth
 
     def segment(self, image):
         lum = (0.2126 * image.data[:, :, 0]
                + 0.7152 * image.data[:, :, 1]
                + 0.0722 * image.data[:, :, 2])
-        mask = (lum > self.threshold).astype(np.float64)
-        if self.smooth:
-            padded = np.pad(mask, 1, mode="edge")
-            acc = np.zeros_like(mask)
-            for dy in range(3):
-                for dx in range(3):
-                    acc += padded[dy:dy + mask.shape[0], dx:dx + mask.shape[1]]
-            mask = acc / 9.0
-        return Mask(mask)
+        return Mask((lum > self.threshold).astype(np.float64))
 
 
 def segment_salient(image, segmenter):

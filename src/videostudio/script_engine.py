@@ -76,18 +76,6 @@ class ChatMessage:
 
 
 @dataclass
-class RetryPolicy:
-    max_attempts: int = 3
-    on_exhaustion: str = "error"  # "error" | "best_effort_last"
-
-    def __post_init__(self):
-        if self.max_attempts < 1:
-            raise MalformedScene("max_attempts must be >= 1")
-        if self.on_exhaustion not in ("error", "best_effort_last"):
-            raise MalformedScene(f"unknown on_exhaustion {self.on_exhaustion!r}")
-
-
-@dataclass
 class Violation:
     code: str
     message: str
@@ -302,21 +290,6 @@ class MockChatBackend:
         return value
 
 
-class SequenceChatBackend:
-    """Returns canned responses in order; useful for retry tests."""
-
-    def __init__(self, responses):
-        self.responses = list(responses)
-        self.call_count = 0
-
-    def complete(self, messages):
-        if self.call_count >= len(self.responses):
-            raise BackendError("scripted backend ran out of responses")
-        text = self.responses[self.call_count]
-        self.call_count += 1
-        return text
-
-
 # --- query construction -----------------------------------------------------------
 
 
@@ -339,14 +312,13 @@ def _check_example_transcript(examples):
             raise WrongExampleCount(f"example message {i + 1} has role {msg.role!r}, want {want!r}")
 
 
-def build_script_query(prompt, examples=None):
+def build_script_query(prompt):
     """System instruction + five example exchanges + the user's theme."""
     if not prompt or not prompt.strip():
         raise EmptyPrompt("script prompt is empty")
-    if examples is None:
-        examples = default_script_examples()
+    examples = default_script_examples()
     _check_example_transcript(examples)
-    return list(examples) + [ChatMessage("user", f"Video theme: {prompt.strip()}")]
+    return examples + [ChatMessage("user", f"Video theme: {prompt.strip()}")]
 
 
 def build_aspect_query(entity):
@@ -379,25 +351,20 @@ def generate_entity_description(entity, source_prompt, backend):
     return description.strip()
 
 
-def generate_script(prompt, backend, policy=None, examples=None):
-    """Query the backend until a reply parses and validates, bounded retries."""
-    policy = policy or RetryPolicy()
+def generate_script(prompt, backend, max_attempts):
+    """Query the backend until a reply parses and validates, at most
+    ``max_attempts`` times; then raise ScriptGenerationExhausted."""
+    messages = build_script_query(prompt)
     transcripts = []
-    best_effort = None
-    for _attempt in range(policy.max_attempts):
-        messages = build_script_query(prompt, examples)
+    for _attempt in range(max_attempts):
         reply = backend.complete(messages)
-        transcripts.append(list(messages) + [ChatMessage("assistant", reply)])
+        transcripts.append(messages + [ChatMessage("assistant", reply)])
         try:
             script = parse_script(reply)
         except (MalformedScene, EmptyScript, NonContiguousIndices, UnknownCameraToken):
             continue
         script.source_prompt = prompt
-        if validate_script(script):
-            best_effort = script
-            continue
-        return script
-    if policy.on_exhaustion == "best_effort_last" and best_effort is not None:
-        return best_effort
+        if not validate_script(script):
+            return script
     raise ScriptGenerationExhausted(
-        f"no valid script after {policy.max_attempts} attempts", transcripts)
+        f"no valid script after {max_attempts} attempts", transcripts)

@@ -30,10 +30,11 @@ from videostudio.pipeline import (GroundTruthDetector, ToyEmbedder,
 from videostudio.ref_images import ToyTextToImageBackend
 from videostudio.sampler import (SamplerConfig, apply_camera_intervention,
                                  make_schedule, sample_image, sample_video)
-from videostudio.script_engine import (CameraMove, RetryPolicy, SceneSpec,
-                                       SequenceChatBackend, VideoScript,
-                                       find_common_entities, generate_script,
-                                       parse_script, serialize_script)
+from videostudio.script_engine import (CameraMove, MockChatBackend, SceneSpec,
+                                       VideoScript, build_chat_request,
+                                       build_script_query, find_common_entities,
+                                       generate_script, parse_script,
+                                       request_hash, serialize_script)
 
 PROMPT = "a silver robot spends a day in its workshop"
 SCRIPT3 = """[Scene 1: prompt: a silver robot kneading dough in the workshop | foreground: silver robot | background: workshop | camera: right, medium]
@@ -213,9 +214,10 @@ def test_criterion_09_script_grammar_fuzz_retry_and_entity_oracle():
         assert parse_script(serialize_script(script)).scenes == scenes
 
     # retry loop consumes exactly max_attempts completions before giving up
-    backend = SequenceChatBackend(["nonsense"] * 10)
+    query = build_script_query("a theme")
+    backend = MockChatBackend({request_hash(build_chat_request(query)): "nonsense"})
     with pytest.raises(ScriptGenerationExhausted):
-        generate_script("a theme", backend, RetryPolicy(max_attempts=4))
+        generate_script("a theme", backend, 4)
     assert backend.call_count == 4
 
     # shared-entity detection agrees with an exhaustive pairwise scan

@@ -322,11 +322,12 @@ def test_finite_diff_check_reports_max_relative_error():
 
 
 def test_package_import_leaves_scipy_out():
-    # numpy is the only runtime dependency; a fresh interpreter proves it
+    # numpy is the only runtime dependency; a fresh interpreter importing the
+    # CLI, which reaches every module, proves it
     src = os.path.dirname(os.path.dirname(os.path.abspath(videostudio.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = "import sys, videostudio; print('scipy' in sys.modules)"
+    code = "import sys, videostudio.cli; print('scipy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"

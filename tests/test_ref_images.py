@@ -97,18 +97,6 @@ def test_luminance_segmenter_thresholds_rec709():
     assert np.count_nonzero(LuminanceSegmenter(0.5).segment(RgbImage(blue)).data) == 0
 
 
-def test_smooth_segmenter_averages_neighbourhood():
-    data = np.zeros((8, 8, 3))
-    data[4, 4] = 1.0
-    img = RgbImage(data)
-    hard = LuminanceSegmenter(0.5).segment(img).data
-    soft = LuminanceSegmenter(0.5, smooth=True).segment(img).data
-    assert hard[4, 4] == 1.0 and hard.sum() == 1.0
-    assert np.isclose(soft[4, 4], 1.0 / 9.0)
-    assert np.isclose(soft.sum(), 1.0)  # box blur conserves mass away from edges
-    assert set(np.unique(hard)) <= {0.0, 1.0}
-
-
 def test_segment_salient_validates_shape():
     class BadSegmenter:
         def segment(self, image):

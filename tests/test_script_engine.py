@@ -7,12 +7,12 @@ from videostudio.errors import (BackendError, EmptyDescription, EmptyPrompt,
                                 NonContiguousIndices,
                                 ScriptGenerationExhausted, UnknownCameraToken,
                                 WrongExampleCount)
+from videostudio import script_engine
 from videostudio.numeric_core import Rng
 from videostudio.script_engine import (MAX_FOREGROUNDS, MAX_SCENES,
                                        CameraMove, ChatMessage,
                                        EntityRecord, MockChatBackend,
-                                       RetryPolicy, SceneSpec,
-                                       SequenceChatBackend, VideoScript,
+                                       SceneSpec, VideoScript,
                                        build_chat_request,
                                        build_description_query,
                                        build_script_query, build_aspect_query,
@@ -26,6 +26,17 @@ from videostudio.script_engine import (MAX_FOREGROUNDS, MAX_SCENES,
 
 GOOD = """[Scene 1: prompt: a fox trots through snow | foreground: red fox | background: snowy forest | camera: right, slow]
 [Scene 2: prompt: the fox digs for mice | foreground: red fox | background: snowy forest | camera: static, medium]"""
+
+
+def _replies(table):
+    """MockChatBackend answering each (messages, reply) pair of ``table``;
+    a list of replies is given out in order, the last one repeating."""
+    return MockChatBackend({request_hash(build_chat_request(messages)): reply
+                            for messages, reply in table})
+
+
+def _script_backend(replies):
+    return _replies([(build_script_query("fox documentary"), list(replies))])
 
 
 def _scene(index=1, prompt="a thing happens", fg=("red fox",), bg="snowy forest",
@@ -232,14 +243,6 @@ def test_mock_backend_list_values_consumed_in_order():
     assert backend.call_count == 3
 
 
-def test_sequence_backend_exhaustion():
-    backend = SequenceChatBackend(["a", "b"])
-    assert backend.complete([]) == "a"
-    assert backend.complete([]) == "b"
-    with pytest.raises(BackendError):
-        backend.complete([])
-
-
 # --- query construction ---------------------------------------------------------------------
 
 def test_script_query_structure():
@@ -253,16 +256,15 @@ def test_script_query_structure():
         build_script_query("   ")
 
 
-def test_script_query_rejects_malformed_examples():
+def test_script_query_rejects_malformed_examples(monkeypatch):
     good = default_script_examples()
-    with pytest.raises(WrongExampleCount):
-        build_script_query("x", examples=good[1:])  # no system message
-    with pytest.raises(WrongExampleCount):
-        build_script_query("x", examples=good[:-1])  # broken pairing
     swapped = list(good)
     swapped[1], swapped[2] = swapped[2], swapped[1]
-    with pytest.raises(WrongExampleCount):
-        build_script_query("x", examples=swapped)
+    # no system message, broken pairing, swapped roles
+    for examples in (good[1:], good[:-1], swapped):
+        monkeypatch.setattr(script_engine, "default_script_examples", lambda e=examples: list(e))
+        with pytest.raises(WrongExampleCount):
+            build_script_query("x")
 
 
 def test_default_examples_are_valid_grammar():
@@ -287,11 +289,15 @@ def test_aspect_and_description_queries():
 
 def test_generate_entity_description_two_rounds():
     fg = EntityRecord("red fox", "foreground", {1, 2})
-    backend = SequenceChatBackend(["fur, tail, size", "A compact fox with auburn fur."])
+    backend = _replies([
+        (build_aspect_query(fg), "fur, tail, size"),
+        (build_description_query(fg, "fur, tail, size", "winter tale"),
+         "A compact fox with auburn fur.")])
     desc = generate_entity_description(fg, "winter tale", backend)
     assert desc == "A compact fox with auburn fur."
     assert backend.call_count == 2
-    empty = SequenceChatBackend(["aspects", "   "])
+    empty = _replies([(build_aspect_query(fg), "aspects"),
+                      (build_description_query(fg, "aspects", "winter tale"), "   ")])
     with pytest.raises(EmptyDescription):
         generate_entity_description(fg, "winter tale", empty)
 
@@ -299,24 +305,24 @@ def test_generate_entity_description_two_rounds():
 # --- script generation with retries ------------------------------------------------------------
 
 def test_generate_script_first_try():
-    backend = SequenceChatBackend([GOOD])
-    script = generate_script("fox documentary", backend)
+    backend = _script_backend([GOOD])
+    script = generate_script("fox documentary", backend, 3)
     assert script.source_prompt == "fox documentary"
     assert len(script.scenes) == 2
     assert backend.call_count == 1
 
 
 def test_generate_script_retries_on_parse_failure():
-    backend = SequenceChatBackend(["not a script at all", "still nope", GOOD])
-    script = generate_script("fox documentary", backend, RetryPolicy(max_attempts=3))
+    backend = _script_backend(["not a script at all", "still nope", GOOD])
+    script = generate_script("fox documentary", backend, 3)
     assert len(script.scenes) == 2
     assert backend.call_count == 3
 
 
 def test_generate_script_respects_max_attempts():
-    backend = SequenceChatBackend(["junk"] * 10)
+    backend = _script_backend(["junk"])  # the last reply repeats
     with pytest.raises(ScriptGenerationExhausted) as err:
-        generate_script("fox documentary", backend, RetryPolicy(max_attempts=4))
+        generate_script("fox documentary", backend, 4)
     assert backend.call_count == 4
     assert len(err.value.transcripts) == 4
     # transcripts carry the full exchanges including the bad replies
@@ -324,20 +330,9 @@ def test_generate_script_respects_max_attempts():
 
 
 def test_generate_script_best_effort_last():
-    # parses but validates dirty: prompt contains a grammar delimiter
+    # a reply that parses but fails validation (its prompt holds a grammar
+    # delimiter) is never returned: there is no best-effort fallback
     dirty = GOOD.replace("a fox trots through snow", "a fox [redacted] trots")
-    backend = SequenceChatBackend([dirty, dirty])
-    policy = RetryPolicy(max_attempts=2, on_exhaustion="best_effort_last")
-    script = generate_script("fox documentary", backend, policy)
-    assert "[redacted]" in script.scenes[0].prompt  # returned despite the violation
-    assert len(script.scenes) == 2
-    strict = SequenceChatBackend([dirty, dirty])
+    strict = _script_backend([dirty, dirty])
     with pytest.raises(ScriptGenerationExhausted):
-        generate_script("fox documentary", strict, RetryPolicy(max_attempts=2))
-
-
-def test_retry_policy_validation():
-    with pytest.raises(MalformedScene):
-        RetryPolicy(max_attempts=0)
-    with pytest.raises(MalformedScene):
-        RetryPolicy(on_exhaustion="shrug")
+        generate_script("fox documentary", strict, 2)
