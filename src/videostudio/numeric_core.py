@@ -560,4 +560,7 @@ def load_tensor(path):
     arr = np.frombuffer(payload, dtype="<f4")
     if not np.isfinite(arr).all():
         raise BadTensorFile(f"{path}: payload holds NaN or Inf")
-    return arr.reshape(dims).copy()
+    try:
+        return arr.reshape(dims).copy()
+    except ValueError as exc:  # over numpy's rank limit, or dims past its index range
+        raise BadTensorFile(f"{path}: numpy cannot shape {rank} dims: {exc}") from None

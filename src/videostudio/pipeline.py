@@ -52,11 +52,11 @@ from .ref_images import (EntityReference, LuminanceSegmenter, RgbImage,
                          build_entity_references, decode_pgm, decode_ppm,
                          encode_pgm, encode_ppm)
 from .sampler import SamplerConfig, make_schedule, sample_image, sample_video
-from .script_engine import (HttpChatBackend, MockChatBackend, build_aspect_query, build_chat_request,
-                            build_description_query, build_script_query,
-                            find_common_entities, generate_entity_description,
-                            generate_script, parse_script, request_hash,
-                            serialize_script)
+from .script_engine import (HttpChatBackend, MockChatBackend, build_aspect_query,
+                            build_chat_request, build_description_query,
+                            build_script_query, find_common_entities,
+                            generate_entity_description, generate_script,
+                            parse_script, request_hash, serialize_script)
 
 __all__ = [
     "PipelineConfig", "PipelineBackends", "default_config", "load_config",
@@ -131,6 +131,11 @@ def _want(doc, dotted, types, lo=None, hi=None):
     if isinstance(value, bool) or not isinstance(value, types):
         what = "an integer" if types is int else "a number"
         raise BadConfig(f"{dotted} must be {what}, got {value!r}")
+    if types is not int:
+        try:
+            value = float(value)
+        except OverflowError:
+            raise BadConfig(f"{dotted} is an integer too large for a float") from None
     if isinstance(value, float) and not math.isfinite(value):
         raise BadConfig(f"{dotted} must be finite, got {value}")
     if lo is not None and value < lo:
@@ -145,7 +150,14 @@ def _want_int(doc, dotted, lo=None, hi=None):
 
 
 def _want_number(doc, dotted, lo=None, hi=None):
-    return float(_want(doc, dotted, (int, float), lo, hi))
+    return _want(doc, dotted, (int, float), lo, hi)
+
+
+def _want_text(doc, dotted):
+    value = _lookup(doc, dotted)
+    if value is not None and not isinstance(value, str):
+        raise BadConfig(f"{dotted} must be a string or null, got {value!r}")
+    return value
 
 
 class PipelineConfig:
@@ -162,9 +174,7 @@ class PipelineConfig:
             raise BadConfig(f"denoiser must be 'oracle' or 'network', got {doc['denoiser']!r}")
         self.denoiser = doc["denoiser"]
         self.no_refs = bool(doc["no_refs"])
-        self.output_dir = doc["output_dir"]
-        if self.output_dir is not None and not isinstance(self.output_dir, str):
-            raise BadConfig("output_dir must be a string or null")
+        self.output_dir = _want_text(doc, "output_dir")
 
         self.channels = _want_int(doc, "model.channels", 1)
         self.blocks = _want_int(doc, "model.blocks", 1)
@@ -210,8 +220,10 @@ class PipelineConfig:
             raise BadConfig("chat.kind must be 'mock' or 'http'")
         if doc["text_to_image"]["kind"] not in ("toy", "http"):
             raise BadConfig("text_to_image.kind must be 'toy' or 'http'")
+        for dotted in ("chat.url", "chat.model", "text_to_image.url"):
+            _want_text(doc, dotted)
         for dotted in ("chat.path", "vocabulary_path"):
-            value = _lookup(doc, dotted)
+            value = _want_text(doc, dotted)
             if value is not None and not os.path.exists(value):
                 raise BadConfig(f"{dotted} points at a missing file: {value!r}")
         path = doc["vocabulary_path"]
@@ -260,7 +272,7 @@ def load_config(path=None, overrides=None):
                 parsed = json.load(fh)
         except OSError as exc:
             raise BadConfig(f"cannot read config {path!r}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an int literal too long to convert
             raise BadConfig(f"config {path!r} is not valid JSON: {exc}") from exc
         merged = _merge_config(merged, parsed)
     if overrides:
@@ -886,7 +898,7 @@ def load_manifest(out_dir, verify=True):
             manifest = json.load(fh)
     except OSError as exc:
         raise ChecksumMismatch(f"cannot read manifest: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int literal too long to convert
         raise ChecksumMismatch(f"manifest is not valid JSON: {exc}") from exc
     files = _manifest_files(manifest)
     if verify:

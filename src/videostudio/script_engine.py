@@ -132,7 +132,11 @@ def parse_script(text):
         m = _RECORD.match(line)
         if m is None:
             raise MalformedScene(f"line {line_number}: not a scene record: {line!r}", line_number)
-        index = int(m.group(1))
+        try:
+            index = int(m.group(1))
+        except ValueError:  # more digits than int() converts
+            raise MalformedScene(f"line {line_number}: scene index is too long",
+                                 line_number) from None
         prompt = m.group(2).strip()
         if not prompt:
             raise MalformedScene(f"line {line_number}: empty scene prompt", line_number)

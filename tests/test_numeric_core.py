@@ -1,5 +1,6 @@
 import math
 import os
+import struct
 import subprocess
 import sys
 
@@ -309,6 +310,25 @@ def test_vstn_non_finite_payload_is_refused(tmp_path, bad):
     path = tmp_path / "t.vstn"
     save_tensor(path, np.array([1.0, bad]))
     with pytest.raises(BadTensorFile, match="NaN or Inf"):
+        load_tensor(path)
+
+
+def _vstn(dims, payload=b""):
+    """A VSTN file's bytes with a hand-written header."""
+    return (b"VSTN" + struct.pack("<II", 1, len(dims))
+            + struct.pack(f"<{len(dims)}Q", *dims) + payload)
+
+
+@pytest.mark.parametrize("dims,payload", [
+    ((1,) * 65, b"\0" * 4),
+    ((0, 2 ** 63), b""),
+    ((0, 2 ** 40, 2 ** 40, 2 ** 40), b""),
+], ids=["rank-65", "dim-past-intp", "4d-array-too-big"])
+def test_vstn_dims_numpy_cannot_shape_are_refused(tmp_path, dims, payload):
+    # each header's payload length matches its dims, so only reshape can object
+    path = tmp_path / "t.vstn"
+    path.write_bytes(_vstn(dims, payload))
+    with pytest.raises(BadTensorFile, match="cannot shape"):
         load_tensor(path)
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import json
 import os
@@ -9,6 +10,7 @@ import pytest
 from videostudio.errors import (BackendError, BadConfig, ChecksumMismatch,
                                 DetectorMiss, NoCommonEntities, StageError,
                                 TooFewFrames, UnknownDirection)
+from videostudio.action_condition import default_vocabulary
 from videostudio.numeric_core import Rng
 from videostudio.pipeline import (GroundTruthDetector, MetricsReport,
                                   MultiSceneVideo, PipelineConfig,
@@ -114,6 +116,57 @@ def test_bad_noise_schedule_fails_at_load(schedule, key):
 def test_non_finite_config_numbers_fail_at_load(overrides, key):
     with pytest.raises(BadConfig, match=key):
         load_config(overrides=overrides)
+
+
+@pytest.mark.parametrize("overrides,key", [
+    ({"oracle": {"prior_variance": 10 ** 400}}, "oracle.prior_variance"),
+    ({"video_sampler": {"guidance_scale": 10 ** 400}}, "video_sampler.guidance_scale"),
+])
+def test_huge_config_numbers_fail_at_load(overrides, key):
+    with pytest.raises(BadConfig, match=key):
+        load_config(overrides=overrides)
+
+
+def test_overlong_int_literals_are_typed_errors(tmp_path):
+    literal = "1" * 5000  # past the 4300 digits int() converts by default
+    (tmp_path / "config.json").write_text('{"seed": %s}' % literal)
+    with pytest.raises(BadConfig, match="not valid JSON"):
+        load_config(str(tmp_path / "config.json"))
+    (tmp_path / "manifest.json").write_text('{"version": %s}' % literal)
+    with pytest.raises(ChecksumMismatch, match="not valid JSON"):
+        load_manifest(str(tmp_path))
+
+
+@pytest.mark.parametrize("key,value", [
+    ("chat.path", [1]),
+    ("vocabulary_path", [1]),
+    ("vocabulary_path", "open-fd"),
+    ("chat.url", [1]),
+    ("chat.model", [1]),
+    ("text_to_image.url", [1]),
+], ids=["chat.path", "vocabulary_path", "vocabulary_path-fd", "chat.url", "chat.model",
+        "text_to_image.url"])
+def test_config_string_keys_are_typed(tmp_path, key, value):
+    if value == "open-fd":
+        # an int is a file descriptor to os.path.exists and open(); this one
+        # reads a valid vocabulary, so only the type check can refuse it
+        vocab = default_vocabulary(32)
+        path = tmp_path / "vocab.json"
+        path.write_text(json.dumps([{"name": name, "embedding": row.tolist()}
+                                    for name, row in zip(vocab.names, vocab.embeddings)]))
+        value = os.open(path, os.O_RDONLY)
+    overrides = node = {}
+    *sections, leaf = key.split(".")
+    for section in sections:
+        node = node.setdefault(section, {})
+    node[leaf] = value
+    try:
+        with pytest.raises(BadConfig, match=key):
+            load_config(overrides=overrides)
+    finally:
+        if isinstance(value, int):
+            with contextlib.suppress(OSError):  # already closed if it was read
+                os.close(value)
 
 
 @pytest.mark.parametrize("text", [

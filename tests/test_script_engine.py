@@ -112,6 +112,15 @@ def test_parse_rejects_bad_inputs():
         parse_script("[Scene 1: prompt:  | foreground: none | background: room | camera: static, slow]")
 
 
+def test_overlong_scene_index_is_malformed():
+    # int() refuses more than 4300 digits; a chat reply must not crash the retry loop
+    text = GOOD.replace("Scene 2", "Scene " + "2" * 5000)
+    with pytest.raises(MalformedScene, match="index is too long"):
+        parse_script(text)
+    with pytest.raises(ScriptGenerationExhausted):
+        generate_script("fox documentary", _script_backend([text]), 2)
+
+
 def test_round_trip_randomized_scripts():
     from videostudio.camera_motion import DIRECTIONS, SPEEDS
     rng = Rng(123)
