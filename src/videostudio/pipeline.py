@@ -1013,13 +1013,13 @@ def tm_sweep(config, camera=("right", "medium"), tms=(1, 5, 20)):
     identical (same seed, same noise draws).  Each row reports the mean L2
     gap between estimated and camera-implied per-frame translation over
     frames 1.._SWEEP_MAX_PROBE, plus the MSE between the final clip latent
-    and the camera-consistent anchor.  Documented behavior under the tight oracle prior: the
-    anchor already carries the camera motion, so displacement error is
-    non-increasing in T_m (zero throughout), and the denoiser re-absorbs
-    the intervention's blend echo on later steps, so anchor MSE stays at
-    the eta=1 sampling floor (~sigma0 * posterior gain, well under 1e-5
-    at the default prior variance) at every depth -- the quality bound
-    the sweep checks.
+    and the camera-consistent anchor.  Documented behavior under the tight
+    oracle prior: the anchor already carries the camera motion, so
+    displacement error is non-increasing in T_m (zero throughout), and the
+    denoiser re-absorbs the intervention's blend echo on later steps, so
+    anchor MSE stays at the eta=1 sampling floor (~sigma0 * posterior gain,
+    well under 1e-5 at the default prior variance) at every depth -- the
+    quality bound the sweep checks.
     """
     frames = config.frames
     table = config.speed_table()
@@ -1054,9 +1054,9 @@ _GRADCHECK_EPS = 1e-5
 def run_gradient_suite(seed=0):
     """Finite-difference audit of every differentiable block family.
 
-    ``_GRADCHECK_TRIALS`` randomized shape draws each for cross-attention, the
-    tri-context block, the spatio-temporal block, both convolutions and
-    the action embedding (plus layer norm), all in double precision.
+    ``_GRADCHECK_TRIALS`` randomized shape draws each for cross-attention,
+    the tri-context block, the spatio-temporal block, both convolutions
+    and the action embedding (plus layer norm), all in double precision.
     Returns the worst relative error, the per-case table and the 1e-4
     verdict the CLI and the acceptance suite read.
     """

@@ -112,17 +112,11 @@ def test_bad_noise_schedule_fails_at_load(schedule, key):
     ({"oracle": {"prior_variance": float("nan")}}, "oracle.prior_variance"),
     ({"image_sampler": {"guidance_scale": float("inf")}}, "image_sampler.guidance_scale"),
     ({"speeds": {"translation": {"slow": float("nan")}}}, "speeds.translation.slow"),
-])
-def test_non_finite_config_numbers_fail_at_load(overrides, key):
-    with pytest.raises(BadConfig, match=key):
-        load_config(overrides=overrides)
-
-
-@pytest.mark.parametrize("overrides,key", [
+    # integers too large for a float
     ({"oracle": {"prior_variance": 10 ** 400}}, "oracle.prior_variance"),
     ({"video_sampler": {"guidance_scale": 10 ** 400}}, "video_sampler.guidance_scale"),
 ])
-def test_huge_config_numbers_fail_at_load(overrides, key):
+def test_non_finite_config_numbers_fail_at_load(overrides, key):
     with pytest.raises(BadConfig, match=key):
         load_config(overrides=overrides)
 

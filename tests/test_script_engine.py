@@ -2,12 +2,12 @@ import json
 
 import pytest
 
+from videostudio import script_engine
 from videostudio.errors import (BackendError, EmptyDescription, EmptyPrompt,
                                 EmptyScript, MalformedScene,
                                 NonContiguousIndices,
                                 ScriptGenerationExhausted, UnknownCameraToken,
                                 WrongExampleCount)
-from videostudio import script_engine
 from videostudio.numeric_core import Rng
 from videostudio.script_engine import (MAX_FOREGROUNDS, MAX_SCENES,
                                        CameraMove, ChatMessage,
