@@ -24,18 +24,12 @@ _UNIT = {
 }
 
 
-class SpeedTable:
-    """Per-speed magnitudes: translation in px/frame, zoom in rate/frame."""
-
-    def __init__(self, translation_px=None, zoom_rate=None):
-        self.translation_px = dict(translation_px or {"slow": 0.5, "medium": 1.0, "fast": 2.0})
-        self.zoom_rate = dict(zoom_rate or {"slow": 0.01, "medium": 0.02, "fast": 0.04})
+# Per-speed magnitudes: translation in px/frame, zoom in rate/frame.
+TRANSLATION_PX = {"slow": 0.5, "medium": 1.0, "fast": 2.0}
+ZOOM_RATE = {"slow": 0.01, "medium": 0.02, "fast": 0.04}
 
 
-DEFAULT_SPEED_TABLE = SpeedTable()
-
-
-def synthesize_flow(direction, speed, frames, height, width, table=None):
+def synthesize_flow(direction, speed, frames, height, width):
     """Build the [F, H, W, 2] displacement field for one camera move.
 
     Channel order is (dx, dy).  Translations displace every pixel of
@@ -48,19 +42,18 @@ def synthesize_flow(direction, speed, frames, height, width, table=None):
         raise UnknownSpeed(f"unknown camera speed {speed!r}")
     if frames < 1 or height < 1 or width < 1:
         raise DimensionMismatch("flow field needs positive dims")
-    table = table or DEFAULT_SPEED_TABLE
     field = np.zeros((frames, height, width, 2), dtype=np.float64)
     if direction == "static":
         return field
     if direction in _UNIT:
-        v = table.translation_px[speed]
+        v = TRANSLATION_PX[speed]
         ux, uy = _UNIT[direction]
         for f in range(frames):
             field[f, :, :, 0] = f * v * ux
             field[f, :, :, 1] = f * v * uy
         return field
     # zoom: source = center + r*scale, so displacement = r*(scale - 1)
-    rho = table.zoom_rate[speed]
+    rho = ZOOM_RATE[speed]
     cy, cx = (height - 1) / 2.0, (width - 1) / 2.0
     ys, xs = np.mgrid[0:height, 0:width].astype(np.float64)
     rx, ry = xs - cx, ys - cy

@@ -54,7 +54,7 @@ def _write_text(path, text):
 def cmd_script(args):
     config = _load(args)
     backends = resolve_backends(config, args.mock_llm)
-    script = generate_script(args.prompt, backends.chat, config.max_attempts)
+    script = generate_script(args.prompt, backends.chat)
     text = serialize_script(script)
     print(text)
     if args.out_dir:
@@ -65,7 +65,7 @@ def cmd_script(args):
 def cmd_refs(args):
     config = _load(args)
     backends = resolve_backends(config, args.mock_llm)
-    script = generate_script(args.prompt, backends.chat, config.max_attempts)
+    script = generate_script(args.prompt, backends.chat)
     references, descriptions = _build_references(config, script, args.prompt, backends)
     if args.out_dir:
         _write_text(os.path.join(args.out_dir, "script.txt"),

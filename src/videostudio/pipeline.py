@@ -23,7 +23,6 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-import math
 import os
 from dataclasses import asdict, dataclass
 
@@ -33,8 +32,7 @@ from .action_condition import (ActionEmbedding, VocabularyEmbedder,
                                build_indicator, default_vocabulary,
                                embed_indicator, extract_action_phrases,
                                load_vocabulary)
-from .camera_motion import (DEFAULT_SPEED_TABLE, SPEEDS, SpeedTable,
-                            _UNIT, synthesize_flow, warp_clip)
+from .camera_motion import TRANSLATION_PX, _UNIT, synthesize_flow, warp_clip
 from .cond_blocks import (AnalyticGaussianDenoiser, ContextBundle, GaussianPrior,
                           ImgDenoiser, SpatioTemporalBlock, TriContextBlock,
                           VidContext, VidDenoiser, ToyFeatureExtractor,
@@ -78,21 +76,9 @@ _DEFAULT_CONFIG = {
     "denoiser": "oracle",
     "no_refs": False,
     "vocabulary_path": None,
-    "model": {
-        "channels": 32, "blocks": 2, "heads": 4,
-        "latent": [4, 16, 16], "frames": 8, "vocab_size": 16,
-        "text_len": 77, "image_tokens": 256,
-    },
-    "schedule": {"steps": 1000, "beta_start": 0.00085, "beta_end": 0.0120},
-    "image_sampler": {"steps": 50, "eta": 0.0, "guidance_scale": 1.0},
-    "video_sampler": {"steps": 70, "eta": 1.0, "guidance_scale": 12.0, "t_m": 5},
-    "oracle": {"prior_variance": 1e-4},
-    "reference": {"size": 64, "threshold": 0.5},
-    "retry": {"max_attempts": 3},
-    "speeds": {
-        "translation": {"slow": 0.5, "medium": 1.0, "fast": 2.0},
-        "zoom": {"slow": 0.01, "medium": 0.02, "fast": 0.04},
-    },
+    "model": {"channels": 32, "blocks": 2, "heads": 4, "latent": [4, 16, 16], "frames": 8},
+    "image_sampler": {"steps": 50},
+    "video_sampler": {"steps": 70, "t_m": 5},
     "chat": {"kind": "mock", "path": None, "url": None, "model": "local-chat"},
     "text_to_image": {"kind": "toy", "url": None},
 }
@@ -126,31 +112,15 @@ def _lookup(doc, dotted):
     return doc
 
 
-def _want(doc, dotted, types, lo=None, hi=None):
+def _want_int(doc, dotted, lo, hi=None):
     value = _lookup(doc, dotted)
-    if isinstance(value, bool) or not isinstance(value, types):
-        what = "an integer" if types is int else "a number"
-        raise BadConfig(f"{dotted} must be {what}, got {value!r}")
-    if types is not int:
-        try:
-            value = float(value)
-        except OverflowError:
-            raise BadConfig(f"{dotted} is an integer too large for a float") from None
-    if isinstance(value, float) and not math.isfinite(value):
-        raise BadConfig(f"{dotted} must be finite, got {value}")
-    if lo is not None and value < lo:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise BadConfig(f"{dotted} must be an integer, got {value!r}")
+    if value < lo:
         raise BadConfig(f"{dotted} must be >= {lo}, got {value}")
     if hi is not None and value > hi:
         raise BadConfig(f"{dotted} must be <= {hi}, got {value}")
     return value
-
-
-def _want_int(doc, dotted, lo=None, hi=None):
-    return _want(doc, dotted, int, lo, hi)
-
-
-def _want_number(doc, dotted, lo=None, hi=None):
-    return _want(doc, dotted, (int, float), lo, hi)
 
 
 def _want_text(doc, dotted):
@@ -163,8 +133,9 @@ def _want_text(doc, dotted):
 class PipelineConfig:
     """Validated view over the single JSON configuration document.
 
-    Every default is overridable; unknown keys anywhere in the tree are
-    rejected up front, and referenced paths must exist at parse time.
+    The document holds only what a caller varies; fixed settings are the
+    defaults of the module that uses them.  Unknown keys anywhere in the
+    tree are rejected up front, and referenced paths must exist at parse time.
     """
 
     def __init__(self, doc=None):
@@ -187,34 +158,11 @@ class PipelineConfig:
             raise BadConfig(f"model.latent must be three positive ints, got {latent!r}")
         self.latent_shape = tuple(latent)
         self.frames = _want_int(doc, "model.frames", 2)
-        self.vocab_size = _want_int(doc, "model.vocab_size", 1)
-        self.text_len = _want_int(doc, "model.text_len", 1)
-        self.image_tokens = _want_int(doc, "model.image_tokens", 1)
 
-        self.total_steps = _want_int(doc, "schedule.steps", 1)
-        beta_start = _want_number(doc, "schedule.beta_start", 0.0, 1.0)
-        beta_end = _want_number(doc, "schedule.beta_end", beta_start, 1.0)
-        for dotted, beta in (("schedule.beta_start", beta_start), ("schedule.beta_end", beta_end)):
-            if not 0.0 < beta < 1.0:
-                raise BadConfig(f"{dotted} must lie strictly inside (0, 1), got {beta}")
-        self._schedule = make_schedule(self.total_steps, beta_start, beta_end)
+        self._schedule = make_schedule()
         for key in ("image_sampler", "video_sampler"):
-            _want_int(doc, f"{key}.steps", 1, self.total_steps)
-            _want_number(doc, f"{key}.eta", 0.0, 1.0)
-            _want_number(doc, f"{key}.guidance_scale", 0.0)
+            _want_int(doc, f"{key}.steps", 1, self._schedule.T)
         _want_int(doc, "video_sampler.t_m", 0, doc["video_sampler"]["steps"] - 1)
-
-        self.prior_variance = _want_number(doc, "oracle.prior_variance", 0.0)
-        self.reference_size = _want_int(doc, "reference.size", 8)
-        self.reference_threshold = _want_number(doc, "reference.threshold", 0.0, 1.0)
-        self.max_attempts = _want_int(doc, "retry.max_attempts", 1)
-
-        for group in ("translation", "zoom"):
-            table = doc["speeds"][group]
-            if set(table) != set(SPEEDS):
-                raise BadConfig(f"speeds.{group} must define exactly {sorted(SPEEDS)}")
-            for label in SPEEDS:
-                _want_number(doc, f"speeds.{group}.{label}", 0.0)
 
         if doc["chat"]["kind"] not in ("mock", "http"):
             raise BadConfig("chat.kind must be 'mock' or 'http'")
@@ -232,28 +180,22 @@ class PipelineConfig:
         except (OSError, ValueError, KeyError, TypeError, ValidationError) as exc:
             raise BadConfig(f"action vocabulary {path or '(default)'!r} is unusable: "
                             f"{type(exc).__name__}: {exc}") from exc
-        if vocab.size != self.vocab_size:
-            raise BadConfig(f"vocabulary has {vocab.size} actions, "
-                            f"model.vocab_size says {self.vocab_size}")
+        self.vocab_size = vocab.size
 
         self.doc = doc
-        self._extractor = ToyFeatureExtractor(self.channels, self.text_len, self.image_tokens)
+        self._extractor = ToyFeatureExtractor(self.channels)
         self._vocabulary = vocab
 
     def noise_schedule(self):
         return self._schedule
 
-    def speed_table(self):
-        s = self.doc["speeds"]
-        return SpeedTable(s["translation"], s["zoom"])
-
     def image_sampler_config(self, seed):
-        s = self.doc["image_sampler"]
-        return SamplerConfig(s["steps"], s["eta"], s["guidance_scale"], t_m=0, seed=seed)
+        return SamplerConfig(self.doc["image_sampler"]["steps"], eta=0.0, guidance_scale=1.0,
+                             t_m=0, seed=seed)
 
     def video_sampler_config(self, seed, t_m=None):
         s = self.doc["video_sampler"]
-        return SamplerConfig(s["steps"], s["eta"], s["guidance_scale"],
+        return SamplerConfig(s["steps"], eta=1.0, guidance_scale=12.0,
                              t_m=s["t_m"] if t_m is None else t_m, seed=seed)
 
     def action_vocabulary(self):
@@ -304,13 +246,12 @@ def resolve_backends(config, mock_llm=None):
         chat = HttpChatBackend(chat_cfg["url"], chat_cfg["model"])
     t2i_cfg = config.doc["text_to_image"]
     if t2i_cfg["kind"] == "toy":
-        t2i = ToyTextToImageBackend(config.reference_size)
+        t2i = ToyTextToImageBackend()
     else:
         if not t2i_cfg["url"]:
             raise BadConfig("text_to_image.kind is 'http' but text_to_image.url is not set")
-        t2i = RemoteTextToImageBackend(t2i_cfg["url"], config.reference_size)
-    segmenter = LuminanceSegmenter(config.reference_threshold)
-    return PipelineBackends(chat, t2i, segmenter)
+        t2i = RemoteTextToImageBackend(t2i_cfg["url"])
+    return PipelineBackends(chat, t2i, LuminanceSegmenter())
 
 
 # --- latent <-> RGB ----------------------------------------------------------
@@ -600,21 +541,24 @@ def compute_metrics(video, embedder=None, detector=None):
 def _scene_canvas_latent(config, prompt, seed):
     """Latent of the toy text-to-image render of ``prompt`` at the latent size."""
     c, h, w = config.latent_shape
-    img = ToyTextToImageBackend(config.reference_size).generate(
-        prompt, derive_seed(seed, "scene-canvas"))
+    img = ToyTextToImageBackend().generate(prompt, derive_seed(seed, "scene-canvas"))
     return encode_image(_resize_nearest(img.data, h, w), c)
 
 
-def _camera_anchor(scene_latent, camera, frames, table):
+def _camera_anchor(scene_latent, camera, frames):
     """The scene latent held for ``frames`` frames and moved by ``camera``."""
     _, h, w = scene_latent.shape
-    field = synthesize_flow(camera[0], camera[1], frames, h, w, table)
+    field = synthesize_flow(camera[0], camera[1], frames, h, w)
     return warp_clip(np.tile(scene_latent[:, None, :, :], (1, frames, 1, 1)), field)
+
+
+# Tight enough that the anchor, not the noise, decides every sample.
+_PRIOR_VARIANCE = 1e-4
 
 
 def _oracle_denoiser(config, target):
     """Analytic denoiser whose prior mean is ``target``."""
-    return AnalyticGaussianDenoiser(GaussianPrior(target, config.prior_variance),
+    return AnalyticGaussianDenoiser(GaussianPrior(target, _PRIOR_VARIANCE),
                                     config.noise_schedule(), target.shape)
 
 
@@ -637,9 +581,8 @@ def _sample_clip(config, scene_latent, prompt, camera, seed, t_m=None, denoiser=
     denoiser the clip comes from the oracle anchored on the camera-moved
     scene latent.
     """
-    table = config.speed_table()
     if denoiser is None:
-        anchor = _camera_anchor(scene_latent, camera, config.frames, table)
+        anchor = _camera_anchor(scene_latent, camera, config.frames)
         denoiser = _oracle_denoiser(config, anchor)
     y_s = config.feature_extractor().image_features(
         np.clip(decode_latent(scene_latent), 0.0, 1.0))
@@ -648,7 +591,7 @@ def _sample_clip(config, scene_latent, prompt, camera, seed, t_m=None, denoiser=
                           VocabularyEmbedder(vocab))
     return sample_video(denoiser, y_s, y_a, camera, config.noise_schedule(),
                         config.video_sampler_config(seed, t_m),
-                        ref_latent=scene_latent[:, None, :, :], speed_table=table)
+                        ref_latent=scene_latent[:, None, :, :])
 
 
 def _build_references(config, script, prompt, backends):
@@ -689,7 +632,7 @@ def run_pipeline(prompt, config, backends=None):
     script, references, scenes = None, {}, []
     stage = "script"
     try:
-        script = generate_script(prompt, backends.chat, config.max_attempts)
+        script = generate_script(prompt, backends.chat)
 
         stage = "references"
         if not config.no_refs:
@@ -984,20 +927,19 @@ def estimate_translation(frame_a, frame_b, max_shift=8, min_overlap=4):
     return best
 
 
-def expected_translation(direction, speed, frame_index, table=None):
+def expected_translation(direction, speed, frame_index):
     """Content translation (dx, dy) of frame f against frame 0 for a pan.
 
     The warp samples source = destination + f*v*unit, so content drifts
     the opposite way.  Zooms have no single translation.
     """
-    table = table or DEFAULT_SPEED_TABLE
     if direction == "static":
         return (0.0, 0.0)
     if direction not in _UNIT:
         raise UnknownDirection(f"{direction!r} has no single translation")
-    if speed not in table.translation_px:
+    if speed not in TRANSLATION_PX:
         raise UnknownSpeed(f"unknown camera speed {speed!r}")
-    v = table.translation_px[speed]
+    v = TRANSLATION_PX[speed]
     ux, uy = _UNIT[direction]
     return (-frame_index * v * ux, -frame_index * v * uy)
 
@@ -1022,11 +964,10 @@ def tm_sweep(config, camera=("right", "medium"), tms=(1, 5, 20)):
     quality bound the sweep checks.
     """
     frames = config.frames
-    table = config.speed_table()
     direction, speed = camera
     seed = derive_seed(config.seed, "tm-sweep")
     scene_latent = _scene_canvas_latent(config, _SWEEP_PROMPT, seed)
-    anchor = _camera_anchor(scene_latent, camera, frames, table)
+    anchor = _camera_anchor(scene_latent, camera, frames)
     denoiser = _oracle_denoiser(config, anchor)
     rows = []
     for tm in tms:
@@ -1035,7 +976,7 @@ def tm_sweep(config, camera=("right", "medium"), tms=(1, 5, 20)):
         errs = []
         for f in range(1, min(_SWEEP_MAX_PROBE, frames - 1) + 1):
             est = estimate_translation(base, decode_latent(clip[:, f]))
-            exp = expected_translation(direction, speed, f, table)
+            exp = expected_translation(direction, speed, f)
             errs.append(float(np.hypot(est[0] - exp[0], est[1] - exp[1])))
         rows.append({
             "t_m": tm,

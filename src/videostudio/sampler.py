@@ -238,8 +238,7 @@ def sample_image(denoiser, bundle, schedule, config):
     return _sample(denoiser, tuple(denoiser.latent_shape), (bundle,), schedule, config)
 
 
-def sample_video(denoiser, y_s, y_a, camera, schedule, config,
-                 ref_latent=None, speed_table=None):
+def sample_video(denoiser, y_s, y_a, camera, schedule, config, ref_latent=None):
     """Run the video-stage loop with the camera intervention.
 
     camera: (direction, speed) pair.  After config.t_m completed updates
@@ -256,6 +255,6 @@ def sample_video(denoiser, y_s, y_a, camera, schedule, config,
         raise BadRange(f"t_m {config.t_m} must be < inference steps {config.steps}")
     direction, speed = camera
     frames, height, width = shape[1], shape[2], shape[3]
-    field = synthesize_flow(direction, speed, frames, height, width, speed_table)
+    field = synthesize_flow(direction, speed, frames, height, width)
     return _sample(denoiser, shape, (VidContext(y_s, y_a), ref_latent), schedule, config,
                    intervene_after=config.t_m, field=field)

@@ -31,6 +31,7 @@ from .numeric_core import hash64
 
 MAX_SCENES = 12
 MAX_FOREGROUNDS = 4
+MAX_ATTEMPTS = 3
 
 
 # --- domain types -----------------------------------------------------------
@@ -355,7 +356,7 @@ def generate_entity_description(entity, source_prompt, backend):
     return description.strip()
 
 
-def generate_script(prompt, backend, max_attempts):
+def generate_script(prompt, backend, max_attempts=MAX_ATTEMPTS):
     """Query the backend until a reply parses and validates, at most
     ``max_attempts`` times; then raise ScriptGenerationExhausted."""
     messages = build_script_query(prompt)

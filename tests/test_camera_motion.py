@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from videostudio.camera_motion import (DEFAULT_SPEED_TABLE, DIRECTIONS,
-                                       SPEEDS, SpeedTable, synthesize_flow,
-                                       warp_clip, warp_frame)
+from videostudio.camera_motion import (DIRECTIONS, SPEEDS, ZOOM_RATE,
+                                       synthesize_flow, warp_clip, warp_frame)
 from videostudio.errors import (DimensionMismatch, NonFiniteField,
                                 UnknownDirection, UnknownSpeed)
 from videostudio.numeric_core import Rng
@@ -56,16 +55,10 @@ def test_zoom_forward_contracts_and_backward_expands():
     # right half of the image: dx sign tells sampling direction
     assert np.all(fwd[2, 4, 6:, 0] < 0)   # forward samples toward center
     assert np.all(bwd[2, 4, 6:, 0] > 0)   # backward samples away from it
-    rho = DEFAULT_SPEED_TABLE.zoom_rate["medium"]
+    rho = ZOOM_RATE["medium"]
     rx = 8 - 4.0
     assert np.isclose(fwd[2, 4, 8, 0], rx * (1.0 / (1.0 + 2 * rho) - 1.0))
     assert np.isclose(bwd[2, 4, 8, 0], rx * (1.0 + 2 * rho - 1.0))
-
-
-def test_custom_speed_table_respected():
-    table = SpeedTable(translation_px={"slow": 0.1, "medium": 3.0, "fast": 9.0})
-    field = synthesize_flow("down", "medium", 2, 2, 2, table=table)
-    assert np.allclose(field[1, :, :, 1], 3.0)
 
 
 def test_flow_rejects_unknown_tokens_and_bad_dims():
