@@ -108,25 +108,42 @@ def _merge_config(defaults, override, prefix=""):
 
 def _lookup(doc, dotted):
     for part in dotted.split("."):
-        doc = doc[part]
+        doc = doc[int(part)] if isinstance(doc, (list, tuple)) else doc[part]
     return doc
 
 
-def _want_int(doc, dotted, lo, hi=None):
+def _shown(value):
+    """``value`` for an error message.  Python refuses to print an integer
+    past 4,300 digits, so a large one is described by its bit length."""
+    if isinstance(value, int) and value.bit_length() > 64:
+        return f"an integer of {value.bit_length()} bits"
+    if value is None or isinstance(value, (int, float, str)):
+        return repr(value)
+    return f"a {type(value).__name__}"
+
+
+def _want_int(doc, dotted, lo, hi=2 ** 63 - 1):
     value = _lookup(doc, dotted)
     if isinstance(value, bool) or not isinstance(value, int):
-        raise BadConfig(f"{dotted} must be an integer, got {value!r}")
+        raise BadConfig(f"{dotted} must be an integer, got {_shown(value)}")
     if value < lo:
-        raise BadConfig(f"{dotted} must be >= {lo}, got {value}")
-    if hi is not None and value > hi:
-        raise BadConfig(f"{dotted} must be <= {hi}, got {value}")
+        raise BadConfig(f"{dotted} must be >= {lo}, got {_shown(value)}")
+    if value > hi:
+        raise BadConfig(f"{dotted} must be <= {hi}, got {_shown(value)}")
     return value
 
 
 def _want_text(doc, dotted):
     value = _lookup(doc, dotted)
     if value is not None and not isinstance(value, str):
-        raise BadConfig(f"{dotted} must be a string or null, got {value!r}")
+        raise BadConfig(f"{dotted} must be a string or null, got {_shown(value)}")
+    return value
+
+
+def _want_choice(doc, dotted, choices):
+    value = _lookup(doc, dotted)
+    if not isinstance(value, str) or value not in choices:
+        raise BadConfig(f"{dotted} must be one of {choices}, got {_shown(value)}")
     return value
 
 
@@ -141,10 +158,10 @@ class PipelineConfig:
     def __init__(self, doc=None):
         doc = _merge_config(default_config(), doc or {})
         self.seed = _want_int(doc, "seed", 0, 2 ** 64 - 1)
-        if doc["denoiser"] not in ("oracle", "network"):
-            raise BadConfig(f"denoiser must be 'oracle' or 'network', got {doc['denoiser']!r}")
-        self.denoiser = doc["denoiser"]
-        self.no_refs = bool(doc["no_refs"])
+        self.denoiser = _want_choice(doc, "denoiser", ("oracle", "network"))
+        if not isinstance(doc["no_refs"], bool):
+            raise BadConfig(f"no_refs must be true or false, got {_shown(doc['no_refs'])}")
+        self.no_refs = doc["no_refs"]
         self.output_dir = _want_text(doc, "output_dir")
 
         self.channels = _want_int(doc, "model.channels", 1)
@@ -153,10 +170,9 @@ class PipelineConfig:
         if self.channels % self.heads:
             raise BadConfig("model.heads must divide model.channels")
         latent = doc["model"]["latent"]
-        if (not isinstance(latent, (list, tuple)) or len(latent) != 3
-                or any(isinstance(v, bool) or not isinstance(v, int) or v < 1 for v in latent)):
-            raise BadConfig(f"model.latent must be three positive ints, got {latent!r}")
-        self.latent_shape = tuple(latent)
+        if not isinstance(latent, (list, tuple)) or len(latent) != 3:
+            raise BadConfig(f"model.latent must list three integers, got {_shown(latent)}")
+        self.latent_shape = tuple(_want_int(doc, f"model.latent.{i}", 1) for i in range(3))
         self.frames = _want_int(doc, "model.frames", 2)
 
         self._schedule = make_schedule()
@@ -164,10 +180,8 @@ class PipelineConfig:
             _want_int(doc, f"{key}.steps", 1, self._schedule.T)
         _want_int(doc, "video_sampler.t_m", 0, doc["video_sampler"]["steps"] - 1)
 
-        if doc["chat"]["kind"] not in ("mock", "http"):
-            raise BadConfig("chat.kind must be 'mock' or 'http'")
-        if doc["text_to_image"]["kind"] not in ("toy", "http"):
-            raise BadConfig("text_to_image.kind must be 'toy' or 'http'")
+        _want_choice(doc, "chat.kind", ("mock", "http"))
+        _want_choice(doc, "text_to_image.kind", ("toy", "http"))
         for dotted in ("chat.url", "chat.model", "text_to_image.url"):
             _want_text(doc, dotted)
         for dotted in ("chat.path", "vocabulary_path"):

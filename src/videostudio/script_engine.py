@@ -268,16 +268,30 @@ class HttpChatBackend:
         return parse_chat_response(payload)
 
 
+def _is_reply(value):
+    return isinstance(value, str) or (
+        isinstance(value, list) and bool(value) and all(isinstance(v, str) for v in value))
+
+
 class MockChatBackend:
-    """Table-driven fixture: request hash -> response text (or a list of
-    texts consumed one per repeated identical request)."""
+    """Table-driven fixture: request hash -> response text (or a non-empty
+    list of texts consumed one per repeated identical request).
+
+    A fixture file is outside input: one that cannot be read, is not JSON
+    or is not such a table raises BackendError.
+    """
 
     def __init__(self, table, model="local-chat"):
-        if isinstance(table, dict):
-            self.table = dict(table)
-        else:
-            with open(table, "r", encoding="utf-8") as fh:
-                self.table = json.load(fh)
+        if not isinstance(table, dict):
+            try:
+                with open(table, "r", encoding="utf-8") as fh:
+                    table = json.load(fh)
+            except (OSError, ValueError) as exc:
+                raise BackendError(f"mock fixture {table!r} is unreadable: {exc}") from exc
+        if not isinstance(table, dict) or not all(map(_is_reply, table.values())):
+            raise BackendError("mock fixture must map request hashes to a reply text "
+                               "or a non-empty list of reply texts")
+        self.table = dict(table)
         self.model = model
         self.call_count = 0
         self._consumed = {}

@@ -94,6 +94,23 @@ def test_generate_with_incomplete_fixture(tmp_path, capsys):
     assert "stage 'script'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", [
+    "{not json",
+    None,  # no file at all
+    "script-reply-5",
+], ids=["not-json", "missing", "reply-not-text"])
+def test_untrusted_mock_fixture_exits_3(tmp_path, capsys, content):
+    from videostudio.script_engine import build_chat_request, build_script_query, request_hash
+    path = tmp_path / "fixture.json"
+    if content == "script-reply-5":
+        content = json.dumps({request_hash(build_chat_request(build_script_query(PROMPT))): 5})
+    if content is not None:
+        path.write_text(content)
+    assert main(["script", "--prompt", PROMPT, "--mock-llm", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: mock fixture ") and err.count("\n") == 1
+
+
 def test_validation_failures_exit_two(fixture_path, tmp_path, capsys):
     assert main(["script", "--prompt", "", "--mock-llm", fixture_path]) == 2
     bad_config = tmp_path / "bad.json"

@@ -153,6 +153,26 @@ def test_non_integer_config_numbers_fail_at_load(dotted, value):
         load_config(overrides=_nested(dotted, value))
 
 
+@pytest.mark.parametrize("value", ["false", "true", [0], 0, None])
+def test_no_refs_must_be_a_json_boolean(value):
+    with pytest.raises(BadConfig, match="no_refs"):
+        load_config(overrides={"no_refs": value})
+    assert load_config(overrides={"no_refs": True}).no_refs is True
+
+
+@pytest.mark.parametrize("dotted,value", [
+    ("seed", 10 ** 5000),
+    ("model.channels", 10 ** 5000),
+    ("model.latent", [4, 10 ** 5000, 16]),
+    ("denoiser", 10 ** 5000),
+    ("chat.url", [10 ** 5000]),
+], ids=["seed", "model.channels", "model.latent", "denoiser", "chat.url"])
+def test_huge_integers_are_typed_errors(dotted, value):
+    # past 4,300 digits Python refuses to print an int, so no message may
+    with pytest.raises(BadConfig, match=dotted):
+        load_config(overrides=_nested(dotted, value))
+
+
 def test_overlong_int_literals_are_typed_errors(tmp_path):
     literal = "1" * 5000  # past the 4300 digits int() converts by default
     (tmp_path / "config.json").write_text('{"seed": %s}' % literal)
