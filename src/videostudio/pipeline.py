@@ -123,6 +123,7 @@ def _shown(value):
 
 
 def _want_int(doc, dotted, lo, hi=2 ** 63 - 1):
+    """The integer at ``dotted``, within [lo, hi]; numpy sizes stop at 2**63 - 1."""
     value = _lookup(doc, dotted)
     if isinstance(value, bool) or not isinstance(value, int):
         raise BadConfig(f"{dotted} must be an integer, got {_shown(value)}")

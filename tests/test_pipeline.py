@@ -153,7 +153,8 @@ def test_non_integer_config_numbers_fail_at_load(dotted, value):
         load_config(overrides=_nested(dotted, value))
 
 
-@pytest.mark.parametrize("value", ["false", "true", [0], 0, None])
+@pytest.mark.parametrize("value", ["false", "true", [0], 0, None],
+                         ids=["str-false", "str-true", "list", "int", "null"])
 def test_no_refs_must_be_a_json_boolean(value):
     with pytest.raises(BadConfig, match="no_refs"):
         load_config(overrides={"no_refs": value})
