@@ -19,9 +19,7 @@ class ValidationError(VideoStudioError):
 
 
 class MalformedScene(ValidationError):
-    def __init__(self, message, line_number=None):
-        super().__init__(message)
-        self.line_number = line_number
+    pass
 
 
 class EmptyScript(ValidationError):

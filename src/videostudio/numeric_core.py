@@ -24,7 +24,7 @@ from .errors import BadTensorFile, ShapeMismatch
 __all__ = [
     "Tensor", "Parameter", "AttentionParams", "Rng",
     "matmul", "softmax_lastdim", "layer_norm",
-    "conv2d_3x3", "temporal_conv1d", "cross_attention",
+    "temporal_conv1d", "cross_attention",
     "finite_diff_check", "hash64", "derive_seed",
     "save_tensor", "load_tensor",
 ]
@@ -286,49 +286,6 @@ def layer_norm(t, gain, bias, eps=1e-5):
             gy = g * gain.data
             term = gy - gy.mean(axis=-1, keepdims=True) - xhat * (gy * xhat).mean(axis=-1, keepdims=True)
             t._accumulate(term * inv)
-    out._backward = back
-    return out
-
-
-def conv2d_3x3(x, kernel, bias=None):
-    """2-D cross-correlation, stride 1, zero padding 1 (same size out).
-
-    x: [C, H, W]; kernel: [C_out, C, 3, 3]; bias: [C_out] or None.
-    """
-    x, kernel = _ensure(x), _ensure(kernel)
-    if x.data.ndim != 3 or kernel.data.ndim != 4 or kernel.data.shape[2:] != (3, 3):
-        raise ShapeMismatch(f"conv2d_3x3 got x{x.data.shape} kernel{kernel.data.shape}")
-    if kernel.data.shape[1] != x.data.shape[0]:
-        raise ShapeMismatch("conv2d_3x3 channel mismatch")
-    c, h, w = x.data.shape
-    xp = np.pad(x.data, ((0, 0), (1, 1), (1, 1)))
-    out_data = np.zeros((kernel.data.shape[0], h, w), dtype=x.data.dtype)
-    for u in range(3):
-        for v in range(3):
-            out_data += np.einsum("oc,chw->ohw", kernel.data[:, :, u, v],
-                                  xp[:, u:u + h, v:v + w])
-    parents = (x, kernel) if bias is None else (x, kernel, _ensure(bias))
-    if bias is not None:
-        bias = parents[2]
-        out_data = out_data + bias.data[:, None, None]
-    out = _node(out_data, parents)
-
-    def back(g):
-        if kernel.requires_grad:
-            gk = np.zeros_like(kernel.data)
-            for u in range(3):
-                for v in range(3):
-                    gk[:, :, u, v] = np.einsum("ohw,chw->oc", g, xp[:, u:u + h, v:v + w])
-            kernel._accumulate(gk)
-        if x.requires_grad:
-            gxp = np.zeros_like(xp)
-            for u in range(3):
-                for v in range(3):
-                    gxp[:, u:u + h, v:v + w] += np.einsum("oc,ohw->chw",
-                                                          kernel.data[:, :, u, v], g)
-            x._accumulate(gxp[:, 1:1 + h, 1:1 + w])
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(g.sum(axis=(1, 2)))
     out._backward = back
     return out
 

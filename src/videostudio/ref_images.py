@@ -112,10 +112,13 @@ class RemoteTextToImageBackend:
         try:
             with urllib.request.urlopen(req, timeout=self.timeout) as resp:
                 payload = json.loads(resp.read().decode("utf-8"))
-            ppm = base64.b64decode(payload["image_ppm_b64"])
-        except (urllib.error.URLError, ValueError, KeyError) as exc:
+            encoded = payload.get("image_ppm_b64") if isinstance(payload, dict) else None
+            if not isinstance(encoded, str):
+                raise BackendError(f"text-to-image reply from {self.url} has no "
+                                   f"image_ppm_b64 string")
+            return decode_ppm(base64.b64decode(encoded))
+        except (urllib.error.URLError, ValueError, RecursionError, DimensionMismatch) as exc:
             raise BackendError(f"text-to-image backend at {self.url} failed: {exc}") from exc
-        return decode_ppm(ppm)
 
 
 class LuminanceSegmenter:

@@ -10,7 +10,8 @@ Scene indices are contiguous from 1.  Entity names are normalized by
 trimming, collapsing internal whitespace, and lowercasing, so "strict
 matching" is plain string equality.  A chat backend (real or mock) turns
 a user prompt into a script through in-context examples, with a bounded
-re-run loop when the reply does not parse or validate.
+re-run loop when the reply does not parse.  ``parse_script`` holds every
+rule a script must meet, so a parsed script is a valid one.
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ class EntityRecord:
     name: str
     kind: str  # "foreground" | "background"
     occurrences: set
-    description: str | None = None
 
     @property
     def common(self):
@@ -74,13 +74,6 @@ class EntityRecord:
 class ChatMessage:
     role: str
     content: str
-
-
-@dataclass
-class Violation:
-    code: str
-    message: str
-    scene_index: int | None = None
 
 
 def normalize_entity_name(name):
@@ -101,8 +94,7 @@ _RECORD = re.compile(
 def _parse_camera(text, line_number):
     parts = [p.strip().lower() for p in text.split(",")]
     if len(parts) != 2:
-        raise MalformedScene(f"line {line_number}: camera needs 'direction, speed', got {text!r}",
-                             line_number)
+        raise MalformedScene(f"line {line_number}: camera needs 'direction, speed', got {text!r}")
     direction, speed = parts
     if direction not in DIRECTIONS:
         raise UnknownCameraToken(f"line {line_number}: unknown camera direction {direction!r}")
@@ -117,35 +109,45 @@ def _parse_foregrounds(text, line_number):
         return []
     names = [normalize_entity_name(n) for n in text.split(",")]
     if any(not n for n in names):
-        raise MalformedScene(f"line {line_number}: empty foreground name", line_number)
+        raise MalformedScene(f"line {line_number}: empty foreground name")
+    if len(names) > MAX_FOREGROUNDS:
+        raise MalformedScene(f"line {line_number}: more than {MAX_FOREGROUNDS} foregrounds")
+    if len(set(names)) != len(names):
+        raise MalformedScene(f"line {line_number}: a foreground is named twice")
     return names
 
 
 def parse_script(text):
-    """Parse grammar text into a VideoScript (strict, line-oriented)."""
+    """Parse grammar text into a VideoScript; the one place script rules live."""
     if text is None or not text.strip():
         raise EmptyScript("script text is empty")
     scenes = []
+    kinds = {}  # entity name -> "foreground" | "background"
     for line_number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
+        if len(scenes) == MAX_SCENES:
+            raise MalformedScene(f"line {line_number}: more than {MAX_SCENES} scenes")
         m = _RECORD.match(line)
         if m is None:
-            raise MalformedScene(f"line {line_number}: not a scene record: {line!r}", line_number)
+            raise MalformedScene(f"line {line_number}: not a scene record: {line!r}")
         try:
             index = int(m.group(1))
         except ValueError:  # more digits than int() converts
-            raise MalformedScene(f"line {line_number}: scene index is too long",
-                                 line_number) from None
+            raise MalformedScene(f"line {line_number}: scene index is too long") from None
         prompt = m.group(2).strip()
         if not prompt:
-            raise MalformedScene(f"line {line_number}: empty scene prompt", line_number)
+            raise MalformedScene(f"line {line_number}: empty scene prompt")
+        if any(ch in prompt for ch in "|[]"):
+            raise MalformedScene(f"line {line_number}: scene prompt holds a '|', '[' or ']'")
         foreground = _parse_foregrounds(m.group(3), line_number)
         background = normalize_entity_name(m.group(4))
         if not background or "," in m.group(4):
-            raise MalformedScene(f"line {line_number}: background must be exactly one name",
-                                 line_number)
+            raise MalformedScene(f"line {line_number}: background must be exactly one name")
+        for name, kind in [(n, "foreground") for n in foreground] + [(background, "background")]:
+            if kinds.setdefault(name, kind) != kind:
+                raise MalformedScene(f"line {line_number}: {name!r} is foreground and background")
         camera = _parse_camera(m.group(5), line_number)
         scenes.append(SceneSpec(index, prompt, foreground, background, camera))
     if not scenes:
@@ -165,54 +167,6 @@ def serialize_script(script):
                      f"foreground: {fg} | background: {scene.background} | "
                      f"camera: {scene.camera.direction}, {scene.camera.speed}]")
     return "\n".join(lines)
-
-
-def validate_script(script):
-    """Check every type invariant; violations come back as data."""
-    violations = []
-
-    def flag(code, message, scene_index=None):
-        violations.append(Violation(code, message, scene_index))
-
-    if not script.scenes:
-        flag("EmptyScript", "script has no scenes")
-        return violations
-    indices = [s.index for s in script.scenes]
-    if indices != list(range(1, len(script.scenes) + 1)):
-        flag("NonContiguousIndices", f"scene indices {indices} are not 1..{len(indices)}")
-    if len(script.scenes) > MAX_SCENES:
-        flag("TooManyScenes", f"{len(script.scenes)} scenes exceeds the cap of {MAX_SCENES}")
-    kinds = {}
-    for scene in script.scenes:
-        if not scene.prompt or not scene.prompt.strip():
-            flag("EmptyPrompt", "scene prompt is empty", scene.index)
-        elif any(ch in scene.prompt for ch in "|[]\n"):
-            flag("MalformedScene", "scene prompt contains grammar delimiters", scene.index)
-        if len(scene.foreground) > MAX_FOREGROUNDS:
-            flag("TooManyForegrounds",
-                 f"{len(scene.foreground)} foregrounds exceeds {MAX_FOREGROUNDS}", scene.index)
-        for name in scene.foreground:
-            if not name or name != normalize_entity_name(name):
-                flag("BadEntityName", f"foreground name {name!r} not normalized", scene.index)
-            else:
-                kinds.setdefault(name, set()).add("foreground")
-        name = scene.background
-        if not name or name != normalize_entity_name(name):
-            flag("BadEntityName", f"background name {name!r} not normalized", scene.index)
-        else:
-            kinds.setdefault(name, set()).add("background")
-        if scene.camera.direction not in DIRECTIONS:
-            flag("UnknownCameraToken",
-                 f"unknown camera direction {scene.camera.direction!r}", scene.index)
-        if scene.camera.speed not in SPEEDS:
-            flag("UnknownCameraToken",
-                 f"unknown camera speed {scene.camera.speed!r}", scene.index)
-        if len(set(scene.foreground)) != len(scene.foreground):
-            flag("DuplicateForeground", "repeated foreground name", scene.index)
-    for name, seen in kinds.items():
-        if len(seen) > 1:
-            flag("EntityKindConflict", f"{name!r} appears as both foreground and background")
-    return violations
 
 
 def find_common_entities(script):
@@ -238,9 +192,12 @@ def build_chat_request(messages, model="local-chat"):
 
 def parse_chat_response(payload):
     try:
-        return payload["choices"][0]["message"]["content"]
+        content = payload["choices"][0]["message"]["content"]
     except (KeyError, IndexError, TypeError) as exc:
         raise BackendError(f"chat response missing choices[0].message.content: {exc}") from exc
+    if not isinstance(content, str):
+        raise BackendError(f"chat response content is a {type(content).__name__}, not a string")
+    return content
 
 
 def request_hash(request):
@@ -263,7 +220,7 @@ class HttpChatBackend:
         try:
             with urllib.request.urlopen(req, timeout=self.timeout) as resp:
                 payload = json.loads(resp.read().decode("utf-8"))
-        except (urllib.error.URLError, ValueError) as exc:
+        except (urllib.error.URLError, ValueError, RecursionError) as exc:
             raise BackendError(f"chat backend at {self.url} failed: {exc}") from exc
         return parse_chat_response(payload)
 
@@ -286,7 +243,7 @@ class MockChatBackend:
             try:
                 with open(table, "r", encoding="utf-8") as fh:
                     table = json.load(fh)
-            except (OSError, ValueError) as exc:
+            except (OSError, ValueError, RecursionError) as exc:
                 raise BackendError(f"mock fixture {table!r} is unreadable: {exc}") from exc
         if not isinstance(table, dict) or not all(map(_is_reply, table.values())):
             raise BackendError("mock fixture must map request hashes to a reply text "
@@ -371,8 +328,8 @@ def generate_entity_description(entity, source_prompt, backend):
 
 
 def generate_script(prompt, backend, max_attempts=MAX_ATTEMPTS):
-    """Query the backend until a reply parses and validates, at most
-    ``max_attempts`` times; then raise ScriptGenerationExhausted."""
+    """Query the backend until a reply parses, at most ``max_attempts``
+    times; then raise ScriptGenerationExhausted."""
     messages = build_script_query(prompt)
     transcripts = []
     for _attempt in range(max_attempts):
@@ -383,7 +340,6 @@ def generate_script(prompt, backend, max_attempts=MAX_ATTEMPTS):
         except (MalformedScene, EmptyScript, NonContiguousIndices, UnknownCameraToken):
             continue
         script.source_prompt = prompt
-        if not validate_script(script):
-            return script
+        return script
     raise ScriptGenerationExhausted(
         f"no valid script after {max_attempts} attempts", transcripts)

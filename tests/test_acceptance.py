@@ -54,7 +54,7 @@ def test_criterion_01_gradient_audit_every_block():
     assert report["max_rel_err"] < 1e-4
     families = {c["case"].split("[")[0] for c in report["cases"]}
     for family in ("cross-attention", "tri-context", "spatio-temporal",
-                   "conv2d", "temporal-conv", "layer-norm", "action-embedding"):
+                   "temporal-conv", "layer-norm", "action-embedding"):
         assert family in families, family
     assert elapsed < 120.0
 

@@ -11,7 +11,7 @@ import videostudio
 from videostudio.cond_blocks import AdamW
 from videostudio.errors import BadTensorFile, ShapeMismatch
 from videostudio.numeric_core import (AttentionParams, Parameter, Rng, Tensor,
-                                      conv2d_3x3, cross_attention, derive_seed,
+                                      cross_attention, derive_seed,
                                       finite_diff_check, hash64,
                                       layer_norm, load_tensor, save_tensor,
                                       softmax_lastdim, temporal_conv1d)
@@ -123,32 +123,6 @@ def test_attention_gradients_flow_to_all_mats():
 
 # --- convolutions -------------------------------------------------------------
 
-def _conv2d_reference(x, k, b):
-    c_out, c_in, _, _ = k.shape
-    _, h, w = x.shape
-    xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
-    out = np.zeros((c_out, h, w))
-    for o in range(c_out):
-        for i in range(c_in):
-            for dy in range(3):
-                for dx in range(3):
-                    out[o] += k[o, i, dy, dx] * xp[i, dy:dy + h, dx:dx + w]
-        if b is not None:
-            out[o] += b[o]
-    return out
-
-
-def test_conv2d_matches_loop_reference():
-    rng = Rng(9)
-    for i in range(4):
-        r = rng.child(i)
-        x = r.normal((2, 5, 4))
-        k = r.normal((3, 2, 3, 3))
-        b = r.normal(3)
-        out = conv2d_3x3(Tensor(x), Parameter(k, name="k"), Parameter(b, name="b")).data
-        assert np.allclose(out, _conv2d_reference(x, k, b), atol=1e-12)
-
-
 def _tconv_reference(x, k, b):
     c_out, c_in, _ = k.shape
     _, f, h, w = x.shape
@@ -174,11 +148,11 @@ def test_temporal_conv_matches_loop_reference():
 
 def test_conv_gradients_finite_diff():
     rng = Rng(11)
-    k = Parameter(rng.normal((2, 2, 3, 3)) / 3, name="k")
+    k = Parameter(rng.normal((2, 2, 3)) / 2, name="k")
     b = Parameter(rng.normal(2), name="b")
-    x = Tensor(rng.normal((2, 4, 4)))
-    w = Tensor(rng.normal((2, 4, 4)))
-    assert finite_diff_check(lambda: (conv2d_3x3(x, k, b) * w).sum(), [k, b]) < 1e-6
+    x = Tensor(rng.normal((2, 4, 3, 3)))
+    w = Tensor(rng.normal((2, 4, 3, 3)))
+    assert finite_diff_check(lambda: (temporal_conv1d(x, k, b) * w).sum(), [k, b]) < 1e-6
 
 
 # --- optimizer ----------------------------------------------------------------

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from videostudio.errors import (BackendError, BadConfig, ChecksumMismatch,
-                                DetectorMiss, NoCommonEntities, StageError,
-                                TooFewFrames, UnknownDirection)
+                                DetectorMiss, MalformedScene, NoCommonEntities,
+                                StageError, TooFewFrames, UnknownDirection)
 from videostudio.action_condition import default_vocabulary
 from videostudio.numeric_core import Rng
 from videostudio.pipeline import (GroundTruthDetector, MetricsReport,
@@ -537,6 +537,10 @@ def test_export_manifest_inventory(tmp_path):
     # every exported file is checksummed: scenes*(frames+image+2 latents) + refs + script
     want = 2 * (8 + 1 + 2) + 2 * 2 + 1
     assert len(manifest["checksums"]) == want
+    # script.txt is the tree's one copy of the script
+    assert "script" not in manifest
+    for entry in manifest["scenes"]:
+        assert not {"prompt", "foreground", "background", "camera"} & set(entry)
 
 
 def test_export_load_round_trip(tmp_path):
@@ -597,7 +601,7 @@ def _tampered_tree(exported, tmp_path, edit):
 
 
 def _drop_script(manifest, tree):
-    del manifest["script"]
+    (tree / "script.txt").unlink()
 
 
 def _frames_as_string(manifest, tree):
@@ -626,6 +630,40 @@ def test_file_without_checksum_entry_is_refused(_exported, tmp_path):
     with pytest.raises(ChecksumMismatch, match="no checksum entry"):
         load_video(str(tree))
     load_video(str(tree), verify=False)  # an unverified load still reads it
+
+
+def test_script_is_read_from_script_txt(_exported, tmp_path):
+    def retitle(manifest, tree):
+        path = tree / "script.txt"
+        path.write_text(path.read_text().replace("kneading dough", "shaping loaves"))
+        manifest["checksums"]["script.txt"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    tree = _tampered_tree(_exported, tmp_path, retitle)
+    assert load_video(str(tree)).scenes[0].spec.prompt.startswith("a silver robot shaping loaves")
+
+
+def test_script_txt_needs_a_checksum_entry(_exported, tmp_path):
+    def unlist_script(manifest, tree):
+        del manifest["checksums"]["script.txt"]
+    tree = _tampered_tree(_exported, tmp_path, unlist_script)
+    with pytest.raises(ChecksumMismatch, match="script.txt: no checksum entry"):
+        load_video(str(tree))
+    assert len(load_video(str(tree), verify=False).scenes) == 2
+
+
+@pytest.mark.parametrize("payload,error", [(None, ChecksumMismatch),
+                                           (b"\xff\xfe not utf-8\n", MalformedScene)],
+                         ids=["missing", "not-utf8"])
+def test_unverified_load_of_a_bad_script_txt_is_a_typed_error(_exported, tmp_path,
+                                                              payload, error):
+    def spoil(manifest, tree):
+        path = tree / "script.txt"
+        if payload is None:
+            path.unlink()
+        else:
+            path.write_bytes(payload)
+    tree = _tampered_tree(_exported, tmp_path, spoil)
+    with pytest.raises(error):
+        load_video(str(tree), verify=False)
 
 
 def _outside_copy(tree):

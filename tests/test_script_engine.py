@@ -21,8 +21,7 @@ from videostudio.script_engine import (MAX_FOREGROUNDS, MAX_SCENES,
                                        generate_entity_description,
                                        generate_script, normalize_entity_name,
                                        parse_chat_response, parse_script,
-                                       request_hash, serialize_script,
-                                       validate_script)
+                                       request_hash, serialize_script)
 
 GOOD = """[Scene 1: prompt: a fox trots through snow | foreground: red fox | background: snowy forest | camera: right, slow]
 [Scene 2: prompt: the fox digs for mice | foreground: red fox | background: snowy forest | camera: static, medium]"""
@@ -37,11 +36,6 @@ def _replies(table):
 
 def _script_backend(replies):
     return _replies([(build_script_query("fox documentary"), list(replies))])
-
-
-def _scene(index=1, prompt="a thing happens", fg=("red fox",), bg="snowy forest",
-           cam=("static", "slow")):
-    return SceneSpec(index, prompt, list(fg), bg, CameraMove(*cam))
 
 
 # --- grammar round trips -----------------------------------------------------------
@@ -141,30 +135,44 @@ def test_round_trip_randomized_scripts():
         assert parse_script(serialize_script(script)).scenes == scenes
 
 
-# --- validation --------------------------------------------------------------------
+# --- script rules -------------------------------------------------------------------
 
-def _codes(script):
-    return sorted(v.code for v in validate_script(script))
-
-
-def test_validate_accepts_good_script():
-    assert validate_script(parse_script(GOOD)) == []
+def _record(index, fg="red fox", bg="snowy forest", prompt=None):
+    return (f"[Scene {index}: prompt: {prompt or f'shot {index}'} | foreground: {fg} | "
+            f"background: {bg} | camera: static, slow]")
 
 
-def test_validate_flags_each_violation():
-    assert _codes(VideoScript("", [])) == ["EmptyScript"]
-    assert "NonContiguousIndices" in _codes(VideoScript("", [_scene(index=2)]))
-    many = VideoScript("", [_scene(index=i) for i in range(1, MAX_SCENES + 2)])
-    assert "TooManyScenes" in _codes(many)
-    assert "EmptyPrompt" in _codes(VideoScript("", [_scene(prompt="  ")]))
-    assert "MalformedScene" in _codes(VideoScript("", [_scene(prompt="a | b")]))
-    crowded = _scene(fg=[f"actor {i}" for i in range(MAX_FOREGROUNDS + 1)])
-    assert "TooManyForegrounds" in _codes(VideoScript("", [crowded]))
-    assert "BadEntityName" in _codes(VideoScript("", [_scene(fg=["Red  Fox"])]))
-    assert "UnknownCameraToken" in _codes(VideoScript("", [_scene(cam=("spiral", "slow"))]))
-    assert "DuplicateForeground" in _codes(VideoScript("", [_scene(fg=["red fox", "red fox"])]))
-    conflict = VideoScript("", [_scene(), _scene(index=2, fg=["snowy forest"], bg="meadow")])
-    assert "EntityKindConflict" in _codes(conflict)
+BROKEN = {
+    "too-many-scenes": "\n".join(_record(i) for i in range(1, MAX_SCENES + 2)),
+    "too-many-foregrounds": _record(1, ", ".join(f"actor {i}" for i in range(MAX_FOREGROUNDS + 1))),
+    "foreground-twice": _record(1, "red fox, Red  Fox"),
+    "pipe-in-prompt": _record(1, prompt="a fox | trots"),
+    "open-bracket-in-prompt": _record(1, prompt="a fox [redacted] trots"),
+    "close-bracket-in-prompt": _record(1, prompt="a fox] trots"),
+    "foreground-and-background": _record(1) + "\n" + _record(2, "snowy forest", "meadow"),
+    "both-in-one-scene": _record(1, "snowy forest"),
+}
+
+
+def test_script_at_the_caps_parses():
+    script = parse_script("\n".join(_record(i) for i in range(1, MAX_SCENES + 1)))
+    assert len(script.scenes) == MAX_SCENES
+    crowded = ", ".join(f"actor {i}" for i in range(MAX_FOREGROUNDS))
+    assert len(parse_script(_record(1, crowded)).scenes[0].foreground) == MAX_FOREGROUNDS
+
+
+@pytest.mark.parametrize("text", BROKEN.values(), ids=BROKEN.keys())
+def test_parse_refuses_each_script_rule(text):
+    with pytest.raises(MalformedScene, match="line "):
+        parse_script(text)
+
+
+@pytest.mark.parametrize("text", BROKEN.values(), ids=BROKEN.keys())
+def test_generate_script_retries_a_reply_that_breaks_a_rule(text):
+    backend = _script_backend([text, GOOD])
+    script = generate_script("fox documentary", backend, 3)
+    assert script.scenes == parse_script(GOOD).scenes
+    assert backend.call_count == 2
 
 
 def test_normalize_entity_name():
@@ -279,8 +287,7 @@ def test_script_query_rejects_malformed_examples(monkeypatch):
 def test_default_examples_are_valid_grammar():
     examples = default_script_examples()
     for msg in examples[2::2]:
-        script = parse_script(msg.content)
-        assert validate_script(script) == []
+        assert parse_script(msg.content).scenes
 
 
 def test_aspect_and_description_queries():
@@ -339,7 +346,7 @@ def test_generate_script_respects_max_attempts():
 
 
 def test_generate_script_best_effort_last():
-    # a reply that parses but fails validation (its prompt holds a grammar
+    # a reply that breaks a script rule (its prompt holds a grammar
     # delimiter) is never returned: there is no best-effort fallback
     dirty = GOOD.replace("a fox trots through snow", "a fox [redacted] trots")
     strict = _script_backend([dirty, dirty])
