@@ -1,4 +1,5 @@
-"""Golden outputs of the oracle path, pinned byte for byte.
+"""Golden outputs of the oracle path, pinned byte for byte, and of the
+network path, pinned to 1e-9.
 
 The oracle denoiser is fully deterministic, so a refactor that keeps the
 behaviour keeps every exported byte.  ``golden.json`` holds, for the
@@ -10,6 +11,11 @@ three-scene script at seed 7:
 * the ``tm_sweep`` rows;
 * the sha256 of the ``sample-image`` and ``sample-video`` tensors.
 
+``golden_network.json`` holds the scene latent and the clip latent of the
+first scene sampled by the untrained network denoisers at a small model,
+with the video stage's guidance at 12.  Float64 rounding may differ across
+numpy builds, so these are compared to ``NETWORK_TOL`` max abs.
+
 Re-record only for an intended change of output:
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
@@ -20,11 +26,22 @@ import os
 import sys
 import tempfile
 
+import numpy as np
+
 from videostudio.cli import main
 from videostudio.pipeline import (build_mock_llm_fixture, load_config,
-                                  load_manifest, tm_sweep)
+                                  load_manifest, resolve_backends,
+                                  run_pipeline, tm_sweep)
 
-GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden.json")
+HERE = os.path.dirname(os.path.abspath(__file__))
+GOLDEN = os.path.join(HERE, "golden.json")
+GOLDEN_NETWORK = os.path.join(HERE, "golden_network.json")
+NETWORK_TOL = 1e-9
+NETWORK_OVERRIDES = {"denoiser": "network",
+                     "model": {"latent": [4, 8, 8], "frames": 3, "channels": 16,
+                               "heads": 2, "blocks": 1},
+                     "image_sampler": {"steps": 4},
+                     "video_sampler": {"steps": 6, "t_m": 2}}
 PROMPT = "a silver robot spends a day in its workshop"
 SCRIPT3 = """[Scene 1: prompt: a silver robot kneading dough in the workshop | foreground: silver robot | background: workshop | camera: right, medium]
 [Scene 2: prompt: the silver robot pouring coffee at the bench | foreground: silver robot | background: workshop | camera: static, slow]
@@ -76,6 +93,16 @@ def observe(workdir):
     return doc
 
 
+def observe_network():
+    """Scene and clip latent of SCRIPT3's first scene from the network denoisers."""
+    config = load_config(overrides={"seed": int(SEED), **NETWORK_OVERRIDES})
+    first = SCRIPT3.splitlines()[0]
+    backends = resolve_backends(config, mock_llm=build_mock_llm_fixture(PROMPT, first))
+    video, _ = run_pipeline(PROMPT, config, backends)
+    scene = video.scenes[0]
+    return {"scene_latent": scene.scene_latent, "clip_latent": scene.clip_latent}
+
+
 def test_oracle_outputs_match_golden(tmp_path, capsys):
     with open(GOLDEN, encoding="utf-8") as fh:
         want = json.load(fh)
@@ -86,10 +113,25 @@ def test_oracle_outputs_match_golden(tmp_path, capsys):
     assert set(got) == set(want)
 
 
-if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as tmp:
-        doc = observe(tmp)
-    with open(GOLDEN, "w", encoding="utf-8") as fh:
+def test_network_latents_match_golden():
+    with open(GOLDEN_NETWORK, encoding="utf-8") as fh:
+        want = json.load(fh)
+    got = observe_network()
+    assert set(got) == set(want)
+    for key, arr in got.items():
+        pinned = np.asarray(want[key], dtype=np.float64)
+        assert arr.shape == pinned.shape, key
+        assert np.max(np.abs(arr - pinned)) <= NETWORK_TOL, key
+
+
+def _write(path, doc):
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        _write(GOLDEN, observe(tmp))
+    _write(GOLDEN_NETWORK, {key: arr.tolist() for key, arr in observe_network().items()})
     sys.exit(0)
