@@ -23,10 +23,10 @@ import os
 import numpy as np
 
 from .action_condition import ActionEmbedding, embed_indicator
-from .errors import DivisionAtTZero, ShapeMismatch
+from .errors import BadTensorFile, DivisionAtTZero, ShapeMismatch
 from .numeric_core import (AttentionParams, Parameter, Rng, Tensor,
                            cross_attention, hash64, layer_norm, load_tensor,
-                           matmul, save_tensor, temporal_conv1d)
+                           matmul, save_tensor, stays_inside, temporal_conv1d)
 
 DEFAULT_CONTEXT_CHANNELS = 32
 DEFAULT_TEXT_LEN = 77
@@ -493,10 +493,32 @@ def save_weights(denoiser, dirpath):
 
 
 def load_weights(denoiser, dirpath):
-    with open(os.path.join(dirpath, "weights.json"), "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    """Read what ``save_weights`` wrote into ``denoiser``'s parameters.
+
+    A weights.json that cannot be read, is not that structure, or names a
+    file outside ``dirpath`` is BadTensorFile; weights that do not fit the
+    denoiser are ShapeMismatch.
+    """
+    path = os.path.join(dirpath, "weights.json")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except OSError as exc:
+        raise BadTensorFile(f"{path}: cannot read: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # bad JSON, a huge int or deep nesting
+        raise BadTensorFile(f"{path}: not valid JSON: {exc}") from exc
+    entries = manifest.get("params") if isinstance(manifest, dict) else None
+    if not isinstance(entries, list):
+        raise BadTensorFile(f"{path}: needs a 'params' list")
     by_name = {name: p for name, p in denoiser.parameters()}
-    for entry in manifest["params"]:
+    for entry in entries:
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("shape"), list)
+                and isinstance(entry.get("trainable"), bool)):
+            raise BadTensorFile(f"{path}: a params entry needs a string name, a shape "
+                                "list and a boolean trainable")
+        if not stays_inside(entry.get("file")):
+            raise BadTensorFile(f"{path}: file {entry.get('file')!r} is not inside {dirpath}")
         p = by_name.get(entry["name"])
         if p is None:
             raise ShapeMismatch(f"weights name {entry['name']!r} not in this denoiser")
@@ -504,4 +526,4 @@ def load_weights(denoiser, dirpath):
         if list(arr.shape) != entry["shape"] or arr.shape != p.data.shape:
             raise ShapeMismatch(f"weights shape {arr.shape} vs {p.data.shape} for {entry['name']}")
         p.data = arr.astype(np.float64)
-        p.trainable = bool(entry["trainable"])
+        p.trainable = entry["trainable"]

@@ -13,8 +13,10 @@ format used to persist latents and weights.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
+import os
 import struct
 
 import numpy as np
@@ -23,10 +25,10 @@ from .errors import BadTensorFile, ShapeMismatch
 
 __all__ = [
     "Tensor", "Parameter", "AttentionParams", "Rng",
-    "matmul", "softmax_lastdim", "layer_norm",
-    "temporal_conv1d", "cross_attention",
+    "matmul", "layer_norm", "temporal_conv1d",
+    "attention", "cross_attention", "no_grad",
     "finite_diff_check", "hash64", "derive_seed",
-    "save_tensor", "load_tensor",
+    "save_tensor", "load_tensor", "stays_inside",
 ]
 
 
@@ -100,26 +102,21 @@ class Tensor:
 
     def __add__(self, other):
         other = _ensure(other)
-        out = _node(self.data + other.data, (self, other))
 
         def back(g):
             if self.requires_grad:
                 self._accumulate(_unbroadcast(g, self.data.shape))
             if other.requires_grad:
                 other._accumulate(_unbroadcast(g, other.data.shape))
-        out._backward = back
-        return out
+        return _node(self.data + other.data, (self, other), back)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = _node(-self.data, (self,))
-
         def back(g):
             if self.requires_grad:
                 self._accumulate(-g)
-        out._backward = back
-        return out
+        return _node(-self.data, (self,), back)
 
     def __sub__(self, other):
         return self + (-_ensure(other))
@@ -129,15 +126,13 @@ class Tensor:
 
     def __mul__(self, other):
         other = _ensure(other)
-        out = _node(self.data * other.data, (self, other))
 
         def back(g):
             if self.requires_grad:
                 self._accumulate(_unbroadcast(g * other.data, self.data.shape))
             if other.requires_grad:
                 other._accumulate(_unbroadcast(g * self.data, other.data.shape))
-        out._backward = back
-        return out
+        return _node(self.data * other.data, (self, other), back)
 
     __rmul__ = __mul__
 
@@ -145,39 +140,32 @@ class Tensor:
         return matmul(self, other)
 
     def __getitem__(self, key):
-        out = _node(self.data[key], (self,))
-
         def back(g):
             if self.requires_grad:
                 full = np.zeros_like(self.data)
                 full[key] += g
                 self._accumulate(full)
-        out._backward = back
-        return out
+        return _node(self.data[key], (self,), back)
 
     # -- shape ops -----------------------------------------------------
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        out = _node(self.data.reshape(shape), (self,))
 
         def back(g):
             if self.requires_grad:
                 self._accumulate(g.reshape(self.data.shape))
-        out._backward = back
-        return out
+        return _node(self.data.reshape(shape), (self,), back)
 
     def transpose(self, axes):
         axes = tuple(axes)
-        out = _node(self.data.transpose(axes), (self,))
         inverse = tuple(np.argsort(axes))
 
         def back(g):
             if self.requires_grad:
                 self._accumulate(g.transpose(inverse))
-        out._backward = back
-        return out
+        return _node(self.data.transpose(axes), (self,), back)
 
     def swapaxes(self, a, b):
         perm = list(range(self.data.ndim))
@@ -185,8 +173,6 @@ class Tensor:
         return self.transpose(perm)
 
     def sum(self, axis=None, keepdims=False):
-        out = _node(self.data.sum(axis=axis, keepdims=keepdims), (self,))
-
         def back(g):
             if not self.requires_grad:
                 return
@@ -196,8 +182,7 @@ class Tensor:
             if not keepdims:
                 g = np.expand_dims(g, axis)
             self._accumulate(np.broadcast_to(g, self.data.shape).copy())
-        out._backward = back
-        return out
+        return _node(self.data.sum(axis=axis, keepdims=keepdims), (self,), back)
 
     def mean(self, axis=None, keepdims=False):
         count = self.data.size if axis is None else self.data.shape[axis]
@@ -211,11 +196,33 @@ def _ensure(value):
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
-def _node(data, parents):
+# False inside ``no_grad()``: ops then build no tape.
+_recording = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Run the block without a tape: every op output is a leaf that keeps
+    no parents and no backward closure, so intermediates are freed as soon
+    as nothing else holds them."""
+    global _recording
+    saved, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = saved
+
+
+def _records(parents):
+    return _recording and any(p.requires_grad for p in parents)
+
+
+def _node(data, parents, backward):
     out = Tensor(data, dtype=data.dtype)
-    out.requires_grad = any(p.requires_grad for p in parents)
-    if out.requires_grad:
+    if _records(parents):
+        out.requires_grad = True
         out._prev = tuple(parents)
+        out._backward = backward
     return out
 
 
@@ -237,7 +244,6 @@ def matmul(a, b):
     a, b = _ensure(a), _ensure(b)
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeMismatch(f"matmul inner dims {a.data.shape} @ {b.data.shape}")
-    out = _node(np.matmul(a.data, b.data), (a, b))
 
     def back(g):
         if a.requires_grad:
@@ -246,23 +252,7 @@ def matmul(a, b):
         if b.requires_grad:
             gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
             b._accumulate(_unbroadcast(gb, b.data.shape))
-    out._backward = back
-    return out
-
-
-def softmax_lastdim(t):
-    t = _ensure(t)
-    shifted = t.data - t.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
-    out = _node(y, (t,))
-
-    def back(g):
-        if t.requires_grad:
-            inner = (g * y).sum(axis=-1, keepdims=True)
-            t._accumulate(y * (g - inner))
-    out._backward = back
-    return out
+    return _node(np.matmul(a.data, b.data), (a, b), back)
 
 
 def layer_norm(t, gain, bias, eps=1e-5):
@@ -273,7 +263,6 @@ def layer_norm(t, gain, bias, eps=1e-5):
     var = x.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x - mu) * inv
-    out = _node(xhat * gain.data + bias.data, (t, gain, bias))
 
     def back(g):
         if gain.requires_grad:
@@ -286,8 +275,7 @@ def layer_norm(t, gain, bias, eps=1e-5):
             gy = g * gain.data
             term = gy - gy.mean(axis=-1, keepdims=True) - xhat * (gy * xhat).mean(axis=-1, keepdims=True)
             t._accumulate(term * inv)
-    out._backward = back
-    return out
+    return _node(xhat * gain.data + bias.data, (t, gain, bias), back)
 
 
 def temporal_conv1d(x, kernel, bias=None):
@@ -309,7 +297,6 @@ def temporal_conv1d(x, kernel, bias=None):
     if bias is not None:
         bias = parents[2]
         out_data = out_data + bias.data[:, None, None, None]
-    out = _node(out_data, parents)
 
     def back(g):
         if kernel.requires_grad:
@@ -324,8 +311,7 @@ def temporal_conv1d(x, kernel, bias=None):
             x._accumulate(gxp[:, 1:1 + f])
         if bias is not None and bias.requires_grad:
             bias._accumulate(g.sum(axis=(1, 2, 3)))
-    out._backward = back
-    return out
+    return _node(out_data, parents, back)
 
 
 # --- attention -----------------------------------------------------------
@@ -364,6 +350,72 @@ class AttentionParams:
         return [(p.name, p) for p in (self.w_q, self.w_k, self.w_v, self.w_o)]
 
 
+# Largest score buffer one attention chunk fills, unless a single slice of
+# the leading axis is larger: a chunk holds at least one.  At the default
+# video shapes (4 heads, 256 tokens) one frame's slice is exactly this size.
+_CHUNK_BYTES = 2 * 1024 * 1024
+
+
+def _chunk_of(arr, rows, ndim):
+    return arr[rows] if arr.ndim == ndim and arr.shape[0] != 1 else arr
+
+
+def attention(q, k, v, scale):
+    """softmax(q @ k^T * scale) @ v over the last two axes.
+
+    q: [..., L_q, d]; k: [..., L_k, d]; v: [..., L_k, d_v]; leading dims
+    broadcast.  The forward walks the first leading axis in chunks whose
+    score buffer stays within ``_CHUNK_BYTES`` and runs the scale and the
+    softmax in place on that one buffer; an operand without that axis is
+    shared by every chunk.  Only while the tape records are the
+    probabilities kept, in one full-size buffer, for the backward.
+    """
+    q, k, v = _ensure(q), _ensure(k), _ensure(v)
+    if q.data.shape[-1] != k.data.shape[-1] or k.data.shape[-2] != v.data.shape[-2]:
+        raise ShapeMismatch(f"attention q{q.data.shape} k{k.data.shape} v{v.data.shape}")
+    kt = np.swapaxes(k.data, -1, -2)
+    lead = np.broadcast_shapes(q.data.shape[:-2], k.data.shape[:-2], v.data.shape[:-2])
+    grid = lead or (1,)  # a leading axis to walk even for plain matrices
+    l_q, l_k = q.data.shape[-2], k.data.shape[-2]
+    out = np.empty(grid + (l_q, v.data.shape[-1]))
+    record = _records((q, k, v))
+    step = max(1, _CHUNK_BYTES // max(1, 8 * l_q * l_k * math.prod(grid[1:])))
+    if record:
+        probs = np.empty(grid + (l_q, l_k))
+    else:
+        buf = np.empty((min(step, grid[0]),) + grid[1:] + (l_q, l_k))
+    ndim = len(grid) + 2
+    for start in range(0, grid[0], step):
+        rows = slice(start, start + step)
+        scores = probs[rows] if record else buf[:min(step, grid[0] - start)]
+        np.matmul(_chunk_of(q.data, rows, ndim), _chunk_of(kt, rows, ndim), out=scores)
+        scores *= scale
+        scores -= scores.max(axis=-1, keepdims=True)
+        np.exp(scores, out=scores)
+        scores /= scores.sum(axis=-1, keepdims=True)
+        np.matmul(scores, _chunk_of(v.data, rows, ndim), out=out[rows])
+    out = out.reshape(lead + out.shape[-2:])
+
+    def back(g):
+        # the unfused chain's arithmetic: probs @ v, softmax, * scale, q @ k^T
+        y = probs.reshape(lead + (l_q, l_k))
+        if v.requires_grad:
+            gv = np.matmul(np.swapaxes(y, -1, -2), g)
+            v._accumulate(_unbroadcast(gv, v.data.shape))
+        if not (q.requires_grad or k.requires_grad):
+            return
+        gs = np.matmul(g, np.swapaxes(v.data, -1, -2))
+        gs -= (gs * y).sum(axis=-1, keepdims=True)
+        gs *= y
+        gs *= scale
+        if q.requires_grad:
+            q._accumulate(_unbroadcast(np.matmul(gs, k.data), q.data.shape))
+        if k.requires_grad:
+            gkt = np.matmul(np.swapaxes(q.data, -1, -2), gs)
+            k._accumulate(np.swapaxes(_unbroadcast(gkt, kt.shape), -1, -2))
+    return _node(out, (q, k, v), back)
+
+
 def _split_heads(t, heads):
     # [..., L, d] -> [..., heads, L, d/heads]
     *lead, length, dim = t.data.shape
@@ -398,9 +450,7 @@ def cross_attention(x, ctx, params):
     q = _split_heads(matmul(x, params.w_q), heads)
     k = _split_heads(matmul(ctx, params.w_k), heads)
     v = _split_heads(matmul(ctx, params.w_v), heads)
-    scores = matmul(q, k.swapaxes(-1, -2)) * (1.0 / np.sqrt(dh))
-    attn = softmax_lastdim(scores)
-    mixed = _merge_heads(matmul(attn, v))
+    mixed = _merge_heads(attention(q, k, v, 1.0 / np.sqrt(dh)))
     return matmul(mixed, params.w_o)
 
 
@@ -480,6 +530,14 @@ _MAGIC = b"VSTN"
 _VERSION = 1
 
 
+def stays_inside(rel):
+    """True when a path read from a manifest is relative and does not
+    leave the directory the manifest sits in."""
+    return (isinstance(rel, str) and bool(rel) and "\0" not in rel
+            and not os.path.isabs(rel)
+            and os.path.normpath(rel).split(os.sep)[0] != os.pardir)
+
+
 def save_tensor(path, array):
     """Write a float32 little-endian tensor file.
 
@@ -498,8 +556,11 @@ def save_tensor(path, array):
 def load_tensor(path):
     """Read a file written by ``save_tensor``; BadTensorFile unless it is
     well formed and every value is finite."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise BadTensorFile(f"{path}: cannot read: {exc}") from exc
     if raw[:4] != _MAGIC:
         raise BadTensorFile(f"{path}: bad magic {raw[:4]!r}")
     if len(raw) < 12:

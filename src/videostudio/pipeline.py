@@ -44,7 +44,7 @@ from .errors import (BadConfig, ChecksumMismatch, DetectorMiss,
 from .numeric_core import (AttentionParams, Parameter, Rng, Tensor,
                            cross_attention, derive_seed,
                            finite_diff_check, hash64, layer_norm, load_tensor,
-                           save_tensor, temporal_conv1d)
+                           save_tensor, stays_inside, temporal_conv1d)
 from .ref_images import (EntityReference, LuminanceSegmenter, RgbImage,
                          RemoteTextToImageBackend, ToyTextToImageBackend,
                          build_entity_references, decode_pgm, decode_ppm,
@@ -830,8 +830,7 @@ def _manifest_files(manifest):
 
 def _tree_path(out_dir, rel):
     """``out_dir/rel``, refusing paths that are absolute or leave the tree."""
-    if (not rel or "\0" in rel or os.path.isabs(rel)
-            or os.path.normpath(rel).split(os.sep)[0] == os.pardir):
+    if not stays_inside(rel):
         raise ChecksumMismatch(f"manifest path {rel!r} is not inside the exported tree")
     return os.path.join(out_dir, rel)
 

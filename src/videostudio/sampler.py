@@ -19,7 +19,7 @@ import numpy as np
 from .camera_motion import synthesize_flow, warp_clip
 from .cond_blocks import VidContext
 from .errors import BadRange, BadTimestepOrder, NonFiniteField, ShapeMismatch
-from .numeric_core import Rng
+from .numeric_core import Rng, no_grad
 
 __all__ = [
     "NoiseSchedule", "make_schedule", "SamplerConfig",
@@ -196,13 +196,15 @@ def _values(pred):
 
 
 def _predict_eps(denoiser, x, t, cond, scale):
-    eps_c = _values(denoiser.predict(x, t, *cond))
-    if scale == 1.0:
-        return eps_c
-    null_cond = denoiser.null_cond(cond)
-    if null_cond is None:  # conditioning has no effect: guidance is the identity
-        return eps_c
-    eps_u = _values(denoiser.predict(x, t, *null_cond))
+    # sampling never calls backward, so no predict builds a tape
+    with no_grad():
+        eps_c = _values(denoiser.predict(x, t, *cond))
+        if scale == 1.0:
+            return eps_c
+        null_cond = denoiser.null_cond(cond)
+        if null_cond is None:  # conditioning has no effect: guidance is the identity
+            return eps_c
+        eps_u = _values(denoiser.predict(x, t, *null_cond))
     return cfg_epsilon(eps_u, eps_c, scale)
 
 

@@ -103,6 +103,11 @@ def _parse_camera(text, line_number):
     return CameraMove(direction, speed)
 
 
+def _refuse_grammar_chars(text, what, line_number):
+    if any(ch in text for ch in "|[]"):
+        raise MalformedScene(f"line {line_number}: {what} holds a '|', '[' or ']'")
+
+
 def _parse_foregrounds(text, line_number):
     text = text.strip()
     if not text or text.lower() == "none":
@@ -139,12 +144,13 @@ def parse_script(text):
         prompt = m.group(2).strip()
         if not prompt:
             raise MalformedScene(f"line {line_number}: empty scene prompt")
-        if any(ch in prompt for ch in "|[]"):
-            raise MalformedScene(f"line {line_number}: scene prompt holds a '|', '[' or ']'")
+        _refuse_grammar_chars(prompt, "scene prompt", line_number)
         foreground = _parse_foregrounds(m.group(3), line_number)
         background = normalize_entity_name(m.group(4))
         if not background or "," in m.group(4):
             raise MalformedScene(f"line {line_number}: background must be exactly one name")
+        for name in foreground + [background]:
+            _refuse_grammar_chars(name, f"entity name {name!r}", line_number)
         for name, kind in [(n, "foreground") for n in foreground] + [(background, "background")]:
             if kinds.setdefault(name, kind) != kind:
                 raise MalformedScene(f"line {line_number}: {name!r} is foreground and background")

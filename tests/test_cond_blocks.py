@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from videostudio.cond_blocks import (AdamW, AnalyticGaussianDenoiser,
                                      concat_foreground_features, load_weights,
                                      save_weights, timestep_embedding,
                                      train_step, tri_context_forward)
-from videostudio.errors import DivisionAtTZero, ShapeMismatch
+from videostudio.errors import BadTensorFile, DivisionAtTZero, ShapeMismatch
 from videostudio.numeric_core import Rng, Tensor
 from videostudio.sampler import make_schedule
 
@@ -360,3 +362,48 @@ def test_weight_load_rejects_mismatched_models(tmp_path):
                        heads=2, text_channels=8, fg_channels=8, bg_channels=8)
     with pytest.raises(ShapeMismatch):
         load_weights(wide, tmp_path / "w")
+
+
+def _small_img(seed):
+    return ImgDenoiser(Rng(seed), latent_shape=(2, 4, 4), channels=8, blocks=1,
+                       heads=2, text_channels=8, fg_channels=8, bg_channels=8)
+
+
+_DEEP = "[" * 200_000 + "]" * 200_000
+MALFORMED_WEIGHTS = {
+    "empty-object": "{}",
+    "params-not-a-list": '{"params": 5}',
+    "entry-not-an-object": '{"params": [5]}',
+    "entry-without-name": '{"params": [{"file": "param_000.vstn", "shape": [2, 8], '
+                          '"trainable": false}]}',
+    "deep-nesting": _DEEP,
+    "not-json": "weights",
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED_WEIGHTS.values(), ids=MALFORMED_WEIGHTS.keys())
+def test_weight_load_refuses_a_malformed_manifest(tmp_path, text):
+    ckpt = tmp_path / "w"
+    save_weights(_small_img(35), ckpt)
+    (ckpt / "weights.json").write_text(text)
+    with pytest.raises(BadTensorFile, match="weights.json"):
+        load_weights(_small_img(36), ckpt)
+
+
+@pytest.mark.parametrize("file", ["../outside.vstn", "sub/../../outside.vstn", "ABSOLUTE"],
+                         ids=["parent", "climbs-out", "absolute"])
+def test_weight_load_refuses_files_outside_the_checkpoint(tmp_path, file):
+    ckpt = tmp_path / "w"
+    save_weights(_small_img(37), ckpt)
+    manifest = json.loads((ckpt / "weights.json").read_text())
+    outside = tmp_path / "outside.vstn"
+    outside.write_bytes((ckpt / manifest["params"][0]["file"]).read_bytes())
+    manifest["params"][0]["file"] = str(outside) if file == "ABSOLUTE" else file
+    (ckpt / "weights.json").write_text(json.dumps(manifest))
+    with pytest.raises(BadTensorFile, match="not inside"):
+        load_weights(_small_img(38), ckpt)
+
+
+def test_weight_load_of_a_missing_manifest_is_a_bad_tensor_file(tmp_path):
+    with pytest.raises(BadTensorFile, match="weights.json: cannot read"):
+        load_weights(_small_img(39), tmp_path)

@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 
 import videostudio
+from videostudio import numeric_core
 from videostudio.cond_blocks import AdamW
 from videostudio.errors import BadTensorFile, ShapeMismatch
 from videostudio.numeric_core import (AttentionParams, Parameter, Rng, Tensor,
-                                      cross_attention, derive_seed,
+                                      attention, cross_attention, derive_seed,
                                       finite_diff_check, hash64,
-                                      layer_norm, load_tensor, save_tensor,
-                                      softmax_lastdim, temporal_conv1d)
+                                      layer_norm, load_tensor, no_grad,
+                                      save_tensor, temporal_conv1d)
 
 
 # --- autograd basics ---------------------------------------------------------
@@ -43,18 +44,24 @@ def test_finite_diff_on_composite_expression():
     x = Tensor(rng.normal((3, 5)))
 
     def fn():
-        h = softmax_lastdim(x @ w)
-        return (h * h).sum()
+        h = x @ w
+        return (attention(h, h, h, 0.5) * h).sum()
 
     assert finite_diff_check(fn, [w]) < 1e-6
+
+
+def _softmax(scores):
+    # attention against identity keys and values returns softmax(scores) itself
+    eye = np.eye(scores.shape[-1])
+    return attention(Tensor(scores), Tensor(eye), Tensor(eye), 1.0).data
 
 
 def test_softmax_rows_sum_to_one_and_shift_invariant():
     rng = Rng(3)
     x = rng.normal((6, 9))
-    p = softmax_lastdim(Tensor(x)).data
+    p = _softmax(x)
     assert np.allclose(p.sum(axis=-1), 1.0)
-    q = softmax_lastdim(Tensor(x + 123.0)).data
+    q = _softmax(x + 123.0)
     assert np.allclose(p, q)
 
 
@@ -119,6 +126,78 @@ def test_attention_gradients_flow_to_all_mats():
     for _, param in p.parameters():
         assert param.grad is not None
         assert np.any(param.grad != 0.0)
+
+
+def _composed_attention(q, k, v, scale, g):
+    """Output and q/k/v gradients of attention, one numpy step at a time."""
+    scores = np.matmul(q, np.swapaxes(k, -1, -2)) * scale
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    out = np.matmul(p, v)
+    gp = np.matmul(g, np.swapaxes(v, -1, -2))
+    gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * scale
+    gq = np.matmul(gs, k)
+    gk = np.matmul(np.swapaxes(gs, -1, -2), q)
+    gv = np.matmul(np.swapaxes(p, -1, -2), g)
+    while gk.ndim > k.ndim:  # a shared context collects every chunk's gradient
+        gk, gv = gk.sum(axis=0), gv.sum(axis=0)
+    return out, gq, gk, gv
+
+
+@pytest.mark.parametrize("shared_context", [False, True])
+def test_attention_across_chunks_matches_composed_reference(shared_context):
+    lead, heads, l_q, l_k, d = 20, 2, 128, 128, 8
+    step = numeric_core._CHUNK_BYTES // (8 * heads * l_q * l_k)
+    assert -(-lead // step) >= 3  # at least three chunks, the last one partial
+    assert lead % step
+    rng = Rng(40)
+    ctx_lead = (heads,) if shared_context else (lead, heads)
+    q = Parameter(rng.normal((lead, heads, l_q, d)), name="q")
+    k = Parameter(3.0 * rng.normal(ctx_lead + (l_k, d)), name="k")
+    v = Parameter(rng.normal(ctx_lead + (l_k, d)), name="v")
+    g = rng.normal((lead, heads, l_q, d))
+    out = attention(q, k, v, 1.0 / math.sqrt(d))
+    out.backward(g)
+    want = _composed_attention(q.data, k.data, v.data, 1.0 / math.sqrt(d), g)
+    assert np.array_equal(out.data, want[0])  # the same float64 steps per chunk
+    for got, ref in zip((q.grad, k.grad, v.grad), want[1:]):
+        assert got.shape == ref.shape
+        assert np.allclose(got, ref, rtol=1e-12, atol=1e-12)
+
+
+def test_attention_without_tape_matches_taped_forward():
+    rng = Rng(41)
+    q, k, v = (Parameter(rng.normal((20, 2, 128, 8)), name=n) for n in "qkv")
+    taped = attention(q, k, v, 0.3).data
+    with no_grad():
+        free = attention(q, k, v, 0.3).data
+    assert np.array_equal(taped, free)
+
+
+def test_no_grad_outputs_are_leaves():
+    rng = Rng(42)
+    p = AttentionParams.init(rng, 4, 4, 4, heads=2)
+    x = Tensor(rng.normal((3, 4)))
+    with no_grad():
+        out = cross_attention(x, x, p)
+        total = (out * out).sum()
+    for t in (out, total):
+        assert t.requires_grad is False
+        assert t._prev == ()
+        assert t._backward is None
+    taped = cross_attention(x, x, p)
+    assert taped.requires_grad and taped._prev
+
+
+def test_no_grad_restores_recording_after_an_exception():
+    w = Parameter(np.ones(3), name="w")
+    with pytest.raises(RuntimeError):
+        with no_grad():
+            raise RuntimeError("inside the block")
+    loss = (w * w).sum()
+    assert loss.requires_grad and loss._prev
+    loss.backward()
+    assert np.array_equal(w.grad, 2.0 * np.ones(3))
 
 
 # --- convolutions -------------------------------------------------------------
@@ -259,6 +338,13 @@ def test_vstn_rejects_corruption(tmp_path):
     extra.write_bytes(bytes(raw) + b"\x00\x00\x00\x00")
     with pytest.raises(BadTensorFile):
         load_tensor(extra)
+
+
+def test_vstn_that_cannot_be_opened_is_a_bad_tensor_file(tmp_path):
+    with pytest.raises(BadTensorFile, match="cannot read"):
+        load_tensor(tmp_path / "missing.vstn")
+    with pytest.raises(BadTensorFile, match="cannot read"):
+        load_tensor(tmp_path)  # a directory
 
 
 def test_vstn_truncation_detected(tmp_path):

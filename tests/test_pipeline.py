@@ -7,9 +7,10 @@ import shutil
 import numpy as np
 import pytest
 
-from videostudio.errors import (BackendError, BadConfig, ChecksumMismatch,
-                                DetectorMiss, MalformedScene, NoCommonEntities,
-                                StageError, TooFewFrames, UnknownDirection)
+from videostudio.errors import (BackendError, BadConfig, BadTensorFile,
+                                ChecksumMismatch, DetectorMiss, MalformedScene,
+                                NoCommonEntities, StageError, TooFewFrames,
+                                UnknownDirection)
 from videostudio.action_condition import default_vocabulary
 from videostudio.numeric_core import Rng
 from videostudio.pipeline import (GroundTruthDetector, MetricsReport,
@@ -663,6 +664,14 @@ def test_unverified_load_of_a_bad_script_txt_is_a_typed_error(_exported, tmp_pat
             path.write_bytes(payload)
     tree = _tampered_tree(_exported, tmp_path, spoil)
     with pytest.raises(error):
+        load_video(str(tree), verify=False)
+
+
+def test_unverified_load_of_a_missing_latent_is_a_typed_error(_exported, tmp_path):
+    def drop_latent(manifest, tree):
+        (tree / "scene_1" / "clip_latent.vstn").unlink()
+    tree = _tampered_tree(_exported, tmp_path, drop_latent)
+    with pytest.raises(BadTensorFile, match="clip_latent.vstn: cannot read"):
         load_video(str(tree), verify=False)
 
 

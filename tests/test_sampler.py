@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from videostudio.camera_motion import synthesize_flow, warp_clip
-from videostudio.cond_blocks import AnalyticGaussianDenoiser, GaussianPrior
+from videostudio.cond_blocks import (AnalyticGaussianDenoiser, GaussianPrior,
+                                     VidContext, VidDenoiser, train_step)
 from videostudio.errors import (BadRange, BadTimestepOrder, NonFiniteField,
                                 ShapeMismatch)
 from videostudio.numeric_core import Rng
@@ -311,6 +312,23 @@ def test_video_sampler_runs_with_intervention():
     assert out.shape == (2, 3, 4, 4)
     again = sample_video(den, np.zeros((4, 8)), np.zeros(16), ("right", "medium"), sched, cfg)
     assert np.array_equal(out, again)
+
+
+def test_train_step_after_sampling_fills_every_gradient():
+    # sampling runs without a tape; training afterwards must build one again
+    sched = make_schedule(50, 0.001, 0.02)
+    den = VidDenoiser(Rng(30), latent_shape=(2, 3, 4, 4), channels=8, blocks=1,
+                      heads=2, vocab_size=4, scene_channels=8)
+    ctx = VidContext(Rng(31).normal((3, 8)), np.array([1.0, 0.0, 0.5, 0.0]))
+    cfg = SamplerConfig(steps=4, eta=1.0, guidance_scale=12.0, t_m=1, seed=5)
+    clip = sample_video(den, ctx.y_s, ctx.y_a, ("right", "medium"), sched, cfg)
+    for _, p in den.parameters():
+        assert p.grad is None
+    batch = [(clip, (ctx, None))]
+    train_step(den, batch, sched, Rng(32), p_drop=0.0)
+    for name, p in den.parameters():
+        assert p.trainable, name
+        assert p.grad is not None and np.any(p.grad != 0.0), name
 
 
 def test_sampler_config_validation():

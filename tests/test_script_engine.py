@@ -149,6 +149,10 @@ BROKEN = {
     "pipe-in-prompt": _record(1, prompt="a fox | trots"),
     "open-bracket-in-prompt": _record(1, prompt="a fox [redacted] trots"),
     "close-bracket-in-prompt": _record(1, prompt="a fox] trots"),
+    "pipe-in-foreground": _record(1, "red | fox"),
+    "bracket-in-background": _record(1, bg="snowy [forest"),
+    "grammar-chars-in-names": ("[Scene 1: prompt: x | foreground: a ] b, c | d | "
+                               "background: e [f | camera: static, slow]"),
     "foreground-and-background": _record(1) + "\n" + _record(2, "snowy forest", "meadow"),
     "both-in-one-scene": _record(1, "snowy forest"),
 }
