@@ -11,9 +11,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
-from .cond_blocks import ContextBundle
 from .errors import BadConfig, StageError, VideoStudioError
 from .numeric_core import derive_seed, save_tensor
 from .pipeline import (_build_references, _oracle_denoiser, _sample_clip,
@@ -138,11 +135,7 @@ def cmd_sample_image(args):
     schedule = config.noise_schedule()
     target = _scene_canvas_latent(config, args.prompt, config.seed)
     denoiser = _oracle_denoiser(config, target)
-    extractor = config.feature_extractor()
-    bundle = ContextBundle(extractor.text_features(args.prompt),
-                           np.zeros((0, config.channels)),
-                           np.zeros((0, config.channels)))
-    latent = sample_image(denoiser, bundle, schedule,
+    latent = sample_image(denoiser, (), schedule,
                           config.image_sampler_config(derive_seed(config.seed, "image")))
     save_tensor(args.out, latent)
     print(f"wrote {args.out} shape {list(latent.shape)}")
@@ -153,8 +146,8 @@ def cmd_sample_video(args):
     config = _load(args)
     camera = _parse_camera(args.camera) if args.camera else ("static", "medium")
     scene_latent = _scene_canvas_latent(config, args.prompt, config.seed)
-    clip = _sample_clip(config, scene_latent, args.prompt, camera,
-                        derive_seed(config.seed, "video"), args.tm)
+    clip = _sample_clip(config, scene_latent, camera, derive_seed(config.seed, "video"),
+                        args.tm)
     save_tensor(args.out, clip)
     print(f"wrote {args.out} shape {list(clip.shape)}")
     return 0

@@ -29,8 +29,9 @@ from .numeric_core import (AttentionParams, Parameter, Rng, Tensor,
                            matmul, save_tensor, stays_inside, temporal_conv1d)
 
 DEFAULT_CONTEXT_CHANNELS = 32
-DEFAULT_TEXT_LEN = 77
-DEFAULT_IMAGE_FEATURE_LEN = 256
+TEXT_LEN = 77
+IMAGE_TOKENS = 256  # a 16x16 grid of 4x4 patches on the 64x64 canvas
+_GRID, _PATCH = 16, 4
 
 
 # --- contexts --------------------------------------------------------------
@@ -424,47 +425,38 @@ class AnalyticGaussianDenoiser:
 class ToyFeatureExtractor:
     """Deterministic stand-in for text/image encoders.
 
-    Text: per-slot hash of (token identity, position) expanded to a unit
-    pseudo-random vector.  Images: nearest-resize to a 64x64 canvas, 4x4
-    patch grid (256 tokens), each flattened patch pushed through one fixed
-    random projection.
+    Text: TEXT_LEN rows, each a per-slot hash of (token identity, position)
+    expanded to a unit pseudo-random vector.  Images: nearest-resize to a
+    64x64 canvas, a 16x16 grid of 4x4 patches (IMAGE_TOKENS rows), each
+    flattened patch pushed through one fixed random projection.
     """
 
-    def __init__(self, channels=DEFAULT_CONTEXT_CHANNELS, text_len=DEFAULT_TEXT_LEN,
-                 image_tokens=DEFAULT_IMAGE_FEATURE_LEN):
+    def __init__(self, channels=DEFAULT_CONTEXT_CHANNELS):
         self.channels = channels
-        self.text_len = text_len
-        self.image_tokens = image_tokens
-        side = int(np.sqrt(image_tokens))
-        if side * side != image_tokens:
-            raise ShapeMismatch("image_tokens must be a perfect square")
-        self._grid = side
-        patch = 64 // side
-        self._patch = patch
-        self._proj = Rng(hash64("patch-proj", channels)).normal((patch * patch * 3, channels))
-        self._proj /= np.sqrt(patch * patch * 3)
+        self._proj = Rng(hash64("patch-proj", channels)).normal((_PATCH * _PATCH * 3, channels))
+        self._proj /= np.sqrt(_PATCH * _PATCH * 3)
 
     def text_features(self, prompt):
-        rows = np.zeros((self.text_len, self.channels))
+        rows = np.zeros((TEXT_LEN, self.channels))
         tokens = prompt.lower().split()
-        for i in range(self.text_len):
+        for i in range(TEXT_LEN):
             token = tokens[i] if i < len(tokens) else f"<pad{i}>"
             vec = Rng(hash64("text-tok", token, i)).normal(self.channels)
             rows[i] = vec / np.sqrt(self.channels)
         return rows
 
     def image_features(self, image):
-        """image: [H, W, 3] floats in [0, 1] -> [image_tokens, channels]."""
+        """image: [H, W, 3] floats in [0, 1] -> [IMAGE_TOKENS, channels]."""
         image = np.asarray(image, dtype=np.float64)
         if image.ndim != 3 or image.shape[2] != 3:
             raise ShapeMismatch(f"image must be [H, W, 3], got {image.shape}")
         canvas = _resize_nearest(image, 64, 64)
-        rows = np.zeros((self.image_tokens, self.channels))
-        p = self._patch
-        for gy in range(self._grid):
-            for gx in range(self._grid):
+        rows = np.zeros((IMAGE_TOKENS, self.channels))
+        p = _PATCH
+        for gy in range(_GRID):
+            for gx in range(_GRID):
                 patch = canvas[gy * p:(gy + 1) * p, gx * p:(gx + 1) * p, :]
-                rows[gy * self._grid + gx] = patch.reshape(-1) @ self._proj
+                rows[gy * _GRID + gx] = patch.reshape(-1) @ self._proj
         return rows
 
 
@@ -495,9 +487,10 @@ def save_weights(denoiser, dirpath):
 def load_weights(denoiser, dirpath):
     """Read what ``save_weights`` wrote into ``denoiser``'s parameters.
 
-    A weights.json that cannot be read, is not that structure, or names a
-    file outside ``dirpath`` is BadTensorFile; weights that do not fit the
-    denoiser are ShapeMismatch.
+    A weights.json that cannot be read, is not that structure, names a
+    file outside ``dirpath``, or does not name every parameter exactly once
+    is BadTensorFile; weights that do not fit the denoiser are ShapeMismatch.
+    Every entry is checked and read before any parameter changes.
     """
     path = os.path.join(dirpath, "weights.json")
     try:
@@ -510,7 +503,6 @@ def load_weights(denoiser, dirpath):
     entries = manifest.get("params") if isinstance(manifest, dict) else None
     if not isinstance(entries, list):
         raise BadTensorFile(f"{path}: needs a 'params' list")
-    by_name = {name: p for name, p in denoiser.parameters()}
     for entry in entries:
         if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
                 and isinstance(entry.get("shape"), list)
@@ -519,11 +511,22 @@ def load_weights(denoiser, dirpath):
                                 "list and a boolean trainable")
         if not stays_inside(entry.get("file")):
             raise BadTensorFile(f"{path}: file {entry.get('file')!r} is not inside {dirpath}")
-        p = by_name.get(entry["name"])
-        if p is None:
-            raise ShapeMismatch(f"weights name {entry['name']!r} not in this denoiser")
+    by_name = dict(denoiser.parameters())
+    names = [entry["name"] for entry in entries]
+    if len(set(names)) != len(names) or set(names) != by_name.keys():
+        unknown = sorted(set(names) - by_name.keys())
+        if unknown:
+            raise ShapeMismatch(f"weights names {unknown} not in this denoiser")
+        raise BadTensorFile(f"{path}: must name every parameter once; missing "
+                            f"{sorted(by_name.keys() - set(names))}, repeated "
+                            f"{sorted({n for n in names if names.count(n) > 1})}")
+    loaded = []
+    for entry in entries:
+        p = by_name[entry["name"]]
         arr = load_tensor(os.path.join(dirpath, entry["file"]))
         if list(arr.shape) != entry["shape"] or arr.shape != p.data.shape:
             raise ShapeMismatch(f"weights shape {arr.shape} vs {p.data.shape} for {entry['name']}")
-        p.data = arr.astype(np.float64)
-        p.trainable = entry["trainable"]
+        loaded.append((p, arr.astype(np.float64), entry["trainable"]))
+    for p, data, trainable in loaded:
+        p.data = data
+        p.trainable = trainable

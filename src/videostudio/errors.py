@@ -86,6 +86,10 @@ class NonFiniteField(ValidationError):
     pass
 
 
+class NonFiniteLatent(ValidationError):
+    pass
+
+
 class TooFewFrames(ValidationError):
     pass
 

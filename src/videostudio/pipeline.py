@@ -578,36 +578,18 @@ def _oracle_denoiser(config, target):
                                     config.noise_schedule(), target.shape)
 
 
-def _scene_bundle(spec, references, extractor):
-    y_t = extractor.text_features(spec.prompt)
-    fg = [extractor.image_features(references[name].image.data)
-          for name in spec.foreground if name in references]
-    y_f = concat_foreground_features(fg, extractor.channels)
-    bg_ref = references.get(spec.background) if references else None
-    y_b = (extractor.image_features(bg_ref.image.data) if bg_ref is not None
-           else np.zeros((0, extractor.channels)))
-    return ContextBundle(y_t, y_f, y_b)
+def _sample_clip(config, scene_latent, camera, seed, t_m=None, denoiser=None):
+    """Oracle clip latent [C, F, H, W] for one scene latent, moved by ``camera``.
 
-
-def _sample_clip(config, scene_latent, prompt, camera, seed, t_m=None, denoiser=None):
-    """Clip latent [C, F, H, W] for one scene latent, moved by ``camera``.
-
-    The denoiser is conditioned on y_s, the features of the decoded scene
-    latent, and y_a, the action indicator of ``prompt``.  Without a
-    denoiser the clip comes from the oracle anchored on the camera-moved
-    scene latent.
+    The clip comes from the oracle anchored on the camera-moved scene
+    latent; ``denoiser`` reuses one already built on that anchor.  The
+    oracle reads no conditioning, so none is built.
     """
     if denoiser is None:
         anchor = _camera_anchor(scene_latent, camera, config.frames)
         denoiser = _oracle_denoiser(config, anchor)
-    y_s = config.feature_extractor().image_features(
-        np.clip(decode_latent(scene_latent), 0.0, 1.0))
-    vocab = config.action_vocabulary()
-    y_a = build_indicator(extract_action_phrases(prompt, vocab), vocab,
-                          VocabularyEmbedder(vocab))
-    return sample_video(denoiser, y_s, y_a, camera, config.noise_schedule(),
-                        config.video_sampler_config(seed, t_m),
-                        ref_latent=scene_latent[:, None, :, :])
+    return sample_video(denoiser, (), camera, config.noise_schedule(),
+                        config.video_sampler_config(seed, t_m))
 
 
 def _build_references(config, script, prompt, backends):
@@ -624,14 +606,30 @@ def _generate_scene(spec, config, references, t2i_backend,
     scene_seed = derive_seed(config.seed, "scene", spec.index)
 
     composite, boxes = compose_scene(spec, references, h, w, t2i_backend, scene_seed)
-    bundle = _scene_bundle(spec, references, config.feature_extractor())
+    schedule = config.noise_schedule()
     img_cfg = config.image_sampler_config(derive_seed(scene_seed, "image"))
-    denoiser = image_denoiser or _oracle_denoiser(config, encode_image(composite, c))
-    scene_latent = sample_image(denoiser, bundle, config.noise_schedule(), img_cfg)
-
+    video_seed = derive_seed(scene_seed, "video")
     camera = (spec.camera.direction, spec.camera.speed)
-    clip_latent = _sample_clip(config, scene_latent, spec.prompt, camera,
-                               derive_seed(scene_seed, "video"), denoiser=video_denoiser)
+    if image_denoiser is None:  # the oracles read no conditioning
+        oracle = _oracle_denoiser(config, encode_image(composite, c))
+        scene_latent = sample_image(oracle, (), schedule, img_cfg)
+        clip_latent = _sample_clip(config, scene_latent, camera, video_seed)
+    else:
+        ex = config.feature_extractor()
+        fg = [ex.image_features(references[name].image.data)
+              for name in spec.foreground if name in references]
+        bg_ref = references.get(spec.background)
+        y_b = np.zeros((0, ex.channels)) if bg_ref is None else ex.image_features(bg_ref.image.data)
+        bundle = ContextBundle(ex.text_features(spec.prompt),
+                               concat_foreground_features(fg, ex.channels), y_b)
+        scene_latent = sample_image(image_denoiser, (bundle,), schedule, img_cfg)
+        # the video stage reads the decoded scene latent's features and the action indicator
+        y_s = ex.image_features(np.clip(decode_latent(scene_latent), 0.0, 1.0))
+        vocab = config.action_vocabulary()
+        y_a = build_indicator(extract_action_phrases(spec.prompt, vocab), vocab,
+                              VocabularyEmbedder(vocab))
+        clip_latent = sample_video(video_denoiser, (VidContext(y_s, y_a), scene_latent[:, None]),
+                                   camera, schedule, config.video_sampler_config(video_seed))
     decoded = [latent_to_image(clip_latent[:, f]) for f in range(config.frames)]
     return SceneOutput(spec, scene_seed, scene_latent, latent_to_image(scene_latent),
                        clip_latent, decoded, boxes)
@@ -983,7 +981,7 @@ def tm_sweep(config, camera=("right", "medium"), tms=(1, 5, 20)):
     denoiser = _oracle_denoiser(config, anchor)
     rows = []
     for tm in tms:
-        clip = _sample_clip(config, scene_latent, _SWEEP_PROMPT, camera, seed, tm, denoiser)
+        clip = _sample_clip(config, scene_latent, camera, seed, tm, denoiser)
         base = decode_latent(clip[:, 0])
         errs = []
         for f in range(1, min(_SWEEP_MAX_PROBE, frames - 1) + 1):

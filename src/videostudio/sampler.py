@@ -17,8 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 from .camera_motion import synthesize_flow, warp_clip
-from .cond_blocks import VidContext
-from .errors import BadRange, BadTimestepOrder, NonFiniteField, ShapeMismatch
+from .errors import (BadRange, BadTimestepOrder, NonFiniteField, NonFiniteLatent,
+                     ShapeMismatch)
 from .numeric_core import Rng, no_grad
 
 __all__ = [
@@ -190,21 +190,24 @@ def apply_camera_intervention(x_t, eps_hat, t, schedule, field):
     return alpha_t * x0_bar + sigma_t * eps_hat
 
 
-def _values(pred):
+def _values(pred, k, t):
     # trainable denoisers return autograd tensors; sampling wants raw values
-    return np.asarray(getattr(pred, "data", pred), dtype=np.float64)
+    values = np.asarray(getattr(pred, "data", pred), dtype=np.float64)
+    if not np.isfinite(values).all():
+        raise NonFiniteLatent(f"denoiser output at step {k} (t={t}) is NaN or Inf")
+    return values
 
 
-def _predict_eps(denoiser, x, t, cond, scale):
+def _predict_eps(denoiser, x, t, cond, scale, k):
     # sampling never calls backward, so no predict builds a tape
     with no_grad():
-        eps_c = _values(denoiser.predict(x, t, *cond))
+        eps_c = _values(denoiser.predict(x, t, *cond), k, t)
         if scale == 1.0:
             return eps_c
         null_cond = denoiser.null_cond(cond)
         if null_cond is None:  # conditioning has no effect: guidance is the identity
             return eps_c
-        eps_u = _values(denoiser.predict(x, t, *null_cond))
+        eps_u = _values(denoiser.predict(x, t, *null_cond), k, t)
     return cfg_epsilon(eps_u, eps_c, scale)
 
 
@@ -216,47 +219,46 @@ def _sample(denoiser, shape, cond, schedule, config, intervene_after=0, field=No
     for k in range(config.steps):
         t, t_next = taus[k], taus[k + 1]
         if k == 0 and boundary is not None:
-            x0_hat = np.asarray(boundary(x))
+            x0_hat = _values(boundary(x), k, t)
             if x0_hat.shape != x.shape:
                 raise ShapeMismatch("pure-noise x0 estimate has the wrong shape")
             eps_hat = x.copy()  # the boundary state is its own noise
             x = _boundary_step(x, x0_hat, t_next, schedule, config.eta, rng)
         else:
-            eps_hat = _predict_eps(denoiser, x, t, cond, config.guidance_scale)
+            eps_hat = _predict_eps(denoiser, x, t, cond, config.guidance_scale, k)
             x = ddim_step(x, eps_hat, t, t_next, schedule, config.eta, rng)
         if k + 1 == intervene_after and t_next >= 1:
             x = apply_camera_intervention(x, eps_hat, t_next, schedule, field)
     return x
 
 
-def sample_image(denoiser, bundle, schedule, config):
+def sample_image(denoiser, cond, schedule, config):
     """Run the image-stage DDIM loop and return the final [4, H, W] latent.
 
-    ``denoiser.predict(x, t, bundle)`` must return an eps estimate of the
-    latent's shape.  Guidance contrasts ``bundle`` against
-    ``denoiser.null_cond((bundle,))``; scale 1, or a None null condition,
-    skips the unconditional call entirely.
+    ``cond`` is the tuple ``denoiser.predict(x, t, *cond)`` takes; it must
+    return an eps estimate of the latent's shape.  Guidance contrasts
+    ``cond`` against ``denoiser.null_cond(cond)``; scale 1, or a None null
+    condition, skips the unconditional call entirely.  A prediction that is
+    NaN or Inf raises NonFiniteLatent naming the step.
     """
-    return _sample(denoiser, tuple(denoiser.latent_shape), (bundle,), schedule, config)
+    return _sample(denoiser, tuple(denoiser.latent_shape), cond, schedule, config)
 
 
-def sample_video(denoiser, y_s, y_a, camera, schedule, config, ref_latent=None):
+def sample_video(denoiser, cond, camera, schedule, config):
     """Run the video-stage loop with the camera intervention.
 
     camera: (direction, speed) pair.  After config.t_m completed updates
     the current latent is pushed toward its camera-warped clean estimate
     exactly once, reusing the latest (guided) eps.  The denoiser sees
-    ``predict(x, t, VidContext(y_s, y_a), ref_latent)``; guidance contrasts
-    that with ``denoiser.null_cond(...)``, and scale 1 or a None null
-    condition means one call per step.
+    ``predict(x, t, *cond)``; guidance contrasts that with
+    ``denoiser.null_cond(cond)``, and scale 1 or a None null condition
+    means one call per step.
     """
     shape = tuple(denoiser.latent_shape)
     if len(shape) != 4:
         raise ShapeMismatch(f"video latent must be [C,F,H,W], got {shape}")
     if config.t_m >= config.steps:
         raise BadRange(f"t_m {config.t_m} must be < inference steps {config.steps}")
-    direction, speed = camera
-    frames, height, width = shape[1], shape[2], shape[3]
-    field = synthesize_flow(direction, speed, frames, height, width)
-    return _sample(denoiser, shape, (VidContext(y_s, y_a), ref_latent), schedule, config,
+    field = synthesize_flow(*camera, *shape[1:])  # direction, speed, F, H, W
+    return _sample(denoiser, shape, cond, schedule, config,
                    intervene_after=config.t_m, field=field)

@@ -75,11 +75,11 @@ def test_criterion_03_ddim_matches_analytic_posteriors():
     # point-mass prior: deterministic DDIM must land on the mass
     mu = np.linspace(-2.0, 2.0, 16)
     oracle = AnalyticGaussianDenoiser(GaussianPrior(mu, 0.0), schedule, (16,))
-    out = sample_image(oracle, None, schedule, SamplerConfig(steps=50, eta=0.0, seed=3))
+    out = sample_image(oracle, (), schedule, SamplerConfig(steps=50, eta=0.0, seed=3))
     assert np.max(np.abs(out - mu)) < 1e-6
     # unit-variance prior: Monte Carlo over 10k independent scalars
     wide = AnalyticGaussianDenoiser(GaussianPrior(2.0, 1.0), schedule, (10000,))
-    draws = sample_image(wide, None, schedule, SamplerConfig(steps=50, eta=0.0, seed=9))
+    draws = sample_image(wide, (), schedule, SamplerConfig(steps=50, eta=0.0, seed=9))
     assert abs(float(np.mean(draws)) - 2.0) < 0.05
     assert abs(float(np.var(draws)) - 1.0) < 0.1
     assert time.monotonic() - start < 60.0
@@ -108,9 +108,7 @@ def test_criterion_05_camera_movement_controls_displacement():
     denoiser = AnalyticGaussianDenoiser(GaussianPrior(anchor, 1e-4), schedule,
                                         (c, frames, h, w))
     cfg = SamplerConfig(steps=70, eta=1.0, guidance_scale=12.0, t_m=5, seed=123)
-    clip = sample_video(denoiser, np.zeros((0, 32)), np.zeros(16),
-                        ("right", "medium"), schedule, cfg,
-                        ref_latent=scene_latent[:, None, :, :])
+    clip = sample_video(denoiser, (), ("right", "medium"), schedule, cfg)
     base = decode_latent(clip[:, 0])
     for f in range(1, 7):
         est = estimate_translation(base, decode_latent(clip[:, f]))

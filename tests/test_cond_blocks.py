@@ -306,27 +306,26 @@ def test_oracle_denoiser_boundary_hook():
 # --- feature extractor ------------------------------------------------------------
 
 def test_extractor_shapes_and_determinism():
-    ex = ToyFeatureExtractor(channels=8, text_len=5, image_tokens=16)
+    ex = ToyFeatureExtractor(channels=8)
     t1 = ex.text_features("a calico cat naps")
     t2 = ex.text_features("a calico cat naps")
-    assert t1.shape == (5, 8)
+    assert t1.shape == (77, 8)
     assert np.array_equal(t1, t2)
     assert not np.array_equal(t1, ex.text_features("a calico dog naps"))
     img = Rng(30).uniform((20, 24, 3))
     f1, f2 = ex.image_features(img), ex.image_features(img)
-    assert f1.shape == (16, 8)
+    assert f1.shape == (256, 8)
     assert np.array_equal(f1, f2)
 
 
 def test_extractor_padding_and_validation():
-    ex = ToyFeatureExtractor(channels=8, text_len=4, image_tokens=16)
+    ex = ToyFeatureExtractor(channels=8)
     short = ex.text_features("cat")
     long = ex.text_features("cat sat on the mat and more words")
-    assert short.shape == long.shape == (4, 8)
+    assert short.shape == long.shape == (77, 8)
     assert np.array_equal(short[0], long[0])  # same first token
     assert not np.array_equal(short[1], long[1])  # pad vs real token
-    with pytest.raises(ShapeMismatch):
-        ToyFeatureExtractor(channels=8, image_tokens=15)
+    assert np.array_equal(short[8:], long[8:])  # both padded past the long prompt
     with pytest.raises(ShapeMismatch):
         ex.image_features(np.zeros((8, 8)))
 
@@ -407,3 +406,32 @@ def test_weight_load_refuses_files_outside_the_checkpoint(tmp_path, file):
 def test_weight_load_of_a_missing_manifest_is_a_bad_tensor_file(tmp_path):
     with pytest.raises(BadTensorFile, match="weights.json: cannot read"):
         load_weights(_small_img(39), tmp_path)
+
+
+def _truncate(params):
+    return params[:3], params[3]["name"], BadTensorFile
+
+
+def _repeat(params):
+    return params + [params[0]], params[0]["name"], BadTensorFile
+
+
+def _misshape_last(params):
+    params[-1]["shape"] = [1]
+    return params, params[-1]["name"], ShapeMismatch
+
+
+@pytest.mark.parametrize("edit", [_truncate, _repeat, _misshape_last],
+                         ids=["truncated", "repeated-entry", "last-entry-misshaped"])
+def test_a_refused_checkpoint_changes_no_parameter(tmp_path, edit):
+    ckpt = tmp_path / "w"
+    save_weights(_small_img(40), ckpt)
+    manifest = json.loads((ckpt / "weights.json").read_text())
+    manifest["params"], name, error = edit(manifest["params"])
+    (ckpt / "weights.json").write_text(json.dumps(manifest))
+    fresh = _small_img(41)
+    before = [(p.data.copy(), p.trainable) for _, p in fresh.parameters()]
+    with pytest.raises(error, match=name.replace(".", r"\.")):
+        load_weights(fresh, ckpt)
+    for (data, trainable), (_, p) in zip(before, fresh.parameters()):
+        assert np.array_equal(p.data, data) and p.trainable == trainable

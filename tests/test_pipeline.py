@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import hashlib
 import json
@@ -7,6 +8,9 @@ import shutil
 import numpy as np
 import pytest
 
+from videostudio import pipeline
+from videostudio.cli import main
+from videostudio.cond_blocks import ToyFeatureExtractor
 from videostudio.errors import (BackendError, BadConfig, BadTensorFile,
                                 ChecksumMismatch, DetectorMiss, MalformedScene,
                                 NoCommonEntities, StageError, TooFewFrames,
@@ -24,7 +28,7 @@ from videostudio.pipeline import (GroundTruthDetector, MetricsReport,
                                   frame_consistency, latent_to_image,
                                   load_config, load_manifest, load_video,
                                   resolve_backends, run_pipeline,
-                                  scene_consistency)
+                                  scene_consistency, tm_sweep)
 from videostudio.ref_images import RgbImage, ToyTextToImageBackend
 from videostudio.script_engine import (CameraMove, MockChatBackend, SceneSpec,
                                        build_chat_request, build_script_query,
@@ -463,20 +467,63 @@ def test_run_pipeline_no_refs_ablation():
     assert len(video.scenes) == 2
 
 
+TINY_NETWORK = {"denoiser": "network",
+                "model": {"latent": [3, 8, 8], "frames": 3, "channels": 16,
+                          "heads": 2, "blocks": 1},
+                "image_sampler": {"steps": 6},
+                "video_sampler": {"steps": 8, "t_m": 2}}
+
+
 def test_run_pipeline_network_denoisers():
     # untrained but must sample end to end and stay seed-deterministic
-    overrides = {"denoiser": "network",
-                 "model": {"latent": [3, 8, 8], "frames": 3, "channels": 16,
-                           "heads": 2, "blocks": 1},
-                 "image_sampler": {"steps": 6},
-                 "video_sampler": {"steps": 8, "t_m": 2}}
-    video_a, report = _run(SCRIPT2, **overrides)
+    video_a, report = _run(SCRIPT2, **TINY_NETWORK)
     assert video_a.scenes[0].clip_latent.shape == (3, 3, 8, 8)
     assert len(video_a.scenes[0].frames) == 3
     assert np.all(np.isfinite(video_a.scenes[0].clip_latent))
     assert report.frame_consistency_mean is not None
-    video_b, _ = _run(SCRIPT2, **overrides)
+    video_b, _ = _run(SCRIPT2, **TINY_NETWORK)
     assert np.array_equal(video_a.scenes[0].clip_latent, video_b.scenes[0].clip_latent)
+
+
+def _refuse(*_args, **_kwargs):
+    raise AssertionError("built conditioning that no denoiser reads")
+
+
+def test_oracle_paths_build_no_conditioning(monkeypatch, tmp_path):
+    # the analytic oracle ignores conditioning, so none may be computed for it
+    monkeypatch.setattr(ToyFeatureExtractor, "text_features", _refuse)
+    monkeypatch.setattr(ToyFeatureExtractor, "image_features", _refuse)
+    monkeypatch.setattr(pipeline, "build_indicator", _refuse)
+    for no_refs in (False, True):
+        video, _ = _run(SCRIPT3, no_refs=no_refs)
+        assert len(video.scenes) == 3
+    assert len(tm_sweep(_config())) == 3
+    out = str(tmp_path / "latent.vstn")
+    assert main(["sample-image", "--prompt", "a marble", "--out", out]) == 0
+    assert main(["sample-video", "--prompt", "a marble", "--out", out,
+                 "--camera", "right,medium"]) == 0
+
+
+def test_network_scenes_build_their_conditioning_once_each(monkeypatch):
+    calls = collections.Counter()
+
+    def counted(kind, fn):
+        def call(*args, **kwargs):
+            calls[kind] += 1
+            return fn(*args, **kwargs)
+        return call
+    for name in ("text_features", "image_features"):
+        monkeypatch.setattr(ToyFeatureExtractor, name,
+                            counted(name, getattr(ToyFeatureExtractor, name)))
+    monkeypatch.setattr(pipeline, "build_indicator",
+                        counted("indicator", pipeline.build_indicator))
+    video, _ = _run(SCRIPT2, **TINY_NETWORK)
+    # per scene: its prompt; its foreground and background references plus the
+    # sampled scene image; one action indicator
+    scenes = len(video.scenes)
+    assert scenes == 2
+    assert calls == {"text_features": scenes, "image_features": 3 * scenes,
+                     "indicator": scenes}
 
 
 def test_scene_outputs_do_not_depend_on_later_scenes(tmp_path):

@@ -5,7 +5,7 @@ from videostudio.camera_motion import synthesize_flow, warp_clip
 from videostudio.cond_blocks import (AnalyticGaussianDenoiser, GaussianPrior,
                                      VidContext, VidDenoiser, train_step)
 from videostudio.errors import (BadRange, BadTimestepOrder, NonFiniteField,
-                                ShapeMismatch)
+                                NonFiniteLatent, ShapeMismatch)
 from videostudio.numeric_core import Rng
 from videostudio.pipeline import load_config
 from videostudio.sampler import (NoiseSchedule, SamplerConfig,
@@ -128,10 +128,12 @@ class _CountingDenoiser:
 def test_guidance_scale_one_skips_unconditional_pass():
     sched = make_schedule(100, 0.001, 0.02)
     den = _CountingDenoiser((2, 4, 4))
-    sample_image(den, None, sched, SamplerConfig(steps=10, eta=0.0, guidance_scale=1.0, seed=0))
+    sample_image(den, ("cond",), sched,
+                 SamplerConfig(steps=10, eta=0.0, guidance_scale=1.0, seed=0))
     assert den.calls == 10
     den.calls = 0
-    sample_image(den, None, sched, SamplerConfig(steps=10, eta=0.0, guidance_scale=7.5, seed=0))
+    sample_image(den, ("cond",), sched,
+                 SamplerConfig(steps=10, eta=0.0, guidance_scale=7.5, seed=0))
     assert den.calls == 20
 
 
@@ -139,8 +141,51 @@ def test_none_null_condition_means_one_call_per_step():
     sched = make_schedule(100, 0.001, 0.02)
     den = _CountingDenoiser((2, 4, 4))
     den.null_cond = lambda cond: None  # conditioning has no effect
-    sample_image(den, None, sched, SamplerConfig(steps=10, eta=0.0, guidance_scale=7.5, seed=0))
+    sample_image(den, ("cond",), sched,
+                 SamplerConfig(steps=10, eta=0.0, guidance_scale=7.5, seed=0))
     assert den.calls == 10
+
+
+class _BadCallDenoiser(_CountingDenoiser):
+    """Zero eps, except that predict call number ``bad`` returns ``value``."""
+
+    def __init__(self, shape, bad, value):
+        super().__init__(shape)
+        self.bad, self.value = bad, value
+
+    def predict(self, x, t, bundle):
+        self.calls += 1
+        return np.full_like(x, self.value if self.calls == self.bad else 0.0)
+
+
+@pytest.mark.parametrize("scale,bad,step,t", [(1.0, 1, 0, 100), (1.0, 3, 2, 80),
+                                              (7.5, 4, 1, 90)],
+                         ids=["first-step", "later-step", "guided-unconditional"])
+@pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
+def test_non_finite_image_prediction_names_the_step(scale, bad, step, t, value):
+    sched = make_schedule(100, 0.001, 0.02)
+    den = _BadCallDenoiser((2, 4, 4), bad, value)
+    cfg = SamplerConfig(steps=10, eta=0.0, guidance_scale=scale, seed=0)
+    with pytest.raises(NonFiniteLatent, match=rf"step {step} \(t={t}\)"):
+        sample_image(den, ("cond",), sched, cfg)
+    assert den.calls == bad  # raised as soon as the bad prediction came back
+
+
+@pytest.mark.parametrize("hook,step,t", [("x0_at_pure_noise", 0, 50), ("predict", 3, 38)])
+def test_non_finite_video_prediction_names_the_step(monkeypatch, hook, step, t):
+    sched = make_schedule(50, 0.001, 0.02)
+    den = AnalyticGaussianDenoiser(GaussianPrior(np.zeros((2, 3, 4, 4)), 1e-4),
+                                   sched, (2, 3, 4, 4))
+    cfg = SamplerConfig(steps=12, eta=1.0, guidance_scale=12.0, t_m=5, seed=4)
+    assert respaced_timesteps(sched.T, cfg.steps)[step] == t
+    original = getattr(den, hook)
+
+    def poisoned(x, *rest):
+        out = original(x, *rest)
+        return np.full_like(out, np.inf) if hook == "x0_at_pure_noise" or rest[0] == t else out
+    monkeypatch.setattr(den, hook, poisoned)
+    with pytest.raises(NonFiniteLatent, match=rf"step {step} \(t={t}\)"):
+        sample_video(den, (), ("right", "medium"), sched, cfg)
 
 
 def test_guided_oracle_video_predicts_once_per_step(monkeypatch):
@@ -151,7 +196,7 @@ def test_guided_oracle_video_predicts_once_per_step(monkeypatch):
     original = den.predict
     monkeypatch.setattr(den, "predict", lambda *a: calls.append(a) or original(*a))
     cfg = SamplerConfig(steps=12, eta=1.0, guidance_scale=12.0, t_m=3, seed=4)
-    sample_video(den, np.zeros((4, 8)), np.zeros(16), ("right", "medium"), sched, cfg)
+    sample_video(den, (), ("right", "medium"), sched, cfg)
     # the first step uses the pure-noise boundary hook instead of predict
     assert len(calls) == cfg.steps - 1
 
@@ -273,10 +318,10 @@ def test_sampling_is_seed_deterministic():
     prior = GaussianPrior(np.zeros((2, 3, 3)), 1.0)
     den = AnalyticGaussianDenoiser(prior, sched, (2, 3, 3))
     cfg = SamplerConfig(steps=10, eta=0.0, seed=11)
-    a = sample_image(den, None, sched, cfg)
-    b = sample_image(den, None, sched, SamplerConfig(steps=10, eta=0.0, seed=11))
+    a = sample_image(den, (), sched, cfg)
+    b = sample_image(den, (), sched, SamplerConfig(steps=10, eta=0.0, seed=11))
     assert np.array_equal(a, b)
-    c = sample_image(den, None, sched, SamplerConfig(steps=10, eta=0.0, seed=12))
+    c = sample_image(den, (), sched, SamplerConfig(steps=10, eta=0.0, seed=12))
     assert not np.array_equal(a, c)
 
 
@@ -285,7 +330,7 @@ def test_point_mass_prior_recovered_by_deterministic_sampler():
     mu = np.linspace(-1.0, 1.0, 8).reshape(2, 2, 2)
     prior = GaussianPrior(mu, 0.0)
     den = AnalyticGaussianDenoiser(prior, sched, (2, 2, 2))
-    out = sample_image(den, None, sched, SamplerConfig(steps=10, eta=0.0, seed=5))
+    out = sample_image(den, (), sched, SamplerConfig(steps=10, eta=0.0, seed=5))
     assert np.max(np.abs(out - mu)) < 1e-6
 
 
@@ -294,12 +339,12 @@ def test_video_sampler_validates_latent_rank_and_tm():
     prior = GaussianPrior(np.zeros((2, 3, 3)), 1.0)
     den = AnalyticGaussianDenoiser(prior, sched, (2, 3, 3))
     with pytest.raises(ShapeMismatch):
-        sample_video(den, np.zeros((4, 8)), np.zeros(16), ("right", "medium"),
+        sample_video(den, (), ("right", "medium"),
                      sched, SamplerConfig(steps=10, eta=1.0, t_m=2, seed=0))
     den4 = AnalyticGaussianDenoiser(GaussianPrior(np.zeros((2, 3, 4, 4)), 1.0),
                                     sched, (2, 3, 4, 4))
     with pytest.raises(BadRange):
-        sample_video(den4, np.zeros((4, 8)), np.zeros(16), ("right", "medium"),
+        sample_video(den4, (), ("right", "medium"),
                      sched, SamplerConfig(steps=10, eta=1.0, t_m=10, seed=0))
 
 
@@ -308,9 +353,9 @@ def test_video_sampler_runs_with_intervention():
     mu = Rng(6).normal((2, 3, 4, 4))
     den = AnalyticGaussianDenoiser(GaussianPrior(mu, 1e-4), sched, (2, 3, 4, 4))
     cfg = SamplerConfig(steps=12, eta=1.0, guidance_scale=1.0, t_m=3, seed=4)
-    out = sample_video(den, np.zeros((4, 8)), np.zeros(16), ("right", "medium"), sched, cfg)
+    out = sample_video(den, (), ("right", "medium"), sched, cfg)
     assert out.shape == (2, 3, 4, 4)
-    again = sample_video(den, np.zeros((4, 8)), np.zeros(16), ("right", "medium"), sched, cfg)
+    again = sample_video(den, (), ("right", "medium"), sched, cfg)
     assert np.array_equal(out, again)
 
 
@@ -321,7 +366,7 @@ def test_train_step_after_sampling_fills_every_gradient():
                       heads=2, vocab_size=4, scene_channels=8)
     ctx = VidContext(Rng(31).normal((3, 8)), np.array([1.0, 0.0, 0.5, 0.0]))
     cfg = SamplerConfig(steps=4, eta=1.0, guidance_scale=12.0, t_m=1, seed=5)
-    clip = sample_video(den, ctx.y_s, ctx.y_a, ("right", "medium"), sched, cfg)
+    clip = sample_video(den, (ctx, None), ("right", "medium"), sched, cfg)
     for _, p in den.parameters():
         assert p.grad is None
     batch = [(clip, (ctx, None))]
