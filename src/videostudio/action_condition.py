@@ -8,12 +8,10 @@ asserts exactly 1.0.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from .errors import EmptyPrompt, EmptyVocabulary, ShapeMismatch
-from .numeric_core import Parameter, Rng, Tensor, hash64, matmul
+from .numeric_core import Parameter, Rng, Tensor, hash64, matmul, read_json
 
 DROP_THRESHOLD = 0.2
 
@@ -61,8 +59,7 @@ def default_vocabulary(channels=32):
 
 
 def load_vocabulary(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = json.load(fh)
+    rows = read_json(path, EmptyVocabulary)
     if not isinstance(rows, list) or not rows:
         raise EmptyVocabulary(f"{path}: expected a non-empty JSON list")
     names = [row["name"] for row in rows]

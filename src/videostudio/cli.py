@@ -26,7 +26,7 @@ __all__ = ["main"]
 
 def _load(args):
     overrides = {}
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         overrides["seed"] = args.seed
     if getattr(args, "out_dir", None):
         overrides["output_dir"] = args.out_dir
@@ -164,8 +164,11 @@ def _build_parser():
     def add(name, func, help_text, prompt=False, out_dir=False, mock=False,
             no_refs=False, out=False, camera=False, tm=False, tms=False):
         sub = subs.add_parser(name, help=help_text)
-        sub.add_argument("--config", default=None, help="JSON config file")
-        sub.add_argument("--seed", type=int, default=None, help="override config seed")
+        # metrics reads only the exported tree, gradcheck only a seed
+        if name not in ("metrics", "gradcheck"):
+            sub.add_argument("--config", default=None, help="JSON config file")
+        if name != "metrics":
+            sub.add_argument("--seed", type=int, default=None, help="override config seed")
         if prompt:
             sub.add_argument("--prompt", required=True, help="video theme")
         if out_dir:

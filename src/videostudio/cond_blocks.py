@@ -26,7 +26,8 @@ from .action_condition import ActionEmbedding, embed_indicator
 from .errors import BadTensorFile, DivisionAtTZero, ShapeMismatch
 from .numeric_core import (AttentionParams, Parameter, Rng, Tensor,
                            cross_attention, hash64, layer_norm, load_tensor,
-                           matmul, save_tensor, stays_inside, temporal_conv1d)
+                           matmul, read_json, save_tensor, stays_inside,
+                           temporal_conv1d)
 
 DEFAULT_CONTEXT_CHANNELS = 32
 TEXT_LEN = 77
@@ -493,13 +494,7 @@ def load_weights(denoiser, dirpath):
     Every entry is checked and read before any parameter changes.
     """
     path = os.path.join(dirpath, "weights.json")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except OSError as exc:
-        raise BadTensorFile(f"{path}: cannot read: {exc}") from exc
-    except (ValueError, RecursionError) as exc:  # bad JSON, a huge int or deep nesting
-        raise BadTensorFile(f"{path}: not valid JSON: {exc}") from exc
+    manifest = read_json(path, BadTensorFile)
     entries = manifest.get("params") if isinstance(manifest, dict) else None
     if not isinstance(entries, list):
         raise BadTensorFile(f"{path}: needs a 'params' list")

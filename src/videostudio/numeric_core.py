@@ -7,14 +7,16 @@ replays the closures in reverse topological order, the same tape idiom
 used by small research autograd stacks.  A central-difference checker
 polices each analytic gradient.
 
-Also home to the counter-based RNG wrapper and the binary tensor file
-format used to persist latents and weights.
+Also home to the counter-based RNG wrapper, the binary tensor file
+format used to persist latents and weights, and the two readers every
+outside file goes through.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
+import json
 import math
 import os
 import struct
@@ -538,6 +540,26 @@ def stays_inside(rel):
             and os.path.normpath(rel).split(os.sep)[0] != os.pardir)
 
 
+def read_bytes(path, error):
+    """The bytes of the file at ``path``.  When it cannot be read, raises
+    ``error(message)``: an exception class, or a callable that builds one."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise error(f"{path}: cannot read: {exc}") from exc
+
+
+def read_json(path, error):
+    """The JSON document in the file at ``path``; ``error`` if it cannot be
+    read or is not UTF-8 JSON that Python can hold."""
+    raw = read_bytes(path, error)
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, a huge int or deep nesting
+        raise error(f"{path}: not valid JSON: {exc}") from exc
+
+
 def save_tensor(path, array):
     """Write a float32 little-endian tensor file.
 
@@ -556,11 +578,7 @@ def save_tensor(path, array):
 def load_tensor(path):
     """Read a file written by ``save_tensor``; BadTensorFile unless it is
     well formed and every value is finite."""
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise BadTensorFile(f"{path}: cannot read: {exc}") from exc
+    raw = read_bytes(path, BadTensorFile)
     if raw[:4] != _MAGIC:
         raise BadTensorFile(f"{path}: bad magic {raw[:4]!r}")
     if len(raw) < 12:

@@ -44,8 +44,9 @@ from .errors import (BadConfig, ChecksumMismatch, DetectorMiss,
 from .numeric_core import (AttentionParams, Parameter, Rng, Tensor,
                            cross_attention, derive_seed,
                            finite_diff_check, hash64, layer_norm, load_tensor,
-                           save_tensor, stays_inside, temporal_conv1d)
-from .ref_images import (EntityReference, LuminanceSegmenter, RgbImage,
+                           read_bytes, read_json, save_tensor, stays_inside,
+                           temporal_conv1d)
+from .ref_images import (MIN_SIDE, EntityReference, LuminanceSegmenter, RgbImage,
                          RemoteTextToImageBackend, ToyTextToImageBackend,
                          build_entity_references, decode_pgm, decode_ppm,
                          encode_pgm, encode_ppm)
@@ -173,7 +174,9 @@ class PipelineConfig:
         latent = doc["model"]["latent"]
         if not isinstance(latent, (list, tuple)) or len(latent) != 3:
             raise BadConfig(f"model.latent must list three integers, got {_shown(latent)}")
-        self.latent_shape = tuple(_want_int(doc, f"model.latent.{i}", 1) for i in range(3))
+        # RGB decodes from 3 latent channels; reference tiles need MIN_SIDE pixels
+        self.latent_shape = tuple(_want_int(doc, f"model.latent.{i}", lo)
+                                  for i, lo in enumerate((3, MIN_SIDE, MIN_SIDE)))
         self.frames = _want_int(doc, "model.frames", 2)
 
         self._schedule = make_schedule()
@@ -192,8 +195,7 @@ class PipelineConfig:
         path = doc["vocabulary_path"]
         try:
             vocab = load_vocabulary(path) if path else default_vocabulary(self.channels)
-        except (OSError, ValueError, KeyError, TypeError, RecursionError,
-                ValidationError) as exc:
+        except (ValueError, KeyError, TypeError, ValidationError) as exc:
             raise BadConfig(f"action vocabulary {path or '(default)'!r} is unusable: "
                             f"{type(exc).__name__}: {exc}") from exc
         self.vocab_size = vocab.size
@@ -225,14 +227,7 @@ def load_config(path=None, overrides=None):
     """Parse the JSON config file (if any) and apply CLI-style overrides."""
     merged = default_config()
     if path is not None:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                parsed = json.load(fh)
-        except OSError as exc:
-            raise BadConfig(f"cannot read config {path!r}: {exc}") from exc
-        except (ValueError, RecursionError) as exc:  # bad JSON, a huge int or deep nesting
-            raise BadConfig(f"config {path!r} is not valid JSON: {exc}") from exc
-        merged = _merge_config(merged, parsed)
+        merged = _merge_config(merged, read_json(path, BadConfig))
     if overrides:
         merged = _merge_config(merged, overrides)
     return PipelineConfig(merged)
@@ -840,14 +835,7 @@ def load_manifest(out_dir, verify=True):
     every checksummed file, inside the tree, must match it.  Any failure
     is ChecksumMismatch; ``load_video`` reads only paths inside the tree.
     """
-    path = os.path.join(out_dir, "manifest.json")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except OSError as exc:
-        raise ChecksumMismatch(f"cannot read manifest: {exc}") from exc
-    except (ValueError, RecursionError) as exc:  # bad JSON, a huge int or deep nesting
-        raise ChecksumMismatch(f"manifest is not valid JSON: {exc}") from exc
+    manifest = read_json(os.path.join(out_dir, "manifest.json"), ChecksumMismatch)
     files = _manifest_files(manifest)
     if verify:
         checksums = manifest["checksums"]
@@ -855,11 +843,8 @@ def load_manifest(out_dir, verify=True):
             if rel not in checksums:
                 raise ChecksumMismatch(f"{rel}: no checksum entry in the manifest")
         for rel, expected in checksums.items():
-            try:
-                with open(_tree_path(out_dir, rel), "rb") as fh:
-                    actual = hashlib.sha256(fh.read()).hexdigest()
-            except OSError as exc:
-                raise ChecksumMismatch(f"{rel}: {exc}") from exc
+            actual = hashlib.sha256(read_bytes(_tree_path(out_dir, rel),
+                                               ChecksumMismatch)).hexdigest()
             if actual != expected:
                 raise ChecksumMismatch(f"{rel}: checksum {actual} != manifest {expected}")
     return manifest
@@ -869,22 +854,18 @@ def load_video(out_dir, verify=True):
     """Rebuild a MultiSceneVideo from an exported tree (checksum-verified)."""
     manifest = load_manifest(out_dir, verify)
 
-    def read_bytes(rel):
-        try:
-            with open(_tree_path(out_dir, rel), "rb") as fh:
-                return fh.read()
-        except OSError as exc:
-            raise ChecksumMismatch(f"{rel}: {exc}") from exc
+    def read_file(rel):
+        return read_bytes(_tree_path(out_dir, rel), ChecksumMismatch)
 
     # verified bytes are what export wrote; unverified ones decode lossily for the parser
-    script = parse_script(read_bytes("script.txt").decode("utf-8", "replace"))
+    script = parse_script(read_file("script.txt").decode("utf-8", "replace"))
     specs = {spec.index: spec for spec in script.scenes}
     records = {rec.name: rec for rec in find_common_entities(script)}
 
     references = {}
     for name, entry in manifest["references"].items():
-        image = decode_ppm(read_bytes(entry["image"]))
-        mask = decode_pgm(read_bytes(entry["mask"]))
+        image = decode_ppm(read_file(entry["image"]))
+        mask = decode_pgm(read_file(entry["mask"]))
         references[name] = EntityReference(records.get(name), image, entry["kind"], mask)
 
     scenes = []
@@ -892,11 +873,16 @@ def load_video(out_dir, verify=True):
         spec = specs.get(entry["index"])
         if spec is None:
             raise ChecksumMismatch(f"manifest scene {entry['index']} is not in its script")
-        frames = [decode_ppm(read_bytes(rel)) for rel in entry["files"]["frames"]]
-        scene_image = decode_ppm(read_bytes(entry["files"]["scene_image"]))
+        frames = [decode_ppm(read_file(rel)) for rel in entry["files"]["frames"]]
+        scene_image = decode_ppm(read_file(entry["files"]["scene_image"]))
         scene_latent = load_tensor(_tree_path(out_dir, entry["files"]["scene_latent"]))
         clip_latent = load_tensor(_tree_path(out_dir, entry["files"]["clip_latent"]))
+        h, w = (frames[0] if frames else scene_image).data.shape[:2]
         boxes = {name: tuple(box) for name, box in entry["entity_boxes"].items()}
+        for name, (r0, r1, c0, c1) in boxes.items():
+            if not (0 <= r0 < r1 <= h and 0 <= c0 < c1 <= w):
+                raise ChecksumMismatch(f"manifest scene {entry['index']} box {name!r} "
+                                       f"is outside its {h}x{w} frame")
         scenes.append(SceneOutput(spec, entry["seed"], scene_latent, scene_image,
                                   clip_latent, frames, boxes))
     return MultiSceneVideo(manifest["prompt"], script, scenes, references,

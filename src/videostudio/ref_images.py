@@ -12,15 +12,12 @@ from __future__ import annotations
 
 import base64
 import colorsys
-import json
-import urllib.error
-import urllib.request
 
 import numpy as np
 
 from .errors import BackendError, DimensionMismatch
 from .numeric_core import Rng, derive_seed, hash64
-from .script_engine import find_common_entities
+from .script_engine import find_common_entities, post_json
 
 MIN_SIDE = 8
 
@@ -104,21 +101,16 @@ class RemoteTextToImageBackend:
     def generate(self, description, seed):
         if not description or not description.strip():
             raise BackendError("text-to-image description is empty")
-        request = {"prompt": description, "seed": int(seed),
-                   "width": self.size, "height": self.size}
-        body = json.dumps(request).encode("utf-8")
-        req = urllib.request.Request(self.url, data=body,
-                                     headers={"Content-Type": "application/json"})
+        payload = post_json(self.url, {"prompt": description, "seed": int(seed),
+                                       "width": self.size, "height": self.size}, self.timeout)
+        encoded = payload.get("image_ppm_b64") if isinstance(payload, dict) else None
+        if not isinstance(encoded, str):
+            raise BackendError(f"text-to-image reply from {self.url} has no "
+                               f"image_ppm_b64 string")
         try:
-            with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                payload = json.loads(resp.read().decode("utf-8"))
-            encoded = payload.get("image_ppm_b64") if isinstance(payload, dict) else None
-            if not isinstance(encoded, str):
-                raise BackendError(f"text-to-image reply from {self.url} has no "
-                                   f"image_ppm_b64 string")
             return decode_ppm(base64.b64decode(encoded))
-        except (urllib.error.URLError, ValueError, RecursionError, DimensionMismatch) as exc:
-            raise BackendError(f"text-to-image backend at {self.url} failed: {exc}") from exc
+        except (ValueError, DimensionMismatch) as exc:  # bad base64 or PPM bytes
+            raise BackendError(f"text-to-image reply from {self.url} is not a PPM: {exc}") from exc
 
 
 class LuminanceSegmenter:

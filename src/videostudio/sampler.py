@@ -136,10 +136,14 @@ def ddim_step(x_t, eps_hat, t, t_prev, schedule, eta=0.0, rng=None):
     if not (schedule.T >= t > t_prev >= 0):
         raise BadTimestepOrder(f"need T >= t > t_prev >= 0, got t={t}, t_prev={t_prev}")
     abar_t = schedule.alpha_bar_at(t)
+    x0_hat = (x_t - np.sqrt(1.0 - abar_t) * eps_hat) / np.sqrt(abar_t)
+    return _ddim_update(x0_hat, eps_hat, abar_t, t_prev, schedule, eta, rng)
+
+
+def _ddim_update(x0_hat, eps_hat, abar_t, t_prev, schedule, eta, rng):
+    # the DDIM update from a clean estimate; abar_t = 0 is the pure-noise boundary
     abar_p = schedule.alpha_bar_at(t_prev)
-    alpha_t, sigma_t = np.sqrt(abar_t), np.sqrt(1.0 - abar_t)
     alpha_p, sigma_p = np.sqrt(abar_p), np.sqrt(1.0 - abar_p)
-    x0_hat = (x_t - sigma_t * eps_hat) / alpha_t
     s = 0.0
     if eta > 0.0 and t_prev > 0:
         s = eta * np.sqrt((1.0 - abar_p) / (1.0 - abar_t)) * np.sqrt(1.0 - abar_t / abar_p)
@@ -148,18 +152,8 @@ def ddim_step(x_t, eps_hat, t, t_prev, schedule, eta=0.0, rng=None):
     if s > 0.0:
         if rng is None:
             raise BadRange("eta > 0 needs an rng")
-        x_prev = x_prev + s * rng.normal(x_t.shape)
+        x_prev = x_prev + s * rng.normal(x0_hat.shape)
     return x_prev
-
-
-def _boundary_step(x, x0_hat, t_next, schedule, eta, rng):
-    # alpha_bar -> 0 limit of the DDIM update: the state itself is the noise
-    alpha_n = schedule.alpha_at(t_next)
-    sigma_n = schedule.sigma_at(t_next)
-    if eta > 0.0 and t_next > 0:
-        x_next = alpha_n * x0_hat + sigma_n * np.sqrt(1.0 - eta * eta) * x
-        return x_next + eta * sigma_n * rng.normal(x.shape)
-    return alpha_n * x0_hat + sigma_n * x
 
 
 def apply_camera_intervention(x_t, eps_hat, t, schedule, field):
@@ -222,8 +216,8 @@ def _sample(denoiser, shape, cond, schedule, config, intervene_after=0, field=No
             x0_hat = _values(boundary(x), k, t)
             if x0_hat.shape != x.shape:
                 raise ShapeMismatch("pure-noise x0 estimate has the wrong shape")
-            eps_hat = x.copy()  # the boundary state is its own noise
-            x = _boundary_step(x, x0_hat, t_next, schedule, config.eta, rng)
+            eps_hat = x  # the boundary state is its own noise
+            x = _ddim_update(x0_hat, eps_hat, 0.0, t_next, schedule, config.eta, rng)
         else:
             eps_hat = _predict_eps(denoiser, x, t, cond, config.guidance_scale, k)
             x = ddim_step(x, eps_hat, t, t_next, schedule, config.eta, rng)

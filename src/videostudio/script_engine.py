@@ -16,9 +16,9 @@ rule a script must meet, so a parsed script is a valid one.
 
 from __future__ import annotations
 
+import http.client
 import json
 import re
-import urllib.error
 import urllib.request
 from dataclasses import dataclass
 from importlib import resources
@@ -28,7 +28,7 @@ from .errors import (BackendError, EmptyDescription, EmptyPrompt, EmptyScript,
                      MalformedScene, NonContiguousIndices,
                      ScriptGenerationExhausted, UnknownCameraToken,
                      WrongExampleCount)
-from .numeric_core import hash64
+from .numeric_core import hash64, read_json
 
 MAX_SCENES = 12
 MAX_FOREGROUNDS = 4
@@ -211,6 +211,22 @@ def request_hash(request):
     return format(hash64("chat-request", canonical), "016x")
 
 
+def post_json(url, doc, timeout):
+    """POST ``doc`` as JSON to ``url`` and return the JSON reply.
+
+    Any failure to reach the service, read its reply or parse it is
+    BackendError: a refused connection or HTTP error status, a timeout, a
+    dropped or truncated reply, bad UTF-8 or JSON, or deep nesting.
+    """
+    req = urllib.request.Request(url, data=json.dumps(doc).encode("utf-8"),
+                                 headers={"Content-Type": "application/json"})
+    try:
+        with urllib.request.urlopen(req, timeout=timeout) as resp:
+            return json.loads(resp.read().decode("utf-8"))
+    except (OSError, http.client.HTTPException, ValueError, RecursionError) as exc:
+        raise BackendError(f"backend at {url} failed: {type(exc).__name__}: {exc}") from exc
+
+
 class HttpChatBackend:
     """POSTs the chat-completion request shape to a local endpoint."""
 
@@ -220,15 +236,8 @@ class HttpChatBackend:
         self.timeout = timeout
 
     def complete(self, messages):
-        body = json.dumps(build_chat_request(messages, self.model)).encode("utf-8")
-        req = urllib.request.Request(self.url, data=body,
-                                     headers={"Content-Type": "application/json"})
-        try:
-            with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                payload = json.loads(resp.read().decode("utf-8"))
-        except (urllib.error.URLError, ValueError, RecursionError) as exc:
-            raise BackendError(f"chat backend at {self.url} failed: {exc}") from exc
-        return parse_chat_response(payload)
+        return parse_chat_response(post_json(self.url, build_chat_request(messages, self.model),
+                                             self.timeout))
 
 
 def _is_reply(value):
@@ -246,11 +255,7 @@ class MockChatBackend:
 
     def __init__(self, table, model="local-chat"):
         if not isinstance(table, dict):
-            try:
-                with open(table, "r", encoding="utf-8") as fh:
-                    table = json.load(fh)
-            except (OSError, ValueError, RecursionError) as exc:
-                raise BackendError(f"mock fixture {table!r} is unreadable: {exc}") from exc
+            table = read_json(table, lambda message: BackendError(f"mock fixture {message}"))
         if not isinstance(table, dict) or not all(map(_is_reply, table.values())):
             raise BackendError("mock fixture must map request hashes to a reply text "
                                "or a non-empty list of reply texts")

@@ -152,6 +152,18 @@ def test_sample_video_with_unreadable_vocabulary_exits_2(tmp_path, capsys):
     assert "vocabulary" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["metrics", "--out-dir", "out", "--config", "config.json"],
+    ["metrics", "--out-dir", "out", "--seed", "3"],
+    ["gradcheck", "--config", "config.json"],
+], ids=["metrics-config", "metrics-seed", "gradcheck-config"])
+def test_commands_take_only_the_flags_they_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_gradcheck_command(capsys):
     assert main(["gradcheck"]) == 0
     printed = capsys.readouterr().out

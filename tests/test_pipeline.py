@@ -251,6 +251,18 @@ def test_config_file_loading(tmp_path):
         load_config(str(tmp_path / "missing.json"))
 
 
+@pytest.mark.parametrize("latent,dotted", [
+    ([2, 8, 8], "model.latent.0"),
+    ([4, 7, 8], "model.latent.1"),
+    ([4, 8, 7], "model.latent.2"),
+    ([4, 1, 1], "model.latent.1"),
+], ids=["two-channels", "short", "narrow", "one-pixel"])
+def test_latent_too_small_to_decode_fails_at_load(latent, dotted):
+    # RGB decodes from 3 channels and a reference tile needs MIN_SIDE pixels a side
+    with pytest.raises(BadConfig, match=dotted):
+        load_config(overrides={"model": {"latent": latent}})
+
+
 def test_default_config_returns_fresh_copies():
     a = default_config()
     a["model"]["frames"] = 99
@@ -665,6 +677,19 @@ def test_malformed_manifest_is_a_checksum_mismatch(_exported, tmp_path, edit):
     tree = _tampered_tree(_exported, tmp_path, edit)
     with pytest.raises(ChecksumMismatch):
         load_video(str(tree))
+
+
+@pytest.mark.parametrize("box", [[100, 200, 100, 200], [-50, -40, 0, 8], [4, 4, 0, 8],
+                                 [0, 17, 0, 8]],
+                         ids=["past-the-frame", "negative", "empty", "one-row-over"])
+def test_entity_box_outside_the_frame_is_a_checksum_mismatch(_exported, tmp_path, capsys, box):
+    def move_box(manifest, tree):  # the 16x16 frame's background box is [0, 16, 0, 16]
+        manifest["scenes"][0]["entity_boxes"]["workshop"] = box
+    tree = _tampered_tree(_exported, tmp_path, move_box)
+    with pytest.raises(ChecksumMismatch, match="outside its 16x16 frame"):
+        load_video(str(tree))
+    assert main(["metrics", "--out-dir", str(tree)]) == 3
+    assert "IndexError" not in capsys.readouterr().err
 
 
 def test_file_without_checksum_entry_is_refused(_exported, tmp_path):

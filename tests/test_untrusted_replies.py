@@ -6,6 +6,7 @@ so no socket is opened.
 """
 
 import base64
+import http.client
 import json
 import urllib.request
 
@@ -36,6 +37,8 @@ class _Reply:
         return False
 
     def read(self):
+        if isinstance(self.body, Exception):
+            raise self.body
         return self.body
 
 
@@ -44,6 +47,16 @@ def _serve(monkeypatch, body):
     if not isinstance(body, bytes):
         body = json.dumps(body).encode("utf-8")
     monkeypatch.setattr(urllib.request, "urlopen", lambda req, timeout=None: _Reply(body))
+
+
+def _fail(monkeypatch, make_error, stage):
+    """Every urlopen call raises a fresh ``make_error()`` itself (stage
+    "urlopen") or answers a reply whose ``read()`` raises it (stage "read")."""
+    def urlopen(req, timeout=None):
+        if stage == "urlopen":
+            raise make_error()
+        return _Reply(make_error())
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
 
 
 def _deep_json():
@@ -119,6 +132,44 @@ def test_chat_reply_probe_exits_3(tmp_path, monkeypatch, capsys):
     config.write_text(json.dumps({"chat": {"kind": "http", "url": URL}}))
     assert main(["script", "--prompt", PROMPT, "--config", str(config)]) == 3
     capsys.readouterr()
+
+
+# --- HTTP transport failures ---------------------------------------------------------------------
+
+FAILURES = {
+    "timeout": lambda: TimeoutError("timed out"),
+    "disconnected": lambda: http.client.RemoteDisconnected("closed without a response"),
+    "truncated": lambda: http.client.IncompleteRead(b'{"choi', 40),
+}
+STAGES = ["urlopen", "read"]
+
+
+@pytest.mark.parametrize("stage", STAGES)
+@pytest.mark.parametrize("make_error", FAILURES.values(), ids=FAILURES.keys())
+def test_http_transport_failure_is_a_backend_error(monkeypatch, make_error, stage):
+    _fail(monkeypatch, make_error, stage)
+    name = type(make_error()).__name__
+    with pytest.raises(BackendError, match=name):
+        HttpChatBackend(URL).complete([ChatMessage("user", "hi")])
+    with pytest.raises(BackendError, match=name):
+        RemoteTextToImageBackend(URL).generate("a red fox", 0)
+
+
+@pytest.mark.parametrize("stage", STAGES)
+@pytest.mark.parametrize("make_error", FAILURES.values(), ids=FAILURES.keys())
+def test_http_transport_failure_probe_exits_3(tmp_path, monkeypatch, capsys, make_error, stage):
+    _fail(monkeypatch, make_error, stage)
+    chat = tmp_path / "chat.json"
+    chat.write_text(json.dumps({"chat": {"kind": "http", "url": URL}}))
+    assert main(["script", "--prompt", PROMPT, "--config", str(chat)]) == 3
+    t2i = tmp_path / "t2i.json"
+    t2i.write_text(json.dumps({"text_to_image": {"kind": "http", "url": URL}}))
+    fixture = tmp_path / "fixture.json"
+    fixture.write_text(json.dumps(build_mock_llm_fixture(PROMPT, SCRIPT2)))
+    assert main(["refs", "--prompt", PROMPT, "--config", str(t2i),
+                 "--mock-llm", str(fixture), "--out-dir", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 2 and "Traceback" not in err
 
 
 # --- HTTP text-to-image replies ---------------------------------------------------------------
