@@ -11,19 +11,23 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import EmptyPrompt, EmptyVocabulary, ShapeMismatch
-from .numeric_core import Parameter, Rng, Tensor, hash64, matmul, read_json
+from .numeric_core import Module, Parameter, Rng, Tensor, hash64, matmul, read_json
 
 DROP_THRESHOLD = 0.2
 
 
 class ActionVocabulary:
-    """names: V action names; embeddings: V x C unit-norm rows."""
+    """names: V action names, each a string of at least one word;
+    embeddings: V x C unit-norm rows."""
 
     def __init__(self, names, embeddings):
         names = list(names)
         embeddings = np.asarray(embeddings, dtype=np.float64)
         if len(names) < 1:
             raise EmptyVocabulary("vocabulary needs at least one action")
+        for name in names:
+            if not (isinstance(name, str) and name.split()):
+                raise EmptyVocabulary(f"vocabulary name {name!r} is not a string of words")
         if len(set(names)) != len(names):
             raise EmptyVocabulary("vocabulary names must be unique")
         if embeddings.ndim != 2 or embeddings.shape[0] != len(names):
@@ -128,7 +132,7 @@ def build_indicator(phrases, vocab, embedder):
     return values
 
 
-class ActionEmbedding:
+class ActionEmbedding(Module):
     """The linear map f: y_a -> feature space, one per attention block."""
 
     def __init__(self, w, b):
@@ -139,9 +143,6 @@ class ActionEmbedding:
         w = Parameter(rng.normal((vocab_size, channels)) / np.sqrt(vocab_size), name=f"{name}.w")
         b = Parameter(np.zeros(channels), name=f"{name}.b")
         return cls(w, b)
-
-    def parameters(self):
-        return [(self.w.name, self.w), (self.b.name, self.b)]
 
 
 def embed_indicator(y_a, f_params):

@@ -7,19 +7,20 @@ or file-integrity failure, 4 anything unexpected.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 
 from .errors import BadConfig, StageError, VideoStudioError
-from .numeric_core import derive_seed, save_tensor
+from .numeric_core import derive_seed, save_tensor, write_bytes, write_json
 from .pipeline import (_build_references, _oracle_denoiser, _sample_clip,
-                       _scene_canvas_latent, _write_bytes, _write_references,
+                       _scene_canvas_latent, _write_references,
                        compute_metrics, export_video, load_config, load_video,
                        resolve_backends, run_gradient_suite, run_pipeline,
                        tm_sweep)
 from .sampler import sample_image
-from .script_engine import generate_script, serialize_script
+from .script_engine import generate_script, parse_camera, serialize_script
 
 __all__ = ["main"]
 
@@ -35,15 +36,8 @@ def _load(args):
     return load_config(args.config, overrides)
 
 
-def _parse_camera(text):
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 2 or not all(parts):
-        raise BadConfig(f"--camera wants 'direction,speed', got {text!r}")
-    return parts[0], parts[1]
-
-
-def _write_text(path, text):
-    _write_bytes(path, text.encode("utf-8"))
+def _camera(args, default):
+    return dataclasses.astuple(parse_camera(args.camera, "--camera")) if args.camera else default
 
 
 # --- subcommands -------------------------------------------------------------
@@ -55,7 +49,7 @@ def cmd_script(args):
     text = serialize_script(script)
     print(text)
     if args.out_dir:
-        _write_text(os.path.join(args.out_dir, "script.txt"), text + "\n")
+        write_bytes(os.path.join(args.out_dir, "script.txt"), (text + "\n").encode("utf-8"))
     return 0
 
 
@@ -65,14 +59,13 @@ def cmd_refs(args):
     script = generate_script(args.prompt, backends.chat)
     references, descriptions = _build_references(config, script, args.prompt, backends)
     if args.out_dir:
-        _write_text(os.path.join(args.out_dir, "script.txt"),
-                    serialize_script(script) + "\n")
-        index = _write_references(references, lambda rel, payload: _write_bytes(
+        write_bytes(os.path.join(args.out_dir, "script.txt"),
+                    (serialize_script(script) + "\n").encode("utf-8"))
+        index = _write_references(references, lambda rel, payload: write_bytes(
             os.path.join(args.out_dir, rel), payload))
         for name, entry in index.items():
             entry["description"] = descriptions[name]
-        _write_text(os.path.join(args.out_dir, "refs.json"),
-                    json.dumps(index, indent=2, sort_keys=True) + "\n")
+        write_json(os.path.join(args.out_dir, "refs.json"), index)
     print(f"entities: {len(references)}")
     for name in sorted(references):
         print(f"  {name} ({references[name].kind})")
@@ -84,8 +77,7 @@ def cmd_generate(args):
     backends = resolve_backends(config, args.mock_llm)
     video, report = run_pipeline(args.prompt, config, backends)
     manifest_path = export_video(video, args.out_dir)
-    _write_text(os.path.join(args.out_dir, "metrics.json"),
-                json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+    write_json(os.path.join(args.out_dir, "metrics.json"), report.to_dict())
     print(f"scenes: {len(video.scenes)}")
     print(f"references: {len(video.references)}")
     print(f"frame consistency: {report.frame_consistency_mean:.2f}")
@@ -114,7 +106,7 @@ def cmd_gradcheck(args):
 
 def cmd_tm_sweep(args):
     config = _load(args)
-    camera = _parse_camera(args.camera) if args.camera else ("right", "medium")
+    camera = _camera(args, ("right", "medium"))
     try:
         tms = tuple(int(x) for x in args.tms.split(",")) if args.tms else (1, 5, 20)
     except ValueError:
@@ -125,8 +117,7 @@ def cmd_tm_sweep(args):
         print(f"{row['t_m']:>5} {row['displacement_error']:>18.6f} "
               f"{row['anchor_mse']:>14.8f}")
     if args.out_dir:
-        _write_text(os.path.join(args.out_dir, "tm_sweep.json"),
-                    json.dumps(rows, indent=2, sort_keys=True) + "\n")
+        write_json(os.path.join(args.out_dir, "tm_sweep.json"), rows)
     return 0
 
 
@@ -144,7 +135,7 @@ def cmd_sample_image(args):
 
 def cmd_sample_video(args):
     config = _load(args)
-    camera = _parse_camera(args.camera) if args.camera else ("static", "medium")
+    camera = _camera(args, ("static", "medium"))
     scene_latent = _scene_canvas_latent(config, args.prompt, config.seed)
     clip = _sample_clip(config, scene_latent, camera, derive_seed(config.seed, "video"),
                         args.tm)
@@ -185,7 +176,8 @@ def _build_parser():
             sub.add_argument("--out", required=True, help="output .vstn path")
         if camera:
             sub.add_argument("--camera", default=None, metavar="DIR,SPEED",
-                             help="camera movement, e.g. right,medium")
+                             help="camera movement in the script's tokens, any case, "
+                                  "e.g. right,medium")
         if tm:
             sub.add_argument("--tm", type=int, default=None,
                              help="intervention step count")

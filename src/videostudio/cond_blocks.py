@@ -17,17 +17,16 @@ the same call surface makes sampler behavior exactly predictable.
 
 from __future__ import annotations
 
-import json
 import os
 
 import numpy as np
 
 from .action_condition import ActionEmbedding, embed_indicator
 from .errors import BadTensorFile, DivisionAtTZero, ShapeMismatch
-from .numeric_core import (AttentionParams, Parameter, Rng, Tensor,
+from .numeric_core import (AttentionParams, Module, Parameter, Rng, Tensor,
                            cross_attention, hash64, layer_norm, load_tensor,
                            matmul, read_json, save_tensor, stays_inside,
-                           temporal_conv1d)
+                           temporal_conv1d, write_json)
 
 DEFAULT_CONTEXT_CHANNELS = 32
 TEXT_LEN = 77
@@ -87,7 +86,7 @@ def concat_foreground_features(feature_blocks, channels=DEFAULT_CONTEXT_CHANNELS
 # --- blocks ----------------------------------------------------------------
 
 
-class TriContextBlock:
+class TriContextBlock(Module):
     """CA over text (frozen), fg, bg (both trainable), then frozen SA."""
 
     def __init__(self, rng, channels, heads=4, text_channels=None,
@@ -105,12 +104,6 @@ class TriContextBlock:
         self.sa = AttentionParams.init(rng.child("sa"), channels, channels, channels,
                                        heads, trainable=False, name=f"{name}.sa")
 
-    def parameters(self):
-        out = []
-        for module in (self.ca1, self.ca2, self.ca3, self.sa):
-            out.extend(module.parameters())
-        return out
-
 
 def tri_context_forward(x, bundle, block):
     """y = CA1(x, y_t) + CA2(x, y_f) + CA3(x, y_b); z = x + SA(y)."""
@@ -123,12 +116,11 @@ def tri_context_forward(x, bundle, block):
     return x + cross_attention(y, y, block.sa)
 
 
-class SpatioTemporalBlock:
+class SpatioTemporalBlock(Module):
     """CA over scene features + action bias, then spatial and temporal SA."""
 
     def __init__(self, rng, channels, vocab_size, heads=4, scene_channels=None,
                  name="st"):
-        self.channels = channels
         self.ca = AttentionParams.init(rng.child("ca"), channels,
                                        scene_channels or channels, channels, heads,
                                        name=f"{name}.ca")
@@ -137,13 +129,6 @@ class SpatioTemporalBlock:
         self.sa_temporal = AttentionParams.init(rng.child("sat"), channels, channels,
                                                 channels, heads, name=f"{name}.sa_temporal")
         self.f = ActionEmbedding.init(rng.child("f"), vocab_size, channels, name=f"{name}.f")
-
-    def parameters(self):
-        out = []
-        for module in (self.ca, self.sa_spatial, self.sa_temporal):
-            out.extend(module.parameters())
-        out.extend(self.f.parameters())
-        return out
 
     def forward_tokens(self, tokens, ctx):
         """tokens: [F, HW, C] — spatial attention batches over frames,
@@ -176,7 +161,7 @@ def _affine_params(rng, c_in, c_out, trainable, name):
     return w, b
 
 
-class ImgDenoiser:
+class ImgDenoiser(Module):
     """Tri-context image denoiser: embed -> K tri-context blocks -> un-embed.
 
     ``trainable="adapters"`` (default) trains only the foreground and
@@ -209,14 +194,6 @@ class ImgDenoiser:
         self.w_out, self.b_out = _affine_params(rng.child("out"), channels,
                                                 latent_shape[0], base_trainable, "out")
 
-    def parameters(self):
-        out = [(self.w_embed.name, self.w_embed), (self.b_embed.name, self.b_embed),
-               (self.ln_gain.name, self.ln_gain), (self.ln_bias.name, self.ln_bias)]
-        for blk in self.blocks:
-            out.extend(blk.parameters())
-        out.extend([(self.w_out.name, self.w_out), (self.b_out.name, self.b_out)])
-        return out
-
     def null_cond(self, cond):
         (bundle,) = cond
         return (bundle.null_like(),)
@@ -236,7 +213,7 @@ class ImgDenoiser:
         return out.reshape(h, w, c_lat).transpose((2, 0, 1))
 
 
-class VidDenoiser:
+class VidDenoiser(Module):
     """Spatio-temporal video denoiser with the reference frame prepended.
 
     The scene-reference latent rides along as frame 0 through embedding,
@@ -261,16 +238,6 @@ class VidDenoiser:
                        for i in range(blocks)]
         self.w_out, self.b_out = _affine_params(rng.child("out"), channels,
                                                 latent_shape[0], True, "out")
-
-    def parameters(self):
-        out = [(self.w_embed.name, self.w_embed), (self.b_embed.name, self.b_embed),
-               (self.k_temporal.name, self.k_temporal),
-               (self.b_temporal.name, self.b_temporal),
-               (self.ln_gain.name, self.ln_gain), (self.ln_bias.name, self.ln_bias)]
-        for blk in self.blocks:
-            out.extend(blk.parameters())
-        out.extend([(self.w_out.name, self.w_out), (self.b_out.name, self.b_out)])
-        return out
 
     def null_cond(self, cond):
         ctx, ref_latent = cond
@@ -473,7 +440,6 @@ def _resize_nearest(image, out_h, out_w):
 
 def save_weights(denoiser, dirpath):
     """Write every parameter as a VSTN tensor plus a JSON manifest."""
-    os.makedirs(dirpath, exist_ok=True)
     manifest = {"params": []}
     for i, (name, p) in enumerate(denoiser.parameters()):
         fname = f"param_{i:03d}.vstn"
@@ -481,8 +447,7 @@ def save_weights(denoiser, dirpath):
         manifest["params"].append({"name": name, "file": fname,
                                    "shape": list(p.data.shape),
                                    "trainable": bool(p.trainable)})
-    with open(os.path.join(dirpath, "weights.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=1)
+    write_json(os.path.join(dirpath, "weights.json"), manifest)
 
 
 def load_weights(denoiser, dirpath):

@@ -8,8 +8,9 @@ used by small research autograd stacks.  A central-difference checker
 polices each analytic gradient.
 
 Also home to the counter-based RNG wrapper, the binary tensor file
-format used to persist latents and weights, and the two readers every
-outside file goes through.
+format used to persist latents and weights, the two readers every
+outside file goes through and the two writers every output file goes
+through.
 """
 
 from __future__ import annotations
@@ -26,11 +27,12 @@ import numpy as np
 from .errors import BadTensorFile, ShapeMismatch
 
 __all__ = [
-    "Tensor", "Parameter", "AttentionParams", "Rng",
+    "Tensor", "Parameter", "Module", "AttentionParams", "Rng",
     "matmul", "layer_norm", "temporal_conv1d",
     "attention", "cross_attention", "no_grad",
     "finite_diff_check", "hash64", "derive_seed",
     "save_tensor", "load_tensor", "stays_inside",
+    "write_bytes", "write_json",
 ]
 
 
@@ -239,6 +241,26 @@ class Parameter(Tensor):
         self.name = name
 
 
+class Module:
+    """Anything that holds parameters.
+
+    ``parameters()`` lists them as ``(name, Parameter)`` pairs in the order
+    the attributes were assigned, walking into sub-modules and into lists of
+    parameters or modules.  AdamW's moment slots and ``save_weights``' file
+    numbers follow that order.
+    """
+
+    def parameters(self):
+        out = []
+        for value in vars(self).values():
+            for item in value if isinstance(value, list) else (value,):
+                if isinstance(item, Parameter):
+                    out.append((item.name, item))
+                elif isinstance(item, Module):
+                    out.extend(item.parameters())
+        return out
+
+
 # --- fused kernels -------------------------------------------------------
 
 
@@ -319,7 +341,7 @@ def temporal_conv1d(x, kernel, bias=None):
 # --- attention -----------------------------------------------------------
 
 
-class AttentionParams:
+class AttentionParams(Module):
     """Projection matrices for one (cross-)attention module.
 
     w_q: [C_q, d], w_k/w_v: [C_ctx, d], w_o: [d, C_q].  ``heads`` must
@@ -347,9 +369,6 @@ class AttentionParams:
                    mk(context_channels, inner_dim, "w_v"),
                    mk(inner_dim, query_channels, "w_o"),
                    heads=heads)
-
-    def parameters(self):
-        return [(p.name, p) for p in (self.w_q, self.w_k, self.w_v, self.w_o)]
 
 
 # Largest score buffer one attention chunk fills, unless a single slice of
@@ -560,19 +579,30 @@ def read_json(path, error):
         raise error(f"{path}: not valid JSON: {exc}") from exc
 
 
+def write_bytes(path, payload):
+    """Write ``payload`` to ``path``, making its parent directory first."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "wb") as fh:
+        fh.write(payload)
+
+
+def write_json(path, doc):
+    """Write ``doc`` as JSON with indent 2, sorted keys and a trailing newline."""
+    write_bytes(path, (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+
+
 def save_tensor(path, array):
-    """Write a float32 little-endian tensor file.
+    """Write a float32 little-endian tensor file and return its bytes.
 
     Layout: magic ``VSTN``, u32 version, u32 rank, rank u64 dims, then the
     C-order float32 payload.
     """
     # ascontiguousarray would promote rank-0 inputs to shape (1,)
     arr = np.asarray(array, dtype="<f4", order="C")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<II", _VERSION, arr.ndim))
-        fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        fh.write(arr.tobytes())
+    payload = (_MAGIC + struct.pack(f"<II{arr.ndim}Q", _VERSION, arr.ndim, *arr.shape)
+               + arr.tobytes())
+    write_bytes(path, payload)
+    return payload
 
 
 def load_tensor(path):

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import copy
 import hashlib
-import json
 import os
 from dataclasses import asdict, dataclass
 
@@ -45,7 +44,7 @@ from .numeric_core import (AttentionParams, Parameter, Rng, Tensor,
                            cross_attention, derive_seed,
                            finite_diff_check, hash64, layer_norm, load_tensor,
                            read_bytes, read_json, save_tensor, stays_inside,
-                           temporal_conv1d)
+                           temporal_conv1d, write_bytes, write_json)
 from .ref_images import (MIN_SIDE, EntityReference, LuminanceSegmenter, RgbImage,
                          RemoteTextToImageBackend, ToyTextToImageBackend,
                          build_entity_references, decode_pgm, decode_ppm,
@@ -149,6 +148,25 @@ def _want_choice(doc, dotted, choices):
     return value
 
 
+# Largest element count one array sized by the model keys may reach; the
+# defaults reach at most 262,144 of it.
+MODEL_BUDGET = 2 ** 26
+
+
+def _check_model_budget(config):
+    c, h, w = config.latent_shape
+    sites, tokens = h * w, (config.frames + 1) * h * w  # the reference frame rides along
+    for keys, elements in (
+            ("model.latent and model.frames", c * tokens),  # a clip latent
+            ("model.channels, model.latent and model.frames", config.channels * tokens),
+            ("model.heads and model.latent", config.heads * sites * sites),  # spatial scores
+            ("model.heads and model.frames", config.heads * (config.frames + 1) ** 2),  # temporal
+            ("model.blocks and model.channels", config.blocks * config.channels ** 2)):
+        if elements > MODEL_BUDGET:
+            raise BadConfig(f"{keys} need {elements} elements, over the model budget "
+                            f"of {MODEL_BUDGET}")
+
+
 class PipelineConfig:
     """Validated view over the single JSON configuration document.
 
@@ -178,6 +196,7 @@ class PipelineConfig:
         self.latent_shape = tuple(_want_int(doc, f"model.latent.{i}", lo)
                                   for i, lo in enumerate((3, MIN_SIDE, MIN_SIDE)))
         self.frames = _want_int(doc, "model.frames", 2)
+        _check_model_budget(self)
 
         self._schedule = make_schedule()
         for key in ("image_sampler", "video_sampler"):
@@ -679,15 +698,13 @@ def _persist_partial(config, prompt, script, references, scenes, stage, exc):
     if not out_dir:
         return
     try:
-        os.makedirs(out_dir, exist_ok=True)
         if script is not None:
             partial = MultiSceneVideo(prompt, script, scenes, references, None, config.seed)
             export_video(partial, out_dir)
         doc = {"failed_stage": stage,
                "error": f"{type(exc).__name__}: {exc}",
                "completed_scenes": [scene.spec.index for scene in scenes]}
-        with open(os.path.join(out_dir, "failure_manifest.json"), "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
+        write_json(os.path.join(out_dir, "failure_manifest.json"), doc)
     except Exception:
         pass  # persistence must never shadow the primary failure
 
@@ -697,12 +714,6 @@ def _persist_partial(config, prompt, script, references, scenes, stage, exc):
 def _slug(index, name):
     keep = "".join(ch if ch.isalnum() else "_" for ch in name)
     return f"{index:02d}_{keep}"
-
-
-def _write_bytes(path, payload):
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(payload)
 
 
 def _write_references(references, put_bytes):
@@ -724,19 +735,15 @@ def export_video(video, out_dir):
     Layout: scene_<i>/frame_<f>.ppm, scene_<i>/*.vstn, refs/*.ppm|pgm,
     script.txt (the one copy of the script), manifest.json.  Returns the manifest path.
     """
-    os.makedirs(out_dir, exist_ok=True)
     checksums = {}
 
     def put_bytes(rel, payload):
-        _write_bytes(os.path.join(out_dir, rel), payload)
+        write_bytes(os.path.join(out_dir, rel), payload)
         checksums[rel] = hashlib.sha256(payload).hexdigest()
 
     def put_tensor(rel, array):
-        path = os.path.join(out_dir, rel)
-        os.makedirs(os.path.dirname(path) or out_dir, exist_ok=True)
-        save_tensor(path, array)
-        with open(path, "rb") as fh:
-            checksums[rel] = hashlib.sha256(fh.read()).hexdigest()
+        payload = save_tensor(os.path.join(out_dir, rel), array)
+        checksums[rel] = hashlib.sha256(payload).hexdigest()
 
     put_bytes("script.txt", (serialize_script(video.script) + "\n").encode("utf-8"))
 
@@ -776,9 +783,7 @@ def export_video(video, out_dir):
     }
     video.manifest = manifest
     manifest_path = os.path.join(out_dir, "manifest.json")
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(manifest_path, manifest)
     return manifest_path
 
 
@@ -860,13 +865,12 @@ def load_video(out_dir, verify=True):
     # verified bytes are what export wrote; unverified ones decode lossily for the parser
     script = parse_script(read_file("script.txt").decode("utf-8", "replace"))
     specs = {spec.index: spec for spec in script.scenes}
-    records = {rec.name: rec for rec in find_common_entities(script)}
 
     references = {}
     for name, entry in manifest["references"].items():
         image = decode_ppm(read_file(entry["image"]))
         mask = decode_pgm(read_file(entry["mask"]))
-        references[name] = EntityReference(records.get(name), image, entry["kind"], mask)
+        references[name] = EntityReference(image, entry["kind"], mask)
 
     scenes = []
     for entry in manifest["scenes"]:

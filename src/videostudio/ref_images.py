@@ -49,8 +49,7 @@ class Mask:
 
 
 class EntityReference:
-    def __init__(self, entity, image, kind, mask):
-        self.entity = entity
+    def __init__(self, image, kind, mask):
         self.image = image
         self.kind = kind
         self.mask = mask
@@ -160,7 +159,7 @@ def build_entity_references(script, descriptions, backends, seed):
         mask = segment_salient(image, backends.segmenter)
         keep = "fg" if record.kind == "foreground" else "bg"
         masked = apply_mask(image, mask, keep)
-        references[record.name] = EntityReference(record, masked, record.kind, mask)
+        references[record.name] = EntityReference(masked, record.kind, mask)
     return references
 
 

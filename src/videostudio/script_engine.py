@@ -91,15 +91,16 @@ _RECORD = re.compile(
 )
 
 
-def _parse_camera(text, line_number):
+def parse_camera(text, where):
+    """``direction, speed`` in any case as a CameraMove; errors name ``where``."""
     parts = [p.strip().lower() for p in text.split(",")]
     if len(parts) != 2:
-        raise MalformedScene(f"line {line_number}: camera needs 'direction, speed', got {text!r}")
+        raise MalformedScene(f"{where}: camera needs 'direction, speed', got {text!r}")
     direction, speed = parts
     if direction not in DIRECTIONS:
-        raise UnknownCameraToken(f"line {line_number}: unknown camera direction {direction!r}")
+        raise UnknownCameraToken(f"{where}: unknown camera direction {direction!r}")
     if speed not in SPEEDS:
-        raise UnknownCameraToken(f"line {line_number}: unknown camera speed {speed!r}")
+        raise UnknownCameraToken(f"{where}: unknown camera speed {speed!r}")
     return CameraMove(direction, speed)
 
 
@@ -154,7 +155,7 @@ def parse_script(text):
         for name, kind in [(n, "foreground") for n in foreground] + [(background, "background")]:
             if kinds.setdefault(name, kind) != kind:
                 raise MalformedScene(f"line {line_number}: {name!r} is foreground and background")
-        camera = _parse_camera(m.group(5), line_number)
+        camera = parse_camera(m.group(5), f"line {line_number}")
         scenes.append(SceneSpec(index, prompt, foreground, background, camera))
     if not scenes:
         raise EmptyScript("no scene records found")

@@ -50,6 +50,23 @@ def test_vocabulary_validation():
     with pytest.raises(ShapeMismatch):
         default_vocabulary(channels=8)  # 16 names cannot orthogonalize in 8 dims
 
+@pytest.mark.parametrize("name", [5, None, ["riding", "bike"], "", "   ", "\t\n"],
+                         ids=["int", "null", "list", "empty", "spaces", "whitespace"])
+def test_vocabulary_names_must_hold_a_word(name):
+    # a non-string name broke the scenes stage; a blank one matched every prompt
+    with pytest.raises(EmptyVocabulary, match="not a string of words"):
+        ActionVocabulary(["waving", name], np.eye(4)[:2])
+
+
+def test_vocabulary_file_with_a_number_for_a_name_is_bad_config(tmp_path):
+    from videostudio.errors import BadConfig
+    from videostudio.pipeline import load_config
+    path = tmp_path / "vocab.json"
+    path.write_text(json.dumps([{"name": 5, "embedding": [1.0, 0.0]}]))
+    with pytest.raises(BadConfig, match="vocabulary"):
+        load_config(overrides={"vocabulary_path": str(path)})
+
+
 def test_vocabulary_json_round_trip(tmp_path):
     vocab = default_vocabulary(channels=32)
     path = tmp_path / "vocab.json"

@@ -142,6 +142,20 @@ def test_sample_video_honours_camera_flag(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_camera_flag_reads_the_script_camera_tokens(tmp_path, capsys):
+    # the flag goes through the script's camera parser: any case, spaces allowed
+    for name, camera in (("lower", "right,medium"), ("script", "Right, Medium")):
+        assert main(["sample-video", "--prompt", "a checkered marble on a dark desk",
+                     "--out", str(tmp_path / f"{name}.vstn"), "--camera", camera]) == 0
+    assert (tmp_path / "lower.vstn").read_bytes() == (tmp_path / "script.vstn").read_bytes()
+    capsys.readouterr()
+    assert main(["sample-video", "--prompt", "x", "--out", str(tmp_path / "bad.vstn"),
+                 "--camera", "diag,fast"]) == 2
+    err = capsys.readouterr().err
+    assert "--camera" in err and "'diag'" in err and err.count("\n") == 1
+    assert not (tmp_path / "bad.vstn").exists()
+
+
 def test_sample_video_with_unreadable_vocabulary_exits_2(tmp_path, capsys):
     vocab = tmp_path / "vocab.json"
     vocab.write_text("{not json")

@@ -175,6 +175,38 @@ def test_img_denoiser_adapters_mode_freezes_backbone():
         ImgDenoiser(Rng(12), trainable="some")
 
 
+_ATTENTION = ("w_q", "w_k", "w_v", "w_o")
+
+
+def _layout(head, per_block, blocks=2):
+    """Names in the documented order: embed and the other leading
+    parameters, block{i} with its modules' weights, then out."""
+    names = [f"embed.{p}" for p in "wb"] + head
+    for i in range(blocks):
+        for module, params in per_block:
+            names += [f"block{i}.{module}.{p}" for p in params]
+    return names + [f"out.{p}" for p in "wb"]
+
+
+@pytest.mark.parametrize("trainable", ["adapters", "all"])
+def test_img_denoiser_parameter_order(trainable):
+    den = ImgDenoiser(Rng(0), trainable=trainable)
+    names = _layout(["ln.gain", "ln.bias"],
+                    [(m, _ATTENTION) for m in ("ca1", "ca2", "ca3", "sa")])
+    flags = [trainable == "all" or ".ca2." in n or ".ca3." in n for n in names]
+    assert [(n, p.name, p.trainable) for n, p in den.parameters()] == \
+        [(n, n, f) for n, f in zip(names, flags)]
+
+
+def test_vid_denoiser_parameter_order():
+    den = VidDenoiser(Rng(0))
+    names = _layout(["temporal.k", "temporal.b", "ln.gain", "ln.bias"],
+                    [(m, _ATTENTION) for m in ("ca", "sa_spatial", "sa_temporal")]
+                    + [("f", "wb")])
+    assert [(n, p.name, p.trainable) for n, p in den.parameters()] == \
+        [(n, n, True) for n in names]
+
+
 def test_vid_denoiser_reference_frame_defaults_to_zeros():
     rng = Rng(13)
     den = VidDenoiser(rng.child("m"), latent_shape=(2, 3, 4, 4), channels=8,

@@ -15,7 +15,8 @@ from videostudio.numeric_core import (AttentionParams, Parameter, Rng, Tensor,
                                       attention, cross_attention, derive_seed,
                                       finite_diff_check, hash64,
                                       layer_norm, load_tensor, no_grad,
-                                      save_tensor, temporal_conv1d)
+                                      save_tensor, temporal_conv1d, write_bytes,
+                                      write_json)
 
 
 # --- autograd basics ---------------------------------------------------------
@@ -315,6 +316,39 @@ def test_vstn_round_trip_bitwise(tmp_path):
         back = load_tensor(path)
         assert back.shape == np.asarray(arr, dtype=np.float32).shape
         assert np.array_equal(back, np.asarray(arr, dtype=np.float32))
+
+
+def test_save_tensor_returns_the_bytes_it_wrote(tmp_path):
+    path = tmp_path / "new" / "t.vstn"  # the parent directory is made
+    payload = save_tensor(path, np.arange(6.0).reshape(2, 3))
+    assert payload == path.read_bytes()
+    assert payload[:4] == b"VSTN" and len(payload) == 12 + 2 * 8 + 6 * 4
+
+
+def test_writers_make_the_parent_and_share_one_json_format(tmp_path):
+    write_bytes(tmp_path / "a" / "b" / "raw.bin", b"\x00\x01")
+    assert (tmp_path / "a" / "b" / "raw.bin").read_bytes() == b"\x00\x01"
+    write_json(tmp_path / "c" / "doc.json", {"b": [1, "\u00e9"], "a": None})
+    assert (tmp_path / "c" / "doc.json").read_bytes() == \
+        b'{\n  "a": null,\n  "b": [\n    1,\n    "\\u00e9"\n  ]\n}\n'
+
+
+def test_module_walks_parameters_in_assignment_order():
+    class Leaf(numeric_core.Module):
+        def __init__(self, name):
+            self.b = Parameter(np.zeros(1), name=f"{name}.b")
+            self.a = Parameter(np.zeros(1), name=f"{name}.a")
+            self.width = 3
+
+    class Tree(numeric_core.Module):
+        def __init__(self):
+            self.first = Parameter(np.zeros(1), name="first")
+            self.leaves = [Leaf("x"), Parameter(np.zeros(1), name="loose"), Leaf("y")]
+            self.shape = (1, 2)
+            self.last = Leaf("z")
+
+    assert [name for name, _ in Tree().parameters()] == [
+        "first", "x.b", "x.a", "loose", "y.b", "y.a", "z.b", "z.a"]
 
 
 def test_vstn_rejects_corruption(tmp_path):

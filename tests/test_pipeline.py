@@ -179,6 +179,32 @@ def test_huge_integers_are_typed_errors(dotted, value):
         load_config(overrides=_nested(dotted, value))
 
 
+@pytest.mark.parametrize("model,keys", [
+    ({"channels": 2 ** 40}, "model.channels"),
+    ({"latent": [4, 2 ** 30, 2 ** 30]}, "model.latent"),
+    ({"frames": 2 ** 40}, "model.frames"),
+    ({"blocks": 2 ** 40}, "model.blocks"),
+], ids=["channels", "latent", "frames", "blocks"])
+def test_model_size_past_the_budget_is_bad_config(model, keys):
+    # channels raised MemoryError while the vocabulary was built; the rest loaded
+    with pytest.raises(BadConfig, match=f"{keys}.*model budget"):
+        load_config(overrides={"model": model})
+
+
+def test_model_budget_bounds_each_product():
+    budget = pipeline.MODEL_BUDGET
+    for model in ({"latent": [budget // 63, 8, 8], "frames": 2},        # clip latent
+                  {"heads": 1, "channels": 1, "latent": [3, 128, 128]},  # spatial scores
+                  {"heads": 1, "channels": 1, "latent": [3, 8, 8],
+                   "frames": 2 ** 13}):                                  # temporal scores
+        with pytest.raises(BadConfig, match="model budget"):
+            load_config(overrides={"model": model})
+    # the largest square block weights that fit, at one block
+    config = load_config(overrides={"model": {"channels": 2 ** 13, "heads": 1, "blocks": 1,
+                                              "latent": [3, 8, 8], "frames": 2}})
+    assert config.blocks * config.channels ** 2 == budget
+
+
 def test_overlong_int_literals_are_typed_errors(tmp_path):
     literal = "1" * 5000  # past the 4300 digits int() converts by default
     (tmp_path / "config.json").write_text('{"seed": %s}' % literal)
@@ -321,11 +347,11 @@ def test_compose_scene_records_boxes_without_references():
 def test_compose_scene_pastes_foreground_tile_over_background():
     from videostudio.ref_images import EntityReference, Mask
     spec = parse_script(SCRIPT2).scenes[0]
-    bg = EntityReference(None, RgbImage(np.full((16, 16, 3), 0.25)), "background",
+    bg = EntityReference(RgbImage(np.full((16, 16, 3), 0.25)), "background",
                          Mask(np.zeros((16, 16))))
     tile = np.zeros((16, 16, 3))
     tile[:, :, 0] = 1.0
-    fg = EntityReference(None, RgbImage(tile), "foreground", Mask(np.ones((16, 16))))
+    fg = EntityReference(RgbImage(tile), "foreground", Mask(np.ones((16, 16))))
     refs = {"workshop": bg, "silver robot": fg}
     canvas, boxes = compose_scene(spec, refs, 16, 16, None, scene_seed=0)
     r0, r1, c0, c1 = boxes["silver robot"]
