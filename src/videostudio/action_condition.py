@@ -17,19 +17,23 @@ DROP_THRESHOLD = 0.2
 
 
 class ActionVocabulary:
-    """names: V action names, each a string of at least one word;
-    embeddings: V x C unit-norm rows."""
+    """names: V action names, each a string of at least one word, no two
+    the same words ignoring case; embeddings: V x C unit-norm rows."""
 
     def __init__(self, names, embeddings):
         names = list(names)
         embeddings = np.asarray(embeddings, dtype=np.float64)
         if len(names) < 1:
             raise EmptyVocabulary("vocabulary needs at least one action")
+        seen = {}  # names match prompts as lowercased words, so they must differ as such
         for name in names:
             if not (isinstance(name, str) and name.split()):
                 raise EmptyVocabulary(f"vocabulary name {name!r} is not a string of words")
-        if len(set(names)) != len(names):
-            raise EmptyVocabulary("vocabulary names must be unique")
+            key = tuple(name.lower().split())
+            if key in seen:
+                raise EmptyVocabulary(f"vocabulary names {seen[key]!r} and {name!r} match "
+                                      "the same words")
+            seen[key] = name
         if embeddings.ndim != 2 or embeddings.shape[0] != len(names):
             raise ShapeMismatch(f"embeddings {embeddings.shape} vs {len(names)} names")
         norms = np.linalg.norm(embeddings, axis=1)

@@ -65,6 +65,7 @@ class VidContext:
             raise ShapeMismatch(f"y_s must be [L, C], got {self.y_s.shape}")
         if self.y_a.ndim != 1:
             raise ShapeMismatch(f"y_a must be a vector, got {self.y_a.shape}")
+        self.residuals = None  # per-block null-pass residuals, set by VidDenoiser.null_cond
 
     def null_like(self):
         """Zeroed (same-shape) scene features and indicator."""
@@ -130,14 +131,18 @@ class SpatioTemporalBlock(Module):
                                                 channels, heads, name=f"{name}.sa_temporal")
         self.f = ActionEmbedding.init(rng.child("f"), vocab_size, channels, name=f"{name}.f")
 
-    def forward_tokens(self, tokens, ctx):
-        """tokens: [F, HW, C] — spatial attention batches over frames,
-        temporal attention batches over spatial sites."""
+    def residual(self, tokens, ctx):
+        """What the block adds to tokens [F, HW, C]: spatial attention batches
+        over frames, temporal attention over spatial sites.  The tokens are
+        read only as the queries of the scene cross-attention."""
         y = cross_attention(tokens, Tensor(ctx.y_s), self.ca) + embed_indicator(ctx.y_a, self.f)
         spatial = cross_attention(y, y, self.sa_spatial)
         sites = spatial.swapaxes(0, 1)  # [HW, F, C]
         temporal = cross_attention(sites, sites, self.sa_temporal)
-        return tokens + temporal.swapaxes(0, 1)
+        return temporal.swapaxes(0, 1)
+
+    def forward_tokens(self, tokens, ctx):
+        return tokens + self.residual(tokens, ctx)
 
 
 # --- denoisers --------------------------------------------------------------
@@ -240,8 +245,14 @@ class VidDenoiser(Module):
                                                 latent_shape[0], True, "out")
 
     def null_cond(self, cond):
+        """The zeroed context, holding each block's residual.  Over zero y_s
+        the cross-attention returns exactly 0, so no residual reads x or t."""
         ctx, ref_latent = cond
-        return (ctx.null_like(), ref_latent)
+        null = ctx.null_like()
+        _, frames, h, w = self.latent_shape
+        zeros = Tensor(np.zeros((frames + 1, h * w, self.channels)))
+        null.residuals = [blk.residual(zeros, null) for blk in self.blocks]
+        return (null, ref_latent)
 
     def predict(self, video_latent, t, ctx, ref_latent=None):
         video_latent = np.asarray(video_latent, dtype=np.float64)
@@ -261,8 +272,10 @@ class VidDenoiser(Module):
         tokens = grid.transpose((1, 2, 3, 0)).reshape(frames + 1, h * w, self.channels)
         tokens = tokens + Tensor(timestep_embedding(t, self.channels))
         tokens = layer_norm(tokens, self.ln_gain, self.ln_bias)
-        for blk in self.blocks:
-            tokens = blk.forward_tokens(tokens, ctx)
+        for i, blk in enumerate(self.blocks):
+            # a held residual goes on the left: backward then walks its graph before
+            # the stem's, which keeps backward's peak memory at the full path's
+            tokens = ctx.residuals[i] + tokens if ctx.residuals else blk.forward_tokens(tokens, ctx)
         out = matmul(tokens, self.w_out) + self.b_out
         out = out.reshape(frames + 1, h, w, c_lat).transpose((3, 0, 1, 2))
         return out[:, 1:]  # strip the reference frame

@@ -214,7 +214,7 @@ class PipelineConfig:
         path = doc["vocabulary_path"]
         try:
             vocab = load_vocabulary(path) if path else default_vocabulary(self.channels)
-        except (ValueError, KeyError, TypeError, ValidationError) as exc:
+        except (ValueError, KeyError, TypeError, OverflowError, ValidationError) as exc:
             raise BadConfig(f"action vocabulary {path or '(default)'!r} is unusable: "
                             f"{type(exc).__name__}: {exc}") from exc
         self.vocab_size = vocab.size

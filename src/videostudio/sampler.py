@@ -192,14 +192,11 @@ def _values(pred, k, t):
     return values
 
 
-def _predict_eps(denoiser, x, t, cond, scale, k):
+def _predict_eps(denoiser, x, t, cond, null_cond, scale, k):
     # sampling never calls backward, so no predict builds a tape
     with no_grad():
         eps_c = _values(denoiser.predict(x, t, *cond), k, t)
-        if scale == 1.0:
-            return eps_c
-        null_cond = denoiser.null_cond(cond)
-        if null_cond is None:  # conditioning has no effect: guidance is the identity
+        if null_cond is None:  # scale 1, or conditioning has no effect: no guidance
             return eps_c
         eps_u = _values(denoiser.predict(x, t, *null_cond), k, t)
     return cfg_epsilon(eps_u, eps_c, scale)
@@ -210,6 +207,9 @@ def _sample(denoiser, shape, cond, schedule, config, intervene_after=0, field=No
     taus = respaced_timesteps(schedule.T, config.steps)
     x = rng.normal(shape)
     boundary = getattr(denoiser, "x0_at_pure_noise", None)
+    scale = config.guidance_scale
+    with no_grad():  # one null condition per run: it is a pure function of cond
+        null_cond = None if scale == 1.0 else denoiser.null_cond(cond)
     for k in range(config.steps):
         t, t_next = taus[k], taus[k + 1]
         if k == 0 and boundary is not None:
@@ -219,7 +219,7 @@ def _sample(denoiser, shape, cond, schedule, config, intervene_after=0, field=No
             eps_hat = x  # the boundary state is its own noise
             x = _ddim_update(x0_hat, eps_hat, 0.0, t_next, schedule, config.eta, rng)
         else:
-            eps_hat = _predict_eps(denoiser, x, t, cond, config.guidance_scale, k)
+            eps_hat = _predict_eps(denoiser, x, t, cond, null_cond, scale, k)
             x = ddim_step(x, eps_hat, t, t_next, schedule, config.eta, rng)
         if k + 1 == intervene_after and t_next >= 1:
             x = apply_camera_intervention(x, eps_hat, t_next, schedule, field)
@@ -231,9 +231,11 @@ def sample_image(denoiser, cond, schedule, config):
 
     ``cond`` is the tuple ``denoiser.predict(x, t, *cond)`` takes; it must
     return an eps estimate of the latent's shape.  Guidance contrasts
-    ``cond`` against ``denoiser.null_cond(cond)``; scale 1, or a None null
-    condition, skips the unconditional call entirely.  A prediction that is
-    NaN or Inf raises NonFiniteLatent naming the step.
+    ``cond`` against ``denoiser.null_cond(cond)``, called once per run and
+    reused at every step, so it must be a pure function of ``cond`` and may
+    hold precomputed state; scale 1, or a None null condition, skips the
+    unconditional call entirely.  A prediction that is NaN or Inf raises
+    NonFiniteLatent naming the step.
     """
     return _sample(denoiser, tuple(denoiser.latent_shape), cond, schedule, config)
 
@@ -245,8 +247,8 @@ def sample_video(denoiser, cond, camera, schedule, config):
     the current latent is pushed toward its camera-warped clean estimate
     exactly once, reusing the latest (guided) eps.  The denoiser sees
     ``predict(x, t, *cond)``; guidance contrasts that with
-    ``denoiser.null_cond(cond)``, and scale 1 or a None null condition
-    means one call per step.
+    ``denoiser.null_cond(cond)``, built once per run as in ``sample_image``;
+    scale 1 or a None null condition means one call per step.
     """
     shape = tuple(denoiser.latent_shape)
     if len(shape) != 4:

@@ -58,6 +58,14 @@ def test_vocabulary_names_must_hold_a_word(name):
         ActionVocabulary(["waving", name], np.eye(4)[:2])
 
 
+def test_vocabulary_names_must_differ_as_prompt_words():
+    # prompts match names as lowercased words: two such names asserted both categories
+    with pytest.raises(EmptyVocabulary, match="'Riding Bike' and 'riding  bike'"):
+        ActionVocabulary(["Riding Bike", "riding  bike"], np.eye(4)[:2])
+    vocab = ActionVocabulary(["Riding Bike", "riding bikes"], np.eye(4)[:2])
+    assert extract_action_phrases("a fox riding bike", vocab) == ["Riding Bike"]
+
+
 def test_vocabulary_file_with_a_number_for_a_name_is_bad_config(tmp_path):
     from videostudio.errors import BadConfig
     from videostudio.pipeline import load_config

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from videostudio import cond_blocks
 from videostudio.cond_blocks import (AdamW, AnalyticGaussianDenoiser,
                                      ContextBundle, GaussianPrior,
                                      ImgDenoiser, SpatioTemporalBlock,
@@ -13,8 +14,8 @@ from videostudio.cond_blocks import (AdamW, AnalyticGaussianDenoiser,
                                      save_weights, timestep_embedding,
                                      train_step, tri_context_forward)
 from videostudio.errors import BadTensorFile, DivisionAtTZero, ShapeMismatch
-from videostudio.numeric_core import Rng, Tensor
-from videostudio.sampler import make_schedule
+from videostudio.numeric_core import Rng, Tensor, finite_diff_check, no_grad
+from videostudio.sampler import SamplerConfig, make_schedule, sample_video
 
 
 def _bundle(rng, channels=8, text_len=3, fg_len=2, bg_len=2):
@@ -222,6 +223,123 @@ def test_vid_denoiser_reference_frame_defaults_to_zeros():
     assert not np.array_equal(out_none.data, out_ref.data)
     with pytest.raises(ShapeMismatch):
         den.predict(x, 5, ctx, np.zeros((2, 2, 4, 4)))
+
+
+# --- the null pass ------------------------------------------------------------------------
+
+def _full_null(cond):
+    # the null condition without held residuals: predict runs every block in full
+    ctx, ref_latent = cond
+    return (ctx.null_like(), ref_latent)
+
+
+def _with_action_bias(den, seed):
+    # f.b starts at zero, which makes every null-pass residual zero; a nonzero
+    # bias, as training leaves it, gives the null pass something to compute
+    for i, blk in enumerate(den.blocks):
+        blk.f.b.data = Rng(seed).child(i).normal(blk.f.b.data.shape)
+    return den
+
+
+def _tiny_vid(seed, blocks=1):
+    return _with_action_bias(VidDenoiser(Rng(seed), latent_shape=(2, 2, 2, 2), channels=4,
+                                         blocks=blocks, heads=2, vocab_size=3,
+                                         scene_channels=4), seed)
+
+
+def _tiny_cond(seed):
+    rng = Rng(seed)
+    return (VidContext(rng.normal((3, 4)), rng.uniform(3)), rng.normal((2, 1, 2, 2)))
+
+
+def test_null_pass_residuals_read_neither_x_nor_t():
+    # VidDenoiser.null_cond rests on this: over zeroed y_s and y_a the scene
+    # cross-attention is exactly 0, so each block's residual depends only on
+    # its parameters.  A block that fed its tokens in before the self-attention
+    # would break this test.
+    den = _with_action_bias(VidDenoiser(Rng(40)), 40)
+    cond = (VidContext(Rng(41).normal((4, 32)), Rng(42).uniform(16)),
+            Rng(43).normal((4, 1, 16, 16)))
+    seen = []  # (tokens in, residual out) per block call
+
+    def spy(inner):
+        def residual(tokens, ctx):
+            out = inner(tokens, ctx)
+            seen.append((tokens.data, out.data))
+            return out
+        return residual
+
+    for blk in den.blocks:
+        blk.residual = spy(blk.residual)
+    pairs = [(Rng(44).normal(den.latent_shape), 900), (Rng(45).normal(den.latent_shape), 37)]
+    with no_grad():
+        full = [den.predict(x, t, *_full_null(cond)).data for x, t in pairs]
+    k = len(den.blocks)
+    assert len(seen) == 2 * k
+    for (tokens_a, res_a), (tokens_b, res_b) in zip(seen[:k], seen[k:]):
+        assert not np.array_equal(tokens_a, tokens_b)
+        assert np.array_equal(res_a, res_b) and np.any(res_a)
+    for blk in den.blocks:
+        del blk.residual
+    with no_grad():
+        held = den.null_cond(cond)
+        assert all(np.array_equal(r.data, res) for r, (_, res) in zip(held[0].residuals, seen))
+        for (x, t), want in zip(pairs, full):
+            assert np.array_equal(den.predict(x, t, *held).data, want)
+
+
+def test_guided_video_builds_the_null_residuals_once_per_clip(monkeypatch):
+    steps, k = 5, 2
+    den = _tiny_vid(46, blocks=k)
+    cond = _tiny_cond(47)
+    counts = {"null_cond": 0, "predict": 0, "xattn": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(den, "null_cond", counted("null_cond", den.null_cond))
+    monkeypatch.setattr(den, "predict", counted("predict", den.predict))
+    monkeypatch.setattr(cond_blocks, "cross_attention",
+                        counted("xattn", cond_blocks.cross_attention))
+    sched = make_schedule(100, 0.001, 0.02)
+    cfg = SamplerConfig(steps=steps, eta=1.0, guidance_scale=12.0, t_m=2, seed=3)
+    held = sample_video(den, cond, ("left", "fast"), sched, cfg)
+    # three attentions per block: per step for the conditional pass, once for the null build
+    assert counts == {"null_cond": 1, "predict": 2 * steps, "xattn": 3 * k * (steps + 1)}
+    monkeypatch.setattr(den, "null_cond", _full_null)
+    assert np.array_equal(held, sample_video(den, cond, ("left", "fast"), sched, cfg))
+
+
+def test_null_cond_residuals_carry_gradients():
+    den = _tiny_vid(48)
+    cond = _tiny_cond(49)
+    x, w = Rng(50).normal((2, 2, 2, 2)), Tensor(Rng(51).normal((2, 2, 2, 2)))
+    params = [p for _, p in den.parameters()]
+    err = finite_diff_check(lambda: (den.predict(x, 7, *den.null_cond(cond)) * w).sum(), params)
+    assert err < 1e-4  # the gradient audit's bound
+
+
+def test_condition_dropout_gradients_match_the_full_null_path():
+    sched = make_schedule(50, 0.001, 0.02)
+    batch = [(Rng(52).normal((2, 2, 2, 2)), _tiny_cond(53)),
+             (Rng(54).normal((2, 2, 2, 2)), _tiny_cond(55))]
+    grads = []
+    for full in (False, True):
+        den = _tiny_vid(56)
+        if full:
+            den.null_cond = _full_null
+        train_step(den, batch, sched, Rng(57), p_drop=1.0)
+        grads.append({name: p.grad for name, p in den.parameters()})
+    held, want = grads
+    for name in want:
+        assert np.max(np.abs(held[name] - want[name])) <= 1e-12, name
+        if ".ca." in name:  # exactly zero over a zeroed context, but present for AdamW
+            assert not np.any(held[name]), name
+    for module in (".f.", ".sa_spatial.", ".sa_temporal."):
+        assert any(np.any(g) for n, g in held.items() if module in n), module
 
 
 # --- training --------------------------------------------------------------------------

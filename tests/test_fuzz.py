@@ -1,4 +1,5 @@
-"""Property-based fuzzing of the untrusted-input decoders and the script parser.
+"""Property-based fuzzing of the untrusted-input decoders, the script parser
+and the config loader.
 
 Each target gets arbitrary bytes or text, plus well-formed headers and
 records with random fields.  Whatever it is fed, only a VideoStudioError
@@ -6,6 +7,7 @@ may escape.  Runs are derandomized and keep no example database, so every
 run draws the same examples.
 """
 
+import json
 import math
 import struct
 
@@ -17,6 +19,7 @@ from hypothesis.extra import numpy as hnp
 from videostudio.camera_motion import DIRECTIONS, SPEEDS
 from videostudio.errors import VideoStudioError
 from videostudio.numeric_core import load_tensor, save_tensor
+from videostudio.pipeline import PipelineConfig, default_config, load_config
 from videostudio.ref_images import Mask, RgbImage, decode_pgm, decode_ppm
 from videostudio.script_engine import parse_script, serialize_script
 
@@ -143,3 +146,90 @@ def test_parse_script_raises_only_typed_errors_and_round_trips(text):
     script = _typed(parse_script, text)
     if script is not None:
         assert parse_script(serialize_script(script)).scenes == script.scenes
+
+
+# --- config -------------------------------------------------------------------------
+
+_BIG = "@big@"  # stands for a 5,000-digit integer literal, past what json.loads reads
+_NUMBER = st.one_of(st.integers(-2, 70), st.integers(0, 80).map(lambda k: 2 ** k),
+                    st.just(2 ** 1100), st.floats())
+_LEAF = st.one_of(st.none(), st.booleans(), _NUMBER, st.text(max_size=8),
+                  st.sampled_from(["oracle", "network", "mock", "http", "toy", "vocab.json"]))
+_VALUE = st.recursive(_LEAF, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=8)
+_VOCAB_ROW = st.fixed_dictionaries({
+    "name": st.one_of(st.sampled_from(["waving", "Riding Bike", "riding  bike"]), _LEAF),
+    "embedding": st.one_of(st.sampled_from([[1.0, 0.0], [0.0, 1.0]]),
+                           st.lists(_NUMBER, min_size=2, max_size=2), _VALUE)})
+
+
+def _leaf_paths(doc, prefix=()):
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield from _leaf_paths(value, prefix + (key,))
+        else:
+            yield prefix + (key,)
+
+
+_CONFIG_LEAVES = tuple(_leaf_paths(default_config()))
+
+
+def _json_text(doc, draw):
+    # the text of doc, with each _BIG spelled out, one time in four cut short
+    text = json.dumps(doc).replace(json.dumps(_BIG), "9" * 5000)
+    cut = draw(st.sampled_from([False, False, False, True]))
+    return text[:draw(st.integers(0, len(text)))] if cut else text
+
+
+@st.composite
+def config_files(draw):
+    """(config text, vocabulary text): the default config with random leaves
+    replaced (model sizes and the latent often by small or power-of-two
+    integers), sometimes an unknown key or a section replaced by a value.
+    A ``"vocab.json"`` leaf names the well-formed vocabulary file."""
+    doc = default_config()
+    swaps = draw(st.dictionaries(st.sampled_from(_CONFIG_LEAVES),
+                                 st.one_of(_NUMBER, _VALUE, st.lists(_NUMBER, max_size=4)),
+                                 max_size=3))
+    for path, value in swaps.items():
+        section = doc
+        for name in path[:-1]:
+            section = section[name]
+        section[path[-1]] = value
+    extra = draw(st.sampled_from(["none"] * 4 + ["big", "unknown", "section", "root"]))
+    if extra == "big":
+        doc["seed"] = _BIG
+    elif extra == "unknown":
+        draw(st.sampled_from([doc, doc["model"], doc["chat"]]))[draw(st.text(max_size=6))] = 1
+    elif extra == "section":
+        doc[draw(st.sampled_from(["model", "video_sampler", "chat"]))] = draw(_LEAF)
+    elif extra == "root":
+        doc = draw(_VALUE)
+    vocab = [{"name": "waving", "embedding": [1.0, 0.0]}]
+    return _json_text(doc, draw), json.dumps(vocab)
+
+
+@st.composite
+def vocabulary_files(draw):
+    """(config text, vocabulary text): a config naming the vocabulary file,
+    whose rows have random names and embeddings."""
+    vocab = draw(st.one_of(st.lists(_VOCAB_ROW, min_size=1, max_size=3), _VALUE))
+    return json.dumps({"vocabulary_path": "vocab.json"}), _json_text(vocab, draw)
+
+
+def test_load_config_raises_only_typed_errors(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # relative paths in the config resolve in here
+
+    @FUZZ
+    @given(st.one_of(config_files(), vocabulary_files(),
+                     st.tuples(st.binary(max_size=64), st.just("[]"))))
+    def check(files):
+        config_text, vocab_text = files
+        (tmp_path / "vocab.json").write_text(vocab_text)
+        raw = config_text if isinstance(config_text, bytes) else config_text.encode()
+        (tmp_path / "config.json").write_bytes(raw)
+        config = _typed(load_config, "config.json")
+        assert config is None or isinstance(config, PipelineConfig)
+
+    check()

@@ -248,7 +248,9 @@ def test_config_string_keys_are_typed(tmp_path, key, value):
     '["running"]',
     '[{"name": "running", "embedding": "up"}]',
     '[{"name": "running", "embedding": [NaN, 0.0]}]',
-], ids=["not-json", "no-name", "row-not-object", "embedding-not-numbers", "nan-embedding"])
+    '[{"name": "running", "embedding": [1%s, 0.0]}]' % ("0" * 400),
+], ids=["not-json", "no-name", "row-not-object", "embedding-not-numbers", "nan-embedding",
+        "embedding-past-float-range"])
 def test_unusable_vocabulary_fails_at_load(tmp_path, text):
     path = tmp_path / "vocab.json"
     path.write_text(text)
