@@ -16,20 +16,27 @@ from .numeric_core import Module, Parameter, Rng, Tensor, hash64, matmul, read_j
 DROP_THRESHOLD = 0.2
 
 
+def _words(text):
+    """The lowercased words of ``text``, stripped of ``.,;:!?`` at their
+    edges: the one word rule for prompts and vocabulary names alike."""
+    return [w.strip(".,;:!?") for w in text.lower().split()]
+
+
 class ActionVocabulary:
-    """names: V action names, each a string of at least one word, no two
-    the same words ignoring case; embeddings: V x C unit-norm rows."""
+    """names: V action names, each a string of at least one word and no
+    word that is only punctuation, no two the same words (see ``_words``);
+    embeddings: V x C unit-norm rows."""
 
     def __init__(self, names, embeddings):
         names = list(names)
         embeddings = np.asarray(embeddings, dtype=np.float64)
         if len(names) < 1:
             raise EmptyVocabulary("vocabulary needs at least one action")
-        seen = {}  # names match prompts as lowercased words, so they must differ as such
+        seen = {}  # names match prompts by their words, so they must differ as such
         for name in names:
-            if not (isinstance(name, str) and name.split()):
+            key = tuple(_words(name)) if isinstance(name, str) else ()
+            if not (key and all(key)):
                 raise EmptyVocabulary(f"vocabulary name {name!r} is not a string of words")
-            key = tuple(name.lower().split())
             if key in seen:
                 raise EmptyVocabulary(f"vocabulary names {seen[key]!r} and {name!r} match "
                                       "the same words")
@@ -78,15 +85,16 @@ def load_vocabulary(path):
 def extract_action_phrases(prompt, vocab):
     """The vocabulary names that occur in the prompt, in vocabulary order.
 
-    A name matches a run of whole words, ignoring case and the
-    punctuation ``.,;:!?`` at word edges; each name is reported once.
+    A name matches a run of whole words, both split by ``_words``, so
+    case and the punctuation ``.,;:!?`` at word edges do not count; each
+    name is reported once.
     """
     if not prompt or not prompt.strip():
         raise EmptyPrompt("prompt must be nonempty")
-    words = [w.strip(".,;:!?") for w in prompt.lower().split()]
+    words = _words(prompt)
     found = []
     for name in vocab.names:
-        target = name.lower().split()
+        target = _words(name)
         n = len(target)
         if any(words[i:i + n] == target for i in range(len(words) - n + 1)):
             found.append(name)

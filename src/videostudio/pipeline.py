@@ -7,8 +7,8 @@ the whole pipeline runs and is checkable on a laptop:
   round-trips exactly through encode/decode, and because both the warp
   and the map are linear, camera moves stay visible in exported frames;
 * a compositor pastes entity reference tiles onto the background canvas
-  at fixed slots and records the ground-truth boxes the toy detector
-  reuses later;
+  at fixed slots and records the ground-truth boxes the metrics crop
+  later;
 * generation defaults to the anchored analytic denoiser whose prior mean
   is the latent of that composite, which makes reference reuse and
   camera effects exactly predictable.  Set "denoiser": "network" to run
@@ -21,6 +21,7 @@ concurrently; we run them in index order for simplicity.
 from __future__ import annotations
 
 import copy
+import functools
 import hashlib
 import os
 from dataclasses import asdict, dataclass
@@ -60,8 +61,7 @@ __all__ = [
     "PipelineConfig", "PipelineBackends", "default_config", "load_config",
     "resolve_backends", "decode_latent", "encode_image", "latent_to_image",
     "compose_scene", "SceneOutput", "MultiSceneVideo", "MetricsReport",
-    "run_pipeline", "ToyEmbedder", "GroundTruthDetector",
-    "frame_consistency", "scene_consistency", "fg_bg_similarity",
+    "run_pipeline", "frame_consistency", "scene_consistency", "fg_bg_similarity",
     "compute_metrics", "export_video", "load_manifest", "load_video",
     "estimate_translation", "expected_translation", "tm_sweep",
     "run_gradient_suite", "build_mock_llm_fixture",
@@ -326,14 +326,6 @@ def latent_to_image(latent):
     return RgbImage(np.clip(decode_latent(latent), 0.0, 1.0))
 
 
-def _image_data(obj):
-    if hasattr(obj, "image"):   # EntityReference
-        obj = obj.image
-    if hasattr(obj, "data"):    # RgbImage / Mask
-        obj = obj.data
-    return np.asarray(obj, dtype=np.float64)
-
-
 # --- scene compositing --------------------------------------------------------
 
 # Up to four foreground slots; fractions of the canvas side.
@@ -411,41 +403,34 @@ class MetricsReport:
         return asdict(self)
 
 
-# --- toy embedder and detector --------------------------------------------------
+# --- metrics --------------------------------------------------------------------
 
-class ToyEmbedder:
-    """Pool to an 8x8 RGB grid, flatten, fixed projection, unit norm.
-
-    Deterministic, so identical images embed identically and score the
-    metric maximum exactly.
-    """
-
-    def __init__(self, dims=32, grid=8):
-        self.grid = grid
-        proj = Rng(hash64("toy-embed", dims, grid)).normal((grid * grid * 3, dims))
-        self.proj = proj / np.sqrt(grid * grid * 3)
-
-    def embed(self, image):
-        data = _image_data(image)
-        if data.ndim == 2:
-            data = np.repeat(data[:, :, None], 3, axis=2)
-        g = self.grid
-        if data.shape[0] < g or data.shape[1] < g:
-            data = _resize_nearest(data, max(data.shape[0], g), max(data.shape[1], g))
-        pooled = _pool_mean(data, g)
-        vec = pooled.reshape(-1) @ self.proj
-        norm = np.linalg.norm(vec)
-        return vec / norm if norm > 1e-12 else vec
+# The toy embedder pools to an _EMBED_GRID x _EMBED_GRID RGB grid and projects
+# to _EMBED_DIMS dims; an entity crop pads its recorded box by _CROP_PADDING px.
+_EMBED_GRID = 8
+_EMBED_DIMS = 32
+_CROP_PADDING = 2
 
 
-def _pool_mean(data, g):
+@functools.cache
+def _embed_projection():
+    n = _EMBED_GRID * _EMBED_GRID * 3
+    return Rng(hash64("toy-embed", _EMBED_DIMS, _EMBED_GRID)).normal((n, _EMBED_DIMS)) / np.sqrt(n)
+
+
+def _embed(data):
+    """Unit-norm embedding of an [H, W, 3] array; deterministic, so identical
+    images embed identically and score the metric maximum exactly."""
+    g = _EMBED_GRID
+    if data.shape[0] < g or data.shape[1] < g:
+        data = _resize_nearest(data, max(data.shape[0], g), max(data.shape[1], g))
     h, w = data.shape[:2]
-    rows = (np.arange(g) * h) // g
-    cols = (np.arange(g) * w) // g
+    rows, cols = (np.arange(g) * h) // g, (np.arange(g) * w) // g
     sums = np.add.reduceat(np.add.reduceat(data, rows, axis=0), cols, axis=1)
-    rcounts = np.diff(np.append(rows, h))
-    ccounts = np.diff(np.append(cols, w))
-    return sums / (rcounts[:, None] * ccounts[None, :])[:, :, None]
+    counts = np.diff(np.append(rows, h))[:, None] * np.diff(np.append(cols, w))[None, :]
+    vec = (sums / counts[:, :, None]).reshape(-1) @ _embed_projection()
+    norm = np.linalg.norm(vec)
+    return vec / norm if norm > 1e-12 else vec
 
 
 def _cosine(u, v):
@@ -461,57 +446,44 @@ def _cosine(u, v):
     return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
 
 
-class GroundTruthDetector:
-    """Crops the compositor's recorded entity box (plus padding) from frame 0."""
-
-    def __init__(self, padding=2):
-        self.padding = padding
-
-    def detect(self, scene, entity):
-        box = scene.entity_boxes.get(entity)
-        if box is None:
-            raise DetectorMiss(f"{entity!r} has no recorded box in scene {scene.spec.index}")
-        frame = _image_data(scene.frames[0])
-        r0, r1, c0, c1 = box
-        p = self.padding
-        r0, c0 = max(0, r0 - p), max(0, c0 - p)
-        r1, c1 = min(frame.shape[0], r1 + p), min(frame.shape[1], c1 + p)
-        return frame[r0:r1, c0:c1]
+def _entity_crop(scene, name):
+    """The compositor's recorded box for ``name``, padded, cut from frame 0."""
+    box = scene.entity_boxes.get(name)
+    if box is None:
+        raise DetectorMiss(f"{name!r} has no recorded box in scene {scene.spec.index}")
+    frame = scene.frames[0].data
+    (r0, r1, c0, c1), p = box, _CROP_PADDING
+    return frame[max(0, r0 - p):min(frame.shape[0], r1 + p),
+                 max(0, c0 - p):min(frame.shape[1], c1 + p)]
 
 
-# --- metrics --------------------------------------------------------------------
-
-def frame_consistency(frames, embedder):
-    """100 x mean cosine of consecutive frame embeddings."""
+def frame_consistency(frames):
+    """100 x mean cosine of consecutive [H, W, 3] frame embeddings."""
     if len(frames) < 2:
         raise TooFewFrames(f"frame consistency needs >= 2 frames, got {len(frames)}")
-    embs = [embedder.embed(f) for f in frames]
+    embs = [_embed(f) for f in frames]
     sims = [_cosine(embs[i], embs[i + 1]) for i in range(len(embs) - 1)]
     return 100.0 * float(np.mean(sims))
 
 
-def _scene_consistency_detail(video, detector, embedder):
+def scene_consistency(video):
+    """``(per_entity, skipped)``: per common entity, 100 x mean cosine of its
+    cross-scene crop pairs; an entity missing a box, or found in fewer than
+    two scenes, is skipped.  Raises DetectorMiss if every one is skipped."""
     common = [rec for rec in find_common_entities(video.script) if rec.common]
     if not common:
         raise NoCommonEntities("scene consistency needs an entity shared by >= 2 scenes")
     by_index = {scene.spec.index: scene for scene in video.scenes}
     per_entity, skipped = {}, []
     for rec in common:
-        crops = []
-        missed = False
-        for index in sorted(rec.occurrences):
-            scene = by_index.get(index)
-            if scene is None:
-                continue
-            try:
-                crops.append(detector.detect(scene, rec.name))
-            except DetectorMiss:
-                missed = True
-                break
-        if missed or len(crops) < 2:
+        try:
+            embs = [_embed(_entity_crop(by_index[index], rec.name))
+                    for index in sorted(rec.occurrences) if index in by_index]
+        except DetectorMiss:
+            embs = []
+        if len(embs) < 2:
             skipped.append(rec.name)
             continue
-        embs = [embedder.embed(c) for c in crops]
         sims = [_cosine(embs[i], embs[j])
                 for i in range(len(embs)) for j in range(i + 1, len(embs))]
         per_entity[rec.name] = 100.0 * float(np.mean(sims))
@@ -520,46 +492,32 @@ def _scene_consistency_detail(video, detector, embedder):
     return per_entity, skipped
 
 
-def scene_consistency(video, detector, embedder):
-    """Mean over common entities of cross-scene crop-pair cosine, x100."""
-    per_entity, _ = _scene_consistency_detail(video, detector, embedder)
-    return float(np.mean(list(per_entity.values())))
-
-
-def fg_bg_similarity(scene_image, fg_ref, bg_ref, embedder=None):
-    """Embedding cosine of the scene image against each reference, in [0, 1].
-
-    Negative cosines clip to zero so the declared range holds for any
-    embedder.  A missing (None) reference scores None.
-    """
-    embedder = embedder or ToyEmbedder()
-    s = embedder.embed(scene_image)
+def fg_bg_similarity(scene_image, fg_ref, bg_ref):
+    """Embedding cosine of an [H, W, 3] scene image against each reference
+    image, clipped to [0, 1].  A missing (None) reference scores None."""
+    s = _embed(scene_image)
 
     def sim(ref):
-        return None if ref is None else min(1.0, max(0.0, _cosine(s, embedder.embed(ref))))
+        return None if ref is None else min(1.0, max(0.0, _cosine(s, _embed(ref))))
     return sim(fg_ref), sim(bg_ref)
 
 
-def compute_metrics(video, embedder=None, detector=None):
-    embedder = embedder or ToyEmbedder()
-    detector = detector or GroundTruthDetector()
-    fc = [frame_consistency(scene.frames, embedder) for scene in video.scenes]
+def compute_metrics(video):
+    fc = [frame_consistency([f.data for f in scene.frames]) for scene in video.scenes]
     try:
-        per_entity, skipped = _scene_consistency_detail(video, detector, embedder)
-        sc_mean = float(np.mean(list(per_entity.values())))
+        per_entity, skipped = scene_consistency(video)
     except NoCommonEntities:
-        per_entity, skipped, sc_mean = {}, [], None
-    sims = []
-    for scene in video.scenes:
-        fg_ref = next((video.references[n] for n in scene.spec.foreground
-                       if n in video.references), None)
-        bg_ref = video.references.get(scene.spec.background)
-        sims.append(fg_bg_similarity(scene.scene_image, fg_ref, bg_ref, embedder))
+        per_entity, skipped = {}, []
+    refs = {name: ref.image.data for name, ref in video.references.items()}
+    sims = [fg_bg_similarity(scene.scene_image.data,
+                             next((refs[n] for n in scene.spec.foreground if n in refs), None),
+                             refs.get(scene.spec.background))
+            for scene in video.scenes]
     return MetricsReport(
         frame_consistency=fc,
         frame_consistency_mean=float(np.mean(fc)) if fc else None,
         scene_consistency=per_entity,
-        scene_consistency_mean=sc_mean,
+        scene_consistency_mean=float(np.mean(list(per_entity.values()))) if per_entity else None,
         skipped_entities=skipped,
         fg_sim=[fg for fg, _ in sims],
         bg_sim=[bg for _, bg in sims],
@@ -895,15 +853,19 @@ def load_video(out_dir, verify=True):
 
 # --- displacement diagnostics -----------------------------------------------------
 
-def estimate_translation(frame_a, frame_b, max_shift=8, min_overlap=4):
+# Widest shift, in pixels along each axis, that estimate_translation searches.
+_MAX_SHIFT = 8
+
+
+def estimate_translation(frame_a, frame_b, max_shift=_MAX_SHIFT, min_overlap=4):
     """Integer (dx, dy) taking frame_a content to frame_b.
 
     Exhaustive match over the overlap region: b[r, c] ~ a[r - dy, c - dx],
     scored by mean squared difference.  Scan order prefers the smallest
     displacement, so exact ties (constant images) resolve to zero shift.
     """
-    a = _image_data(frame_a)
-    b = _image_data(frame_b)
+    a = np.asarray(frame_a, dtype=np.float64)
+    b = np.asarray(frame_b, dtype=np.float64)
     if a.ndim == 3:
         a = a.mean(axis=2)
     if b.ndim == 3:
@@ -954,8 +916,10 @@ def tm_sweep(config, camera=("right", "medium"), tms=(1, 5, 20)):
     One anchored-oracle clip of ``_SWEEP_PROMPT`` per T_m, all else
     identical (same seed, same noise draws).  Each row reports the mean L2
     gap between estimated and camera-implied per-frame translation over
-    frames 1.._SWEEP_MAX_PROBE, plus the MSE between the final clip latent
-    and the camera-consistent anchor.  Documented behavior under the tight
+    those of frames 1.._SWEEP_MAX_PROBE whose implied shift lies within the
+    estimator's ``_MAX_SHIFT`` search, plus the MSE between the final clip
+    latent and the camera-consistent anchor.  A zoom has no single
+    translation and raises UnknownDirection before anything is sampled.  Documented behavior under the tight
     oracle prior: the anchor already carries the camera motion, so
     displacement error is non-increasing in T_m (zero throughout), and the
     denoiser re-absorbs the intervention's blend echo on later steps, so
@@ -963,20 +927,20 @@ def tm_sweep(config, camera=("right", "medium"), tms=(1, 5, 20)):
     well under 1e-5 at the default prior variance) at every depth -- the
     quality bound the sweep checks.
     """
-    frames = config.frames
-    direction, speed = camera
+    probes = [(f, expected_translation(*camera, f))
+              for f in range(1, min(_SWEEP_MAX_PROBE, config.frames - 1) + 1)]
+    probes = [(f, exp) for f, exp in probes if max(map(abs, exp)) <= _MAX_SHIFT]
     seed = derive_seed(config.seed, "tm-sweep")
     scene_latent = _scene_canvas_latent(config, _SWEEP_PROMPT, seed)
-    anchor = _camera_anchor(scene_latent, camera, frames)
+    anchor = _camera_anchor(scene_latent, camera, config.frames)
     denoiser = _oracle_denoiser(config, anchor)
     rows = []
     for tm in tms:
         clip = _sample_clip(config, scene_latent, camera, seed, tm, denoiser)
         base = decode_latent(clip[:, 0])
         errs = []
-        for f in range(1, min(_SWEEP_MAX_PROBE, frames - 1) + 1):
+        for f, exp in probes:
             est = estimate_translation(base, decode_latent(clip[:, f]))
-            exp = expected_translation(direction, speed, f)
             errs.append(float(np.hypot(est[0] - exp[0], est[1] - exp[1])))
         rows.append({
             "t_m": tm,

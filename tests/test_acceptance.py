@@ -19,8 +19,7 @@ from videostudio.cond_blocks import (AdamW, AnalyticGaussianDenoiser,
                                      ImgDenoiser, train_step)
 from videostudio.errors import ScriptGenerationExhausted
 from videostudio.numeric_core import Rng
-from videostudio.pipeline import (GroundTruthDetector, ToyEmbedder,
-                                  _resize_nearest, build_mock_llm_fixture,
+from videostudio.pipeline import (_resize_nearest, build_mock_llm_fixture,
                                   decode_latent, encode_image,
                                   estimate_translation, expected_translation,
                                   fg_bg_similarity, load_config,
@@ -182,11 +181,11 @@ def test_criterion_08_reference_images_raise_similarity_and_consistency():
     bg_ref = with_refs.references["workshop"]
     for scene_w, scene_wo, sim_w in zip(with_refs.scenes, without_refs.scenes,
                                         report_with.fg_sim):
-        sim_wo, _ = fg_bg_similarity(scene_wo.scene_image, fg_ref, bg_ref)
+        sim_wo, _ = fg_bg_similarity(scene_wo.scene_image.data, fg_ref.image.data,
+                                     bg_ref.image.data)
         assert sim_w > sim_wo, (sim_w, sim_wo)
-    detector, embedder = GroundTruthDetector(), ToyEmbedder()
-    sc_with = scene_consistency(with_refs, detector, embedder)
-    sc_without = scene_consistency(without_refs, detector, embedder)
+    sc_with = np.mean(list(scene_consistency(with_refs)[0].values()))
+    sc_without = np.mean(list(scene_consistency(without_refs)[0].values()))
     assert sc_with > sc_without, (sc_with, sc_without)
 
 

@@ -66,6 +66,22 @@ def test_vocabulary_names_must_differ_as_prompt_words():
     assert extract_action_phrases("a fox riding bike", vocab) == ["Riding Bike"]
 
 
+def test_vocabulary_names_and_prompts_share_one_word_rule():
+    # edge punctuation was stripped from prompt words only, so this name never matched
+    vocab = ActionVocabulary(["riding bike!", "waving"], np.eye(4)[:2])
+    assert extract_action_phrases("a fox riding bike! and waving", vocab) == [
+        "riding bike!", "waving"]
+    assert extract_action_phrases("a fox riding bike", vocab) == ["riding bike!"]
+    with pytest.raises(EmptyVocabulary, match="'riding bike!' and 'riding bike'"):
+        ActionVocabulary(["riding bike!", "riding bike"], np.eye(4)[:2])
+
+
+@pytest.mark.parametrize("name", ["!", "riding ?", "... waving"])
+def test_vocabulary_names_may_not_hold_a_punctuation_word(name):
+    with pytest.raises(EmptyVocabulary, match="not a string of words"):
+        ActionVocabulary(["jumping", name], np.eye(4)[:2])
+
+
 def test_vocabulary_file_with_a_number_for_a_name_is_bad_config(tmp_path):
     from videostudio.errors import BadConfig
     from videostudio.pipeline import load_config

@@ -1,5 +1,5 @@
-"""Property-based fuzzing of the untrusted-input decoders, the script parser
-and the config loader.
+"""Property-based fuzzing of the untrusted-input decoders, the script parser,
+the config loader and the loaders of exported trees and checkpoints.
 
 Each target gets arbitrary bytes or text, plus well-formed headers and
 records with random fields.  Whatever it is fed, only a VideoStudioError
@@ -7,6 +7,7 @@ may escape.  Runs are derandomized and keep no example database, so every
 run draws the same examples.
 """
 
+import hashlib
 import json
 import math
 import struct
@@ -17,9 +18,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from videostudio.camera_motion import DIRECTIONS, SPEEDS
+from videostudio.cond_blocks import ImgDenoiser, load_weights, save_weights
 from videostudio.errors import VideoStudioError
-from videostudio.numeric_core import load_tensor, save_tensor
-from videostudio.pipeline import PipelineConfig, default_config, load_config
+from videostudio.numeric_core import Rng, load_tensor, save_tensor
+from videostudio.pipeline import (PipelineConfig, build_mock_llm_fixture, compute_metrics,
+                                  default_config, export_video, load_config, load_video,
+                                  resolve_backends, run_pipeline)
 from videostudio.ref_images import Mask, RgbImage, decode_pgm, decode_ppm
 from videostudio.script_engine import parse_script, serialize_script
 
@@ -231,5 +235,148 @@ def test_load_config_raises_only_typed_errors(tmp_path, monkeypatch):
         (tmp_path / "config.json").write_bytes(raw)
         config = _typed(load_config, "config.json")
         assert config is None or isinstance(config, PipelineConfig)
+
+    check()
+
+
+# --- exported trees and checkpoints ---------------------------------------------------
+
+_PROMPT = "a red fox crosses a snowy forest"
+_SCRIPT = ("[Scene 1: prompt: a red fox waving in the snowy forest | foreground: red fox | "
+           "background: snowy forest | camera: right, fast]\n"
+           "[Scene 2: prompt: the red fox riding bike at dusk | foreground: red fox | "
+           "background: snowy forest | camera: static, slow]")
+
+
+@st.composite
+def byte_edits(draw, raw):
+    """``raw`` with one edit, often inside its header: a byte changed, the
+    tail cut off, a run spliced in, or the whole file replaced."""
+    at = draw(st.one_of(st.integers(0, min(len(raw), 24)), st.integers(0, len(raw))))
+    kind = draw(st.sampled_from(["flip", "cut", "splice", "replace"]))
+    if kind == "flip" and at < len(raw):
+        return raw[:at] + bytes([raw[at] ^ draw(st.integers(1, 255))]) + raw[at + 1:]
+    if kind == "cut":
+        return raw[:at]
+    if kind == "splice":
+        return raw[:at] + draw(st.binary(max_size=16)) + raw[at + draw(st.integers(0, 16)):]
+    return draw(st.binary(max_size=64))
+
+
+def _json_paths(doc, prefix=()):
+    yield prefix
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from _json_paths(value, prefix + (key,))
+
+
+def _lookup(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def json_edits(draw, doc):
+    """A copy of ``doc`` with one node deleted or replaced, by any JSON value
+    or by another of the document's own leaves (a file path for another)."""
+    doc = json.loads(json.dumps(doc))
+    paths = list(_json_paths(doc))
+    leaves = [_lookup(doc, path) for path in paths
+              if not isinstance(_lookup(doc, path), (dict, list))]
+    path = draw(st.sampled_from(paths))
+    value = draw(st.one_of(_VALUE, st.sampled_from(leaves)))
+    if not path:
+        return value
+    parent = _lookup(doc, path[:-1])
+    if isinstance(parent, dict) and draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+def _files(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@st.composite
+def tree_edits(draw, files):
+    """{relative path: new bytes}: one file of an exported tree edited, with
+    the manifest checksum re-signed so the edit reaches the decoders, or the
+    manifest edited as JSON or as bytes."""
+    manifest = json.loads(files["manifest.json"])
+    rel = draw(st.sampled_from(sorted(files) + ["manifest.json"] * 4))
+    if rel == "manifest.json":
+        edited = draw(st.one_of(json_edits(manifest).map(lambda doc: json.dumps(doc).encode()),
+                                byte_edits(files[rel])))
+        return {rel: edited}
+    raw = draw(byte_edits(files[rel]))
+    manifest["checksums"][rel] = hashlib.sha256(raw).hexdigest()
+    return {rel: raw, "manifest.json": json.dumps(manifest).encode()}
+
+
+def _rewrite(root, files):
+    for rel, raw in files.items():
+        (root / rel).write_bytes(raw)
+
+
+def test_load_video_raises_only_typed_errors(tmp_path):
+    config = load_config(overrides={
+        "seed": 3, "model": {"latent": [3, 8, 8], "frames": 2},
+        "image_sampler": {"steps": 2}, "video_sampler": {"steps": 2, "t_m": 1}})
+    backends = resolve_backends(config, mock_llm=build_mock_llm_fixture(_PROMPT, _SCRIPT))
+    video, _ = run_pipeline(_PROMPT, config, backends)
+    export_video(video, str(tmp_path))
+    files = _files(tmp_path)
+
+    @FUZZ
+    @given(tree_edits(files))
+    def check(edits):
+        _rewrite(tmp_path, edits)
+        try:
+            loaded = _typed(load_video, str(tmp_path))
+            if loaded is not None:  # what `videostudio metrics` does next
+                _typed(compute_metrics, loaded)
+        finally:
+            _rewrite(tmp_path, {rel: files[rel] for rel in edits})
+
+    check()
+
+
+def _checkpoint_model(seed):
+    return ImgDenoiser(Rng(seed), latent_shape=(2, 4, 4), channels=4, blocks=1, heads=2,
+                       text_channels=4, fg_channels=4, bg_channels=4)
+
+
+@st.composite
+def checkpoint_edits(draw, files):
+    """{relative path: new bytes}: one file of a checkpoint edited as bytes,
+    or its weights.json edited as JSON."""
+    rel = draw(st.sampled_from(sorted(files) + ["weights.json"] * 4))
+    edits = [byte_edits(files[rel])]
+    if rel == "weights.json":
+        edits.append(json_edits(json.loads(files[rel])).map(lambda doc: json.dumps(doc).encode()))
+    return {rel: draw(st.one_of(edits))}
+
+
+def test_load_weights_raises_only_typed_errors(tmp_path):
+    save_weights(_checkpoint_model(1), tmp_path)
+    files = _files(tmp_path)
+    model = _checkpoint_model(2)
+
+    @FUZZ
+    @given(checkpoint_edits(files))
+    def check(edits):
+        _rewrite(tmp_path, edits)
+        before = [p.data for _, p in model.parameters()]
+        try:
+            load_weights(model, tmp_path)
+        except VideoStudioError:  # a refused checkpoint changes no parameter
+            assert all(p.data is b for (_, p), b in zip(model.parameters(), before))
+        finally:
+            _rewrite(tmp_path, {rel: files[rel] for rel in edits})
 
     check()

@@ -17,9 +17,9 @@ from videostudio.errors import (BackendError, BadConfig, BadTensorFile,
                                 UnknownDirection)
 from videostudio.action_condition import default_vocabulary
 from videostudio.numeric_core import Rng
-from videostudio.pipeline import (GroundTruthDetector, MetricsReport,
-                                  MultiSceneVideo, PipelineConfig,
-                                  SceneOutput, ToyEmbedder, _cosine,
+from videostudio.pipeline import (MetricsReport, MultiSceneVideo,
+                                  PipelineConfig, SceneOutput, _cosine,
+                                  _embed, _entity_crop,
                                   build_mock_llm_fixture, compose_scene,
                                   compute_metrics, decode_latent,
                                   default_config, encode_image,
@@ -366,16 +366,15 @@ def test_compose_scene_pastes_foreground_tile_over_background():
 # --- embedding and cosine -------------------------------------------------------------------
 
 def test_toy_embedder_unit_norm_and_determinism():
-    emb = ToyEmbedder()
     rng = Rng(2)
     img = rng.uniform((20, 20, 3))
-    a, b = emb.embed(img), emb.embed(img)
+    a, b = _embed(img), _embed(img)
     assert np.array_equal(a, b)
     assert np.isclose(np.linalg.norm(a), 1.0)
-    zero = emb.embed(np.zeros((16, 16, 3)))
+    zero = _embed(np.zeros((16, 16, 3)))
     assert np.linalg.norm(zero) < 1e-12  # zero guard, no division blowup
-    gray = emb.embed(np.ones((16, 16)) * 0.5)  # 2-D input broadcast to RGB
-    assert gray.shape == a.shape
+    small = _embed(rng.uniform((3, 5, 3)))  # under the pooling grid: upsampled first
+    assert small.shape == a.shape
 
 
 def test_cosine_edge_cases():
@@ -401,25 +400,25 @@ def _toy_scene(index, frame, boxes, prompt=None, fg=("silver robot",), bg="works
 
 
 def test_frame_consistency_identical_frames_hit_exact_maximum():
-    emb = ToyEmbedder()
-    img = RgbImage(Rng(4).uniform((16, 16, 3)))
-    assert frame_consistency([img, img, img], emb) == 100.0
-    other = RgbImage(Rng(5).uniform((16, 16, 3)))
-    assert frame_consistency([img, other], emb) < 100.0
+    img = Rng(4).uniform((16, 16, 3))
+    assert frame_consistency([img, img, img]) == 100.0
+    other = Rng(5).uniform((16, 16, 3))
+    assert frame_consistency([img, other]) < 100.0
     with pytest.raises(TooFewFrames):
-        frame_consistency([img], emb)
+        frame_consistency([img])
 
 
 def test_detector_crops_padded_box():
     frame = Rng(6).uniform((16, 16, 3))
     scene = _toy_scene(1, frame, {"silver robot": (4, 8, 4, 8)})
-    crop = GroundTruthDetector(padding=2).detect(scene, "silver robot")
+    crop = _entity_crop(scene, "silver robot")
     assert crop.shape == (8, 8, 3)
     assert np.array_equal(crop, frame[2:10, 2:10])
-    edge = GroundTruthDetector(padding=4).detect(scene, "silver robot")
-    assert edge.shape == (12, 12, 3)  # clipped at the frame border
+    corner = _toy_scene(1, frame, {"silver robot": (1, 5, 12, 16)})
+    edge = _entity_crop(corner, "silver robot")
+    assert np.array_equal(edge, frame[0:7, 10:16])  # clipped at the frame border
     with pytest.raises(DetectorMiss):
-        GroundTruthDetector().detect(scene, "coffee pot")
+        _entity_crop(scene, "coffee pot")
 
 
 def test_scene_consistency_identical_crops_score_100():
@@ -428,7 +427,7 @@ def test_scene_consistency_identical_crops_score_100():
     video = MultiSceneVideo(PROMPT, parse_script(SCRIPT2),
                             [_toy_scene(1, frame, boxes), _toy_scene(2, frame, boxes)],
                             {})
-    assert scene_consistency(video, GroundTruthDetector(), ToyEmbedder()) == 100.0
+    assert scene_consistency(video) == ({"silver robot": 100.0, "workshop": 100.0}, [])
 
 
 def test_scene_consistency_requires_common_entities():
@@ -440,7 +439,7 @@ def test_scene_consistency_requires_common_entities():
               _toy_scene(2, frame, {"cellar": (0, 16, 0, 16)}, fg=(), bg="cellar")]
     video = MultiSceneVideo(PROMPT, script, scenes, {})
     with pytest.raises(NoCommonEntities):
-        scene_consistency(video, GroundTruthDetector(), ToyEmbedder())
+        scene_consistency(video)
 
 
 def test_scene_consistency_skips_undetectable_entities():
@@ -453,16 +452,17 @@ def test_scene_consistency_skips_undetectable_entities():
     report = compute_metrics(video)
     assert report.skipped_entities == ["silver robot"]
     assert set(report.scene_consistency) == {"workshop"}
+    assert scene_consistency(video) == (report.scene_consistency, ["silver robot"])
     # when every common entity is skipped the metric refuses to answer
     none_at_all = [_toy_scene(1, frame, {}), _toy_scene(2, frame, {})]
     broken = MultiSceneVideo(PROMPT, parse_script(SCRIPT2), none_at_all, {})
     with pytest.raises(DetectorMiss):
-        scene_consistency(broken, GroundTruthDetector(), ToyEmbedder())
+        scene_consistency(broken)
 
 
 def test_fg_bg_similarity_self_is_exactly_one():
-    img = RgbImage(Rng(10).uniform((16, 16, 3)))
-    other = RgbImage(Rng(11).uniform((16, 16, 3)))
+    img = Rng(10).uniform((16, 16, 3))
+    other = Rng(11).uniform((16, 16, 3))
     fg_sim, bg_sim = fg_bg_similarity(img, img, other)
     assert fg_sim == 1.0
     assert 0.0 <= bg_sim <= 1.0
@@ -831,6 +831,28 @@ def test_estimate_translation_recovers_integer_shift():
 def test_estimate_translation_prefers_zero_on_ties():
     flat = np.full((16, 16, 3), 0.5)
     assert estimate_translation(flat, flat) == (0, 0)
+
+
+@pytest.mark.parametrize("camera", [("right", "fast"), ("up", "fast")])
+def test_tm_sweep_probes_only_shifts_inside_the_search(camera):
+    # frames 5-6 of a fast pan move 10-12 px, past the 8 px search, and came back as (-8, -8)
+    rows = tm_sweep(_config(), camera)
+    assert [row["displacement_error"] for row in rows] == [0.0, 0.0, 0.0]
+
+
+def test_tm_sweep_refuses_a_zoom_before_sampling(monkeypatch, capsys):
+    calls = []
+    real = pipeline.sample_video
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(pipeline, "sample_video", counting)
+    with pytest.raises(UnknownDirection):
+        tm_sweep(_config(), ("forward", "slow"))
+    assert main(["tm-sweep", "--camera", "forward,slow"]) == 2
+    assert "no single translation" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_expected_translation_directions():
