@@ -44,7 +44,7 @@ from .errors import (BadConfig, ChecksumMismatch, DetectorMiss,
 from .numeric_core import (AttentionParams, Parameter, Rng, Tensor,
                            cross_attention, derive_seed,
                            finite_diff_check, hash64, layer_norm, load_tensor,
-                           read_bytes, read_json, save_tensor, stays_inside,
+                           read_bytes, read_json, save_tensor,
                            temporal_conv1d, write_bytes, write_json)
 from .ref_images import (MIN_SIDE, EntityReference, LuminanceSegmenter, RgbImage,
                          RemoteTextToImageBackend, ToyTextToImageBackend,
@@ -286,26 +286,18 @@ def resolve_backends(config, mock_llm=None):
 
 # --- latent <-> RGB ----------------------------------------------------------
 
-_DECODE_CACHE = {}
-
-
+@functools.cache
 def _decode_matrix(latent_channels):
     """Fixed [3, C] map with orthonormal rows: rgb = M @ latent + 0.5.
 
     M Mᵀ = I₃, so decode(encode(img)) == img exactly while encode(decode)
     projects onto the 3-dim subspace the pixels actually span.
     """
-    m = _DECODE_CACHE.get(latent_channels)
-    if m is None:
-        if latent_channels < 3:
-            raise ShapeMismatch("latent needs at least 3 channels to carry RGB")
-        rng = Rng(hash64("latent-rgb", latent_channels))
-        a = rng.normal((latent_channels, 3))
-        q, r = np.linalg.qr(a)
-        q = q * np.where(np.diag(r) >= 0, 1.0, -1.0)
-        m = q.T
-        _DECODE_CACHE[latent_channels] = m
-    return m
+    if latent_channels < 3:
+        raise ShapeMismatch("latent needs at least 3 channels to carry RGB")
+    rng = Rng(hash64("latent-rgb", latent_channels))
+    q, r = np.linalg.qr(rng.normal((latent_channels, 3)))
+    return (q * np.where(np.diag(r) >= 0, 1.0, -1.0)).T
 
 
 def decode_latent(latent):
@@ -333,6 +325,18 @@ _SLOT_ANCHORS = ((0.125, 0.125), (0.125, 0.625), (0.625, 0.125), (0.625, 0.625))
 _SLOT_SIDE = 0.375
 
 
+def _slot_boxes(spec, height, width):
+    """Entity name -> (r0, r1, c0, c1): the whole frame for the background, and
+    for each foreground its fixed square slot, sized from the shorter side."""
+    boxes = {spec.background: (0, height, 0, width)}
+    side = max(2, int(round(min(height, width) * _SLOT_SIDE)))
+    for (fr, fc), name in zip(_SLOT_ANCHORS, spec.foreground):
+        r0 = min(int(round(fr * height)), height - side)
+        c0 = min(int(round(fc * width)), width - side)
+        boxes[name] = (r0, r0 + side, c0, c0 + side)
+    return boxes
+
+
 def compose_scene(spec, references, height, width, t2i_backend, scene_seed):
     """Deterministic scene target plus ground-truth entity boxes.
 
@@ -349,20 +353,14 @@ def compose_scene(spec, references, height, width, t2i_backend, scene_seed):
     else:
         img = t2i_backend.generate(spec.prompt, derive_seed(scene_seed, "scene-canvas"))
         canvas = _resize_nearest(img.data, height, width).copy()
-    boxes = {spec.background: (0, height, 0, width)}
-    side = max(2, int(round(height * _SLOT_SIDE)))
-    for k, name in enumerate(spec.foreground[:len(_SLOT_ANCHORS)]):
-        fr, fc = _SLOT_ANCHORS[k]
-        r0 = min(int(round(fr * height)), height - side)
-        c0 = min(int(round(fc * width)), width - side)
-        r1, c1 = r0 + side, c0 + side
+    boxes = _slot_boxes(spec, height, width)
+    for name in spec.foreground[:len(_SLOT_ANCHORS)]:
         ref = references.get(name) if references else None
         if ref is not None:
-            tile = _resize_nearest(ref.image.data, side, side)
-            mask = _resize_nearest(ref.mask.data, side, side)
-            patch = canvas[r0:r1, c0:c1]
-            canvas[r0:r1, c0:c1] = patch * (1.0 - mask[:, :, None]) + tile
-        boxes[name] = (r0, r1, c0, c1)
+            r0, r1, c0, c1 = boxes[name]
+            tile = _resize_nearest(ref.image.data, r1 - r0, c1 - c0)
+            mask = _resize_nearest(ref.mask.data, r1 - r0, c1 - c0)
+            canvas[r0:r1, c0:c1] = canvas[r0:r1, c0:c1] * (1.0 - mask[:, :, None]) + tile
     return np.clip(canvas, 0.0, 1.0), boxes
 
 
@@ -371,7 +369,6 @@ def compose_scene(spec, references, height, width, t2i_backend, scene_seed):
 @dataclass
 class SceneOutput:
     spec: object                # SceneSpec
-    seed: int
     scene_latent: np.ndarray    # [C, H, W]
     scene_image: RgbImage
     clip_latent: np.ndarray     # [C, F, H, W]
@@ -603,8 +600,8 @@ def _generate_scene(spec, config, references, t2i_backend,
         clip_latent = sample_video(video_denoiser, (VidContext(y_s, y_a), scene_latent[:, None]),
                                    camera, schedule, config.video_sampler_config(video_seed))
     decoded = [latent_to_image(clip_latent[:, f]) for f in range(config.frames)]
-    return SceneOutput(spec, scene_seed, scene_latent, latent_to_image(scene_latent),
-                       clip_latent, decoded, boxes)
+    return SceneOutput(spec, scene_latent, latent_to_image(scene_latent), clip_latent,
+                       decoded, boxes)
 
 
 def run_pipeline(prompt, config, backends=None):
@@ -674,24 +671,42 @@ def _slug(index, name):
     return f"{index:02d}_{keep}"
 
 
+def _reference_files(names):
+    """(name, image path, mask path) per reference, in the tree's order."""
+    return [(name, f"refs/{_slug(k, name)}.ppm", f"refs/{_slug(k, name)}_mask.pgm")
+            for k, name in enumerate(sorted(names))]
+
+
+def _scene_files(index, frames):
+    """The tree's paths for scene ``index``: its frames, then its scene image and latents."""
+    base = f"scene_{index}"
+    return [f"{base}/frame_{f}.ppm" for f in range(frames)] + [
+        f"{base}/scene_image.ppm", f"{base}/scene_latent.vstn", f"{base}/clip_latent.vstn"]
+
+
 def _write_references(references, put_bytes):
     """Encode each reference as refs/<slug>.ppm plus a PGM mask; return the index."""
     index = {}
-    for k, name in enumerate(sorted(references)):
+    for name, image_rel, mask_rel in _reference_files(references):
         ref = references[name]
-        image_rel = f"refs/{_slug(k, name)}.ppm"
-        mask_rel = f"refs/{_slug(k, name)}_mask.pgm"
         put_bytes(image_rel, encode_ppm(ref.image))
         put_bytes(mask_rel, encode_pgm(ref.mask))
         index[name] = {"kind": ref.kind, "image": image_rel, "mask": mask_rel}
     return index
 
 
-def export_video(video, out_dir):
-    """Write frames (PPM), latents (VSTN) and a checksummed manifest.
+# A manifest holds what the script does not fix, plus the checksums.
+_MANIFEST_VERSION = 2
+_MANIFEST_KEYS = {"version": int, "prompt": str, "seed": int, "frames_per_scene": int,
+                  "references": bool, "scenes": list, "checksums": dict}
 
-    Layout: scene_<i>/frame_<f>.ppm, scene_<i>/*.vstn, refs/*.ppm|pgm,
-    script.txt (the one copy of the script), manifest.json.  Returns the manifest path.
+
+def export_video(video, out_dir):
+    """Write frames (PPM), latents (VSTN) and a checksummed manifest; return its path.
+
+    The file layout (``_reference_files``, ``_scene_files``), the entity boxes
+    and the reference kinds follow from script.txt, the one copy of the
+    script, so the manifest holds only what the script does not fix.
     """
     checksums = {}
 
@@ -704,39 +719,23 @@ def export_video(video, out_dir):
         checksums[rel] = hashlib.sha256(payload).hexdigest()
 
     put_bytes("script.txt", (serialize_script(video.script) + "\n").encode("utf-8"))
-
-    ref_entries = _write_references(video.references, put_bytes)
-
-    scene_entries = []
+    _write_references(video.references, put_bytes)
     for scene in video.scenes:
-        base = f"scene_{scene.spec.index}"
-        frame_rels = []
-        for f, frame in enumerate(scene.frames):
-            rel = f"{base}/frame_{f}.ppm"
+        *frame_rels, image_rel, scene_rel, clip_rel = _scene_files(scene.spec.index,
+                                                                   len(scene.frames))
+        for rel, frame in zip(frame_rels, scene.frames):
             put_bytes(rel, encode_ppm(frame))
-            frame_rels.append(rel)
-        image_rel = f"{base}/scene_image.ppm"
         put_bytes(image_rel, encode_ppm(scene.scene_image))
-        scene_rel = f"{base}/scene_latent.vstn"
-        clip_rel = f"{base}/clip_latent.vstn"
         put_tensor(scene_rel, scene.scene_latent)
         put_tensor(clip_rel, scene.clip_latent)
-        scene_entries.append({
-            "index": scene.spec.index,
-            "seed": scene.seed,
-            "entity_boxes": {name: list(box)
-                             for name, box in sorted(scene.entity_boxes.items())},
-            "files": {"frames": frame_rels, "scene_image": image_rel,
-                      "scene_latent": scene_rel, "clip_latent": clip_rel},
-        })
 
     manifest = {
-        "version": 1,
+        "version": _MANIFEST_VERSION,
         "prompt": video.prompt,
         "seed": video.seed,
         "frames_per_scene": len(video.scenes[0].frames) if video.scenes else 0,
-        "references": ref_entries,
-        "scenes": scene_entries,
+        "references": bool(video.references),
+        "scenes": [scene.spec.index for scene in video.scenes],
         "checksums": checksums,
     }
     video.manifest = manifest
@@ -746,107 +745,98 @@ def export_video(video, out_dir):
 
 
 def _typed(value, types, what):
-    """``value`` if it has type ``types`` (a bool is not an int); else ChecksumMismatch."""
-    if isinstance(value, bool) or not isinstance(value, types):
+    """``value`` if it has type ``types`` (a bool is only a bool); else ChecksumMismatch."""
+    if not isinstance(value, types) or (isinstance(value, bool) and types is not bool):
         raise ChecksumMismatch(f"manifest {what} is missing or not of type {types.__name__}")
     return value
 
 
-def _manifest_files(manifest):
-    """Check the manifest's structure; return every file path it references."""
-    _typed(manifest, dict, "document")
-    for key, types in (("version", int), ("prompt", str), ("seed", int), ("frames_per_scene", int),
-                       ("references", dict), ("scenes", list), ("checksums", dict)):
-        _typed(manifest.get(key), types, key)
-    files = ["script.txt"]
-    for name, entry in manifest["references"].items():
-        where = f"references[{name!r}]"
-        _typed(entry, dict, where)
-        for key in ("kind", "image", "mask"):
-            _typed(entry.get(key), str, f"{where}.{key}")
-        files += [entry["image"], entry["mask"]]
-    for k, entry in enumerate(manifest["scenes"]):
-        where = f"scenes[{k}]"
-        _typed(entry, dict, where)
-        for key in ("index", "seed"):
-            _typed(entry.get(key), int, f"{where}.{key}")
-        for name, box in _typed(entry.get("entity_boxes"), dict, f"{where}.entity_boxes").items():
-            what = f"{where}.entity_boxes[{name!r}]"
-            if len([_typed(v, int, what) for v in _typed(box, list, what)]) != 4:
-                raise ChecksumMismatch(f"manifest {what} is not four ints")
-        paths = _typed(entry.get("files"), dict, f"{where}.files")
-        frames = _typed(paths.get("frames"), list, f"{where}.files.frames")
-        files += [_typed(rel, str, f"{where}.files.frames") for rel in frames]
-        files += [_typed(paths.get(key), str, f"{where}.files.{key}")
-                  for key in ("scene_image", "scene_latent", "clip_latent")]
-    for rel, digest in manifest["checksums"].items():
-        _typed(digest, str, f"checksums[{rel!r}]")
-    return files
+def _verify(rel, raw, checksums):
+    """ChecksumMismatch unless ``raw``, the bytes of ``rel``, match the manifest's checksum."""
+    if rel not in checksums:
+        raise ChecksumMismatch(f"{rel}: no checksum entry in the manifest")
+    actual = hashlib.sha256(raw).hexdigest()
+    if actual != checksums[rel]:
+        raise ChecksumMismatch(f"{rel}: checksum {actual} != manifest {checksums[rel]}")
 
 
-def _tree_path(out_dir, rel):
-    """``out_dir/rel``, refusing paths that are absolute or leave the tree."""
-    if not stays_inside(rel):
-        raise ChecksumMismatch(f"manifest path {rel!r} is not inside the exported tree")
-    return os.path.join(out_dir, rel)
+def _reference_kinds(manifest, script):
+    """Name -> kind of each reference in the tree: every script entity, or none."""
+    records = find_common_entities(script) if manifest["references"] else []
+    return {rec.name: rec.kind for rec in records}
+
+
+def _read_tree(out_dir, verify):
+    """The checked manifest and the parsed script of an exported tree.
+
+    The tree's file list derives from script.txt; no path is taken from the
+    manifest.  With ``verify``, script.txt must match its checksum before it
+    is parsed, the checksum keys must be exactly that list, and every file
+    must match its checksum.  Any failure is ChecksumMismatch.
+    """
+    manifest = read_json(os.path.join(out_dir, "manifest.json"), ChecksumMismatch)
+    if not isinstance(manifest, dict) or manifest.get("version") != _MANIFEST_VERSION:
+        raise ChecksumMismatch(f"manifest is not a version {_MANIFEST_VERSION} document")
+    if sorted(manifest) != sorted(_MANIFEST_KEYS):
+        raise ChecksumMismatch(f"manifest keys {sorted(manifest)} != {sorted(_MANIFEST_KEYS)}")
+    for key, types in _MANIFEST_KEYS.items():
+        _typed(manifest[key], types, key)
+    checksums, frames = manifest["checksums"], manifest["frames_per_scene"]
+    if not 0 <= frames <= len(checksums):  # a frame has a checksum entry
+        raise ChecksumMismatch(f"manifest frames_per_scene {frames} exceeds its checksums")
+
+    raw = read_bytes(os.path.join(out_dir, "script.txt"), ChecksumMismatch)
+    if verify:
+        _verify("script.txt", raw, checksums)
+    # verified bytes are what export wrote; unverified ones decode lossily for the parser
+    script = parse_script(raw.decode("utf-8", "replace"))
+    scenes = [_typed(index, int, "scene index") for index in manifest["scenes"]]
+    if scenes != sorted(set(scenes) & set(range(1, len(script.scenes) + 1))):
+        raise ChecksumMismatch(f"manifest scenes {scenes} are not increasing indices of "
+                               f"its {len(script.scenes)}-scene script")
+    if verify:
+        files = [rel for _, *rels in _reference_files(_reference_kinds(manifest, script))
+                 for rel in rels]
+        for index in scenes:
+            files += _scene_files(index, frames)
+        extra = sorted(set(checksums) - set(files) - {"script.txt"})
+        if extra:
+            raise ChecksumMismatch(f"manifest checksum {extra[0]!r} is not in the tree's layout")
+        for rel in files:
+            _verify(rel, read_bytes(os.path.join(out_dir, rel), ChecksumMismatch), checksums)
+    return manifest, script
 
 
 def load_manifest(out_dir, verify=True):
-    """Read manifest.json and check its structure.
-
-    With ``verify``, every referenced file must have a checksum entry and
-    every checksummed file, inside the tree, must match it.  Any failure
-    is ChecksumMismatch; ``load_video`` reads only paths inside the tree.
-    """
-    manifest = read_json(os.path.join(out_dir, "manifest.json"), ChecksumMismatch)
-    files = _manifest_files(manifest)
-    if verify:
-        checksums = manifest["checksums"]
-        for rel in files:
-            if rel not in checksums:
-                raise ChecksumMismatch(f"{rel}: no checksum entry in the manifest")
-        for rel, expected in checksums.items():
-            actual = hashlib.sha256(read_bytes(_tree_path(out_dir, rel),
-                                               ChecksumMismatch)).hexdigest()
-            if actual != expected:
-                raise ChecksumMismatch(f"{rel}: checksum {actual} != manifest {expected}")
-    return manifest
+    """Read manifest.json and check it against its tree; see ``_read_tree``."""
+    return _read_tree(out_dir, verify)[0]
 
 
 def load_video(out_dir, verify=True):
-    """Rebuild a MultiSceneVideo from an exported tree (checksum-verified)."""
-    manifest = load_manifest(out_dir, verify)
+    """Rebuild a MultiSceneVideo from an exported tree (checksum-verified).
+
+    File paths, reference kinds and entity boxes come from script.txt.
+    """
+    manifest, script = _read_tree(out_dir, verify)
 
     def read_file(rel):
-        return read_bytes(_tree_path(out_dir, rel), ChecksumMismatch)
+        return read_bytes(os.path.join(out_dir, rel), ChecksumMismatch)
 
-    # verified bytes are what export wrote; unverified ones decode lossily for the parser
-    script = parse_script(read_file("script.txt").decode("utf-8", "replace"))
+    kinds = _reference_kinds(manifest, script)
+    references = {name: EntityReference(decode_ppm(read_file(image_rel)), kinds[name],
+                                         decode_pgm(read_file(mask_rel)))
+                  for name, image_rel, mask_rel in _reference_files(kinds)}
     specs = {spec.index: spec for spec in script.scenes}
-
-    references = {}
-    for name, entry in manifest["references"].items():
-        image = decode_ppm(read_file(entry["image"]))
-        mask = decode_pgm(read_file(entry["mask"]))
-        references[name] = EntityReference(image, entry["kind"], mask)
-
     scenes = []
-    for entry in manifest["scenes"]:
-        spec = specs.get(entry["index"])
-        if spec is None:
-            raise ChecksumMismatch(f"manifest scene {entry['index']} is not in its script")
-        frames = [decode_ppm(read_file(rel)) for rel in entry["files"]["frames"]]
-        scene_image = decode_ppm(read_file(entry["files"]["scene_image"]))
-        scene_latent = load_tensor(_tree_path(out_dir, entry["files"]["scene_latent"]))
-        clip_latent = load_tensor(_tree_path(out_dir, entry["files"]["clip_latent"]))
+    for index in manifest["scenes"]:
+        *frame_rels, image_rel, scene_rel, clip_rel = _scene_files(
+            index, manifest["frames_per_scene"])
+        frames = [decode_ppm(read_file(rel)) for rel in frame_rels]
+        scene_image = decode_ppm(read_file(image_rel))
         h, w = (frames[0] if frames else scene_image).data.shape[:2]
-        boxes = {name: tuple(box) for name, box in entry["entity_boxes"].items()}
-        for name, (r0, r1, c0, c1) in boxes.items():
-            if not (0 <= r0 < r1 <= h and 0 <= c0 < c1 <= w):
-                raise ChecksumMismatch(f"manifest scene {entry['index']} box {name!r} "
-                                       f"is outside its {h}x{w} frame")
-        scenes.append(SceneOutput(spec, entry["seed"], scene_latent, scene_image,
-                                  clip_latent, frames, boxes))
+        scenes.append(SceneOutput(specs[index], load_tensor(os.path.join(out_dir, scene_rel)),
+                                  scene_image, load_tensor(os.path.join(out_dir, clip_rel)),
+                                  frames, _slot_boxes(specs[index], h, w)))
     return MultiSceneVideo(manifest["prompt"], script, scenes, references,
                            manifest, manifest["seed"])
 
@@ -916,20 +906,26 @@ def tm_sweep(config, camera=("right", "medium"), tms=(1, 5, 20)):
     One anchored-oracle clip of ``_SWEEP_PROMPT`` per T_m, all else
     identical (same seed, same noise draws).  Each row reports the mean L2
     gap between estimated and camera-implied per-frame translation over
-    those of frames 1.._SWEEP_MAX_PROBE whose implied shift lies within the
-    estimator's ``_MAX_SHIFT`` search, plus the MSE between the final clip
-    latent and the camera-consistent anchor.  A zoom has no single
-    translation and raises UnknownDirection before anything is sampled.  Documented behavior under the tight
-    oracle prior: the anchor already carries the camera motion, so
-    displacement error is non-increasing in T_m (zero throughout), and the
-    denoiser re-absorbs the intervention's blend echo on later steps, so
-    anchor MSE stays at the eta=1 sampling floor (~sigma0 * posterior gain,
-    well under 1e-5 at the default prior variance) at every depth -- the
-    quality bound the sweep checks.
+    those of frames 1.._SWEEP_MAX_PROBE whose implied shift is a whole
+    pixel (the estimator returns integer shifts, so a slow pan probes every
+    other frame) and lies within its ``_MAX_SHIFT`` search, plus the MSE
+    between the final clip latent and the camera-consistent anchor.  A zoom
+    (no single translation) raises UnknownDirection, and a pan with no such
+    frame TooFewFrames, before anything is sampled.  Documented behavior
+    under the tight oracle prior: the anchor already carries the camera
+    motion, so displacement error is non-increasing in T_m (zero throughout,
+    at every pan speed), and the denoiser re-absorbs the intervention's
+    blend echo on later steps, so anchor MSE stays at the eta=1 sampling
+    floor (~sigma0 * posterior gain, well under 1e-5 at the default prior
+    variance) at every depth -- the quality bound the sweep checks.
     """
     probes = [(f, expected_translation(*camera, f))
               for f in range(1, min(_SWEEP_MAX_PROBE, config.frames - 1) + 1)]
-    probes = [(f, exp) for f, exp in probes if max(map(abs, exp)) <= _MAX_SHIFT]
+    probes = [(f, exp) for f, exp in probes
+              if all(float(v).is_integer() and abs(v) <= _MAX_SHIFT for v in exp)]
+    if not probes:
+        raise TooFewFrames(f"no frame of a {config.frames}-frame {' '.join(camera)} pan "
+                           f"moves a whole pixel")
     seed = derive_seed(config.seed, "tm-sweep")
     scene_latent = _scene_canvas_latent(config, _SWEEP_PROMPT, seed)
     anchor = _camera_anchor(scene_latent, camera, config.frames)

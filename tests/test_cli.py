@@ -68,6 +68,20 @@ def test_metrics_command_round_trip(fixture_path, tmp_path, capsys):
     assert len(doc["frame_consistency"]) == 2
 
 
+def test_tall_and_wide_latents_generate_and_reload(fixture_path, tmp_path, capsys):
+    # the foreground slots are sized from the shorter side, so they fit either frame
+    for latent in ([4, 32, 8], [4, 8, 32]):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"model": {"latent": latent, "frames": 3},
+                                      "image_sampler": {"steps": 4},
+                                      "video_sampler": {"steps": 6, "t_m": 2}}))
+        out = tmp_path / "x".join(map(str, latent))
+        assert main(["generate", "--prompt", PROMPT, "--mock-llm", fixture_path,
+                     "--config", str(config), "--out-dir", str(out)]) == 0
+        assert main(["metrics", "--out-dir", str(out)]) == 0
+    assert "error" not in capsys.readouterr().err
+
+
 def test_metrics_detects_corruption(fixture_path, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["generate", "--prompt", PROMPT, "--mock-llm", fixture_path,

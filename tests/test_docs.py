@@ -1,5 +1,6 @@
-"""README.md names settings and helpers as `module.NAME`; each must exist, so
-the docs cannot drift when a constant moves or is deleted."""
+"""README.md names settings and helpers as `module.NAME`, and its Config table
+lists the config keys; each must match the code, so the docs cannot drift
+when a constant moves or a key is added or deleted."""
 
 import importlib
 import pathlib
@@ -7,6 +8,7 @@ import pkgutil
 import re
 
 import videostudio
+from videostudio.pipeline import default_config
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 MODULES = sorted(m.name for m in pkgutil.iter_modules(videostudio.__path__))
@@ -26,3 +28,23 @@ def test_readme_module_references_resolve():
     missing = [f"{mod}.{attr}" for mod, attr in refs
                if not hasattr(importlib.import_module(f"videostudio.{mod}"), attr)]
     assert not missing, missing
+
+
+def _config_table_keys():
+    """Every key in the first column of README's Config table."""
+    section = README.read_text(encoding="utf-8").split("\n## Config\n", 1)[1]
+    table = re.search(r"^\| key \| default \|\n\| --- \| --- \|\n((?:\|.*\n)+)", section, re.M)
+    return [key for row in table.group(1).splitlines()
+            for key in re.findall(r"`([^`]+)`", row.split("|")[1])]
+
+
+def test_readme_config_table_lists_every_leaf_key():
+    def leaves(doc, prefix=""):
+        for key, value in doc.items():
+            if isinstance(value, dict):
+                yield from leaves(value, prefix + key + ".")
+            else:
+                yield prefix + key
+    keys = _config_table_keys()
+    assert len(keys) == len(set(keys)), keys
+    assert sorted(keys) == sorted(leaves(default_config()))

@@ -8,7 +8,7 @@ import shutil
 import numpy as np
 import pytest
 
-from videostudio import pipeline
+from videostudio import numeric_core, pipeline
 from videostudio.cli import main
 from videostudio.cond_blocks import ToyFeatureExtractor
 from videostudio.errors import (BackendError, BadConfig, BadTensorFile,
@@ -395,7 +395,7 @@ def _toy_scene(index, frame, boxes, prompt=None, fg=("silver robot",), bg="works
     spec = SceneSpec(index, prompt or f"scene {index} action", list(fg), bg, CameraMove(*cam))
     img = RgbImage(frame)
     frame_list = frames if frames is not None else [img, img]
-    return SceneOutput(spec, 0, np.zeros((4, 16, 16)), img,
+    return SceneOutput(spec, np.zeros((4, 16, 16)), img,
                        np.zeros((4, len(frame_list), 16, 16)), frame_list, dict(boxes))
 
 
@@ -606,6 +606,30 @@ def test_partial_persistence_after_reference_failure(tmp_path):
     assert (tmp_path / "script.txt").exists()  # what finished was exported
 
 
+def test_partial_tree_after_a_scene_failure_loads_what_finished(tmp_path, monkeypatch):
+    real, calls = pipeline.sample_video, []
+
+    def fail_on_scene_2(*args, **kwargs):  # the oracle samples one clip per scene
+        calls.append(1)
+        if len(calls) == 2:
+            raise TooFewFrames("scene 2 sampler down")
+        return real(*args, **kwargs)
+    monkeypatch.setattr(pipeline, "sample_video", fail_on_scene_2)
+    with pytest.raises(StageError) as err:
+        _run(SCRIPT3, tmp_path)
+    assert err.value.stage == "scenes"
+    failure = json.loads((tmp_path / "failure_manifest.json").read_text())
+    assert failure["completed_scenes"] == [1]
+    assert load_manifest(str(tmp_path))["scenes"] == [1]
+    back = load_video(str(tmp_path), verify=True)
+    assert [scene.spec.index for scene in back.scenes] == [1]
+    assert len(back.script.scenes) == 3
+    assert {name: ref.kind for name, ref in back.references.items()} == {
+        "silver robot": "foreground", "workshop": "background"}
+    assert back.scenes[0].entity_boxes == compose_scene(
+        back.script.scenes[0], {}, 16, 16, ToyTextToImageBackend(), 0)[1]
+
+
 # --- export / load -------------------------------------------------------------------------------
 
 def test_export_manifest_inventory(tmp_path):
@@ -613,22 +637,20 @@ def test_export_manifest_inventory(tmp_path):
     manifest_path = export_video(video, str(tmp_path))
     assert os.path.basename(manifest_path) == "manifest.json"
     manifest = load_manifest(str(tmp_path))  # checksums verify clean
-    assert manifest["version"] == 1
-    assert manifest["prompt"] == PROMPT
-    assert manifest["frames_per_scene"] == 8
-    assert len(manifest["scenes"]) == 2
-    for entry in manifest["scenes"]:
-        assert len(entry["files"]["frames"]) == 8
-        for rel in entry["files"]["frames"]:
-            assert (tmp_path / rel).exists()
-    assert set(manifest["references"]) == {"silver robot", "workshop"}
-    # every exported file is checksummed: scenes*(frames+image+2 latents) + refs + script
-    want = 2 * (8 + 1 + 2) + 2 * 2 + 1
-    assert len(manifest["checksums"]) == want
-    # script.txt is the tree's one copy of the script
-    assert "script" not in manifest
-    for entry in manifest["scenes"]:
-        assert not {"prompt", "foreground", "background", "camera"} & set(entry)
+    # the layout, boxes and reference kinds follow from script.txt, so the
+    # manifest holds only what the script does not fix
+    assert manifest == {"version": 2, "prompt": PROMPT, "seed": 7, "frames_per_scene": 8,
+                        "references": True, "scenes": [1, 2],
+                        "checksums": manifest["checksums"]}
+    scene_files = [f"scene_{i}/{name}" for i in (1, 2)
+                   for name in [f"frame_{f}.ppm" for f in range(8)]
+                   + ["scene_image.ppm", "scene_latent.vstn", "clip_latent.vstn"]]
+    refs = ["refs/00_silver_robot.ppm", "refs/00_silver_robot_mask.pgm",
+            "refs/01_workshop.ppm", "refs/01_workshop_mask.pgm"]
+    # every exported file is checksummed, and nothing else
+    assert sorted(manifest["checksums"]) == sorted(["script.txt"] + refs + scene_files)
+    for rel in manifest["checksums"]:
+        assert (tmp_path / rel).exists()
 
 
 def test_export_load_round_trip(tmp_path):
@@ -662,7 +684,7 @@ def test_checksum_fault_injection(tmp_path):
     victim.write_bytes(bytes(raw))
     with pytest.raises(ChecksumMismatch):
         load_manifest(str(tmp_path))
-    assert load_manifest(str(tmp_path), verify=False)["version"] == 1
+    assert load_manifest(str(tmp_path), verify=False)["version"] == 2
     victim.unlink()
     with pytest.raises(ChecksumMismatch):
         load_manifest(str(tmp_path))
@@ -693,31 +715,74 @@ def _drop_script(manifest, tree):
 
 
 def _frames_as_string(manifest, tree):
-    manifest["scenes"][0]["files"]["frames"] = manifest["scenes"][0]["files"]["frames"][0]
+    manifest["frames_per_scene"] = "8"
 
 
-def _box_of_three(manifest, tree):
-    manifest["scenes"][0]["entity_boxes"]["workshop"] = [0, 16, 0]
+def _box_of_three(manifest, tree):  # the version 1 scene entry carried boxes
+    manifest["scenes"][0] = {"index": 1, "entity_boxes": {"workshop": [0, 16, 0]}}
 
 
-@pytest.mark.parametrize("edit", [_drop_script, _frames_as_string, _box_of_three])
+def _version_1(manifest, tree):
+    manifest["version"] = 1
+
+
+def _extra_key(manifest, tree):
+    manifest["files"] = ["scene_1/frame_0.ppm"]
+
+
+def _missing_key(manifest, tree):
+    del manifest["frames_per_scene"]
+
+
+def _scene_not_in_script(manifest, tree):
+    manifest["scenes"].append(3)
+
+
+def _scenes_repeat(manifest, tree):
+    manifest["scenes"] = [1, 1]
+
+
+def _frames_past_the_checksums(manifest, tree):
+    manifest["frames_per_scene"] = 10 ** 12
+
+
+@pytest.mark.parametrize("edit", [_drop_script, _frames_as_string, _box_of_three, _version_1,
+                                  _extra_key, _missing_key, _scene_not_in_script,
+                                  _scenes_repeat, _frames_past_the_checksums])
 def test_malformed_manifest_is_a_checksum_mismatch(_exported, tmp_path, edit):
     tree = _tampered_tree(_exported, tmp_path, edit)
     with pytest.raises(ChecksumMismatch):
         load_video(str(tree))
+    with pytest.raises(ChecksumMismatch):
+        load_video(str(tree), verify=False)
 
 
 @pytest.mark.parametrize("box", [[100, 200, 100, 200], [-50, -40, 0, 8], [4, 4, 0, 8],
                                  [0, 17, 0, 8]],
                          ids=["past-the-frame", "negative", "empty", "one-row-over"])
 def test_entity_box_outside_the_frame_is_a_checksum_mismatch(_exported, tmp_path, capsys, box):
-    def move_box(manifest, tree):  # the 16x16 frame's background box is [0, 16, 0, 16]
-        manifest["scenes"][0]["entity_boxes"]["workshop"] = box
+    # boxes derive from script.txt and the frame size; a manifest that still
+    # carries one, as version 1 scene entries did, is refused before any crop
+    def move_box(manifest, tree):
+        manifest["scenes"][0] = {"index": 1, "entity_boxes": {"workshop": box}}
     tree = _tampered_tree(_exported, tmp_path, move_box)
-    with pytest.raises(ChecksumMismatch, match="outside its 16x16 frame"):
+    with pytest.raises(ChecksumMismatch, match="scene index"):
         load_video(str(tree))
     assert main(["metrics", "--out-dir", str(tree)]) == 3
     assert "IndexError" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("shape", [(16, 16), (32, 8), (8, 32), (9, 40)])
+def test_slot_boxes_lie_inside_the_frame(shape):
+    spec = SceneSpec(1, "four marbles", ["a", "b", "c", "d"], "workshop",
+                     CameraMove("static", "slow"))
+    h, w = shape
+    boxes = pipeline._slot_boxes(spec, h, w)
+    assert boxes["workshop"] == (0, h, 0, w)
+    for name in "abcd":
+        r0, r1, c0, c1 = boxes[name]
+        assert 0 <= r0 < r1 <= h and 0 <= c0 < c1 <= w
+        assert r1 - r0 == c1 - c0 == round(min(h, w) * 0.375)
 
 
 def test_file_without_checksum_entry_is_refused(_exported, tmp_path):
@@ -782,15 +847,17 @@ def _outside_copy(tree):
     return outside, hashlib.sha256(outside.read_bytes()).hexdigest()
 
 
-def _reference_escapes(manifest, tree):
+def _reference_escapes(manifest, tree):  # the version 1 reference entries held paths
     _, digest = _outside_copy(tree)
-    manifest["references"]["workshop"]["image"] = "../outside.ppm"
+    manifest["references"] = {"workshop": {"kind": "background", "image": "../outside.ppm",
+                                           "mask": "refs/01_workshop_mask.pgm"}}
     manifest["checksums"]["../outside.ppm"] = digest
 
 
 def _reference_is_absolute(manifest, tree):
     outside, digest = _outside_copy(tree)
-    manifest["references"]["workshop"]["image"] = str(outside)
+    manifest["references"] = {"workshop": {"kind": "background", "image": str(outside),
+                                           "mask": "refs/01_workshop_mask.pgm"}}
     manifest["checksums"][str(outside)] = digest
 
 
@@ -801,10 +868,22 @@ def _checksum_entry_escapes(manifest, tree):
 
 @pytest.mark.parametrize("edit", [_reference_escapes, _reference_is_absolute,
                                   _checksum_entry_escapes])
-def test_manifest_paths_stay_inside_the_tree(_exported, tmp_path, edit):
+def test_manifest_paths_stay_inside_the_tree(_exported, tmp_path, monkeypatch, edit):
     tree = _tampered_tree(_exported, tmp_path, edit)
-    with pytest.raises(ChecksumMismatch, match="not inside the exported tree"):
+    opened = []
+
+    def recording(read):
+        def call(path, *args):
+            opened.append(os.path.abspath(path))
+            return read(path, *args)
+        return call
+    # every reader of the tree, the manifest's and the tensors' included, goes through these
+    monkeypatch.setattr(pipeline, "read_bytes", recording(pipeline.read_bytes))
+    monkeypatch.setattr(numeric_core, "read_bytes", recording(numeric_core.read_bytes))
+    with pytest.raises(ChecksumMismatch, match="references|not in the tree's layout"):
         load_video(str(tree))
+    assert opened  # the manifest at least was read
+    assert all(path.startswith(str(tree) + os.sep) for path in opened), opened
 
 
 def test_identical_seeds_export_identical_checksums(tmp_path):
@@ -833,11 +912,20 @@ def test_estimate_translation_prefers_zero_on_ties():
     assert estimate_translation(flat, flat) == (0, 0)
 
 
-@pytest.mark.parametrize("camera", [("right", "fast"), ("up", "fast")])
+@pytest.mark.parametrize("camera", [("right", "fast"), ("up", "fast"),
+                                    ("left", "slow"), ("down", "slow")])
 def test_tm_sweep_probes_only_shifts_inside_the_search(camera):
-    # frames 5-6 of a fast pan move 10-12 px, past the 8 px search, and came back as (-8, -8)
+    # frames 5-6 of a fast pan move 10-12 px, past the 8 px search, and came back as
+    # (-8, -8); odd frames of a slow pan move half a pixel, which no integer shift matches
     rows = tm_sweep(_config(), camera)
     assert [row["displacement_error"] for row in rows] == [0.0, 0.0, 0.0]
+
+
+def test_tm_sweep_without_a_whole_pixel_probe_is_a_typed_error():
+    # frame 1 of a slow pan is the only probe of a 2-frame clip, and it moves half a pixel
+    with pytest.raises(TooFewFrames, match="whole pixel"):
+        tm_sweep(_config(model={"frames": 2}), ("left", "slow"))
+    assert len(tm_sweep(_config(model={"frames": 2}), ("left", "medium"))) == 3
 
 
 def test_tm_sweep_refuses_a_zoom_before_sampling(monkeypatch, capsys):
