@@ -38,10 +38,6 @@ class EmptyPrompt(ValidationError):
     pass
 
 
-class WrongExampleCount(ValidationError):
-    pass
-
-
 class EmptyDescription(ValidationError):
     pass
 
@@ -92,16 +88,6 @@ class NonFiniteLatent(ValidationError):
 
 class TooFewFrames(ValidationError):
     pass
-
-
-# --- metrics that cannot be computed on this video (CLI exit code 2) ---
-
-class DetectorMiss(VideoStudioError):
-    exit_code = 2
-
-
-class NoCommonEntities(VideoStudioError):
-    exit_code = 2
 
 
 # --- backend / file-integrity problems (CLI exit code 3) ---

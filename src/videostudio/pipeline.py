@@ -7,8 +7,7 @@ the whole pipeline runs and is checkable on a laptop:
   round-trips exactly through encode/decode, and because both the warp
   and the map are linear, camera moves stay visible in exported frames;
 * a compositor pastes entity reference tiles onto the background canvas
-  at fixed slots and records the ground-truth boxes the metrics crop
-  later;
+  at fixed slots, which the metrics crop again later;
 * generation defaults to the anchored analytic denoiser whose prior mean
   is the latent of that composite, which makes reference reuse and
   camera effects exactly predictable.  Set "denoiser": "network" to run
@@ -38,9 +37,8 @@ from .cond_blocks import (AnalyticGaussianDenoiser, ContextBundle, GaussianPrior
                           VidContext, VidDenoiser, ToyFeatureExtractor,
                           _resize_nearest, concat_foreground_features,
                           tri_context_forward)
-from .errors import (BadConfig, ChecksumMismatch, DetectorMiss,
-                     NoCommonEntities, ShapeMismatch, StageError, TooFewFrames,
-                     UnknownDirection, UnknownSpeed, ValidationError)
+from .errors import (BadConfig, ChecksumMismatch, ShapeMismatch, StageError,
+                     TooFewFrames, UnknownDirection, UnknownSpeed, ValidationError)
 from .numeric_core import (AttentionParams, Parameter, Rng, Tensor,
                            cross_attention, derive_seed,
                            finite_diff_check, hash64, layer_norm, load_tensor,
@@ -338,14 +336,13 @@ def _slot_boxes(spec, height, width):
 
 
 def compose_scene(spec, references, height, width, t2i_backend, scene_seed):
-    """Deterministic scene target plus ground-truth entity boxes.
+    """Deterministic [H, W, 3] scene target.
 
     With references, the background reference is the canvas and each
-    foreground tile lands at a fixed slot — the same pixels in every
-    scene sharing the entity, which is the consistency signal the
+    foreground tile lands at its ``_slot_boxes`` slot — the same pixels in
+    every scene sharing the entity, which is the consistency signal the
     metrics read.  Without references, the whole canvas comes from the
-    scene prompt alone; only the box bookkeeping survives, marking where
-    each entity would have gone.
+    scene prompt alone.
     """
     bg_ref = references.get(spec.background) if references else None
     if bg_ref is not None:
@@ -354,14 +351,14 @@ def compose_scene(spec, references, height, width, t2i_backend, scene_seed):
         img = t2i_backend.generate(spec.prompt, derive_seed(scene_seed, "scene-canvas"))
         canvas = _resize_nearest(img.data, height, width).copy()
     boxes = _slot_boxes(spec, height, width)
-    for name in spec.foreground[:len(_SLOT_ANCHORS)]:
+    for name in spec.foreground:
         ref = references.get(name) if references else None
         if ref is not None:
             r0, r1, c0, c1 = boxes[name]
             tile = _resize_nearest(ref.image.data, r1 - r0, c1 - c0)
             mask = _resize_nearest(ref.mask.data, r1 - r0, c1 - c0)
             canvas[r0:r1, c0:c1] = canvas[r0:r1, c0:c1] * (1.0 - mask[:, :, None]) + tile
-    return np.clip(canvas, 0.0, 1.0), boxes
+    return np.clip(canvas, 0.0, 1.0)
 
 
 # --- run products --------------------------------------------------------------
@@ -373,7 +370,6 @@ class SceneOutput:
     scene_image: RgbImage
     clip_latent: np.ndarray     # [C, F, H, W]
     frames: list                # F decoded RgbImages
-    entity_boxes: dict          # name -> (r0, r1, c0, c1) in frame pixels
 
 
 @dataclass
@@ -391,7 +387,7 @@ class MetricsReport:
     frame_consistency: list     # per scene, 0..100 for the toy embedder
     frame_consistency_mean: float
     scene_consistency: dict     # per common entity
-    scene_consistency_mean: float  # None without common entities
+    scene_consistency_mean: float  # None when no common entity has two loaded scenes
     skipped_entities: list
     fg_sim: list                # per scene in [0, 1]; None where no reference
     bg_sim: list
@@ -403,7 +399,7 @@ class MetricsReport:
 # --- metrics --------------------------------------------------------------------
 
 # The toy embedder pools to an _EMBED_GRID x _EMBED_GRID RGB grid and projects
-# to _EMBED_DIMS dims; an entity crop pads its recorded box by _CROP_PADDING px.
+# to _EMBED_DIMS dims; an entity crop pads its slot box by _CROP_PADDING px.
 _EMBED_GRID = 8
 _EMBED_DIMS = 32
 _CROP_PADDING = 2
@@ -444,12 +440,9 @@ def _cosine(u, v):
 
 
 def _entity_crop(scene, name):
-    """The compositor's recorded box for ``name``, padded, cut from frame 0."""
-    box = scene.entity_boxes.get(name)
-    if box is None:
-        raise DetectorMiss(f"{name!r} has no recorded box in scene {scene.spec.index}")
+    """The compositor's slot box for ``name``, padded, cut from frame 0."""
     frame = scene.frames[0].data
-    (r0, r1, c0, c1), p = box, _CROP_PADDING
+    (r0, r1, c0, c1), p = _slot_boxes(scene.spec, *frame.shape[:2])[name], _CROP_PADDING
     return frame[max(0, r0 - p):min(frame.shape[0], r1 + p),
                  max(0, c0 - p):min(frame.shape[1], c1 + p)]
 
@@ -465,27 +458,20 @@ def frame_consistency(frames):
 
 def scene_consistency(video):
     """``(per_entity, skipped)``: per common entity, 100 x mean cosine of its
-    cross-scene crop pairs; an entity missing a box, or found in fewer than
-    two scenes, is skipped.  Raises DetectorMiss if every one is skipped."""
+    cross-scene crop pairs.  An entity with fewer than two loaded scenes, as
+    in a partial tree, is skipped, so both are empty without common entities."""
     common = [rec for rec in find_common_entities(video.script) if rec.common]
-    if not common:
-        raise NoCommonEntities("scene consistency needs an entity shared by >= 2 scenes")
     by_index = {scene.spec.index: scene for scene in video.scenes}
     per_entity, skipped = {}, []
     for rec in common:
-        try:
-            embs = [_embed(_entity_crop(by_index[index], rec.name))
-                    for index in sorted(rec.occurrences) if index in by_index]
-        except DetectorMiss:
-            embs = []
+        embs = [_embed(_entity_crop(by_index[index], rec.name))
+                for index in sorted(rec.occurrences) if index in by_index]
         if len(embs) < 2:
             skipped.append(rec.name)
             continue
         sims = [_cosine(embs[i], embs[j])
                 for i in range(len(embs)) for j in range(i + 1, len(embs))]
         per_entity[rec.name] = 100.0 * float(np.mean(sims))
-    if not per_entity:
-        raise DetectorMiss(f"every common entity was skipped: {skipped}")
     return per_entity, skipped
 
 
@@ -501,10 +487,7 @@ def fg_bg_similarity(scene_image, fg_ref, bg_ref):
 
 def compute_metrics(video):
     fc = [frame_consistency([f.data for f in scene.frames]) for scene in video.scenes]
-    try:
-        per_entity, skipped = scene_consistency(video)
-    except NoCommonEntities:
-        per_entity, skipped = {}, []
+    per_entity, skipped = scene_consistency(video)
     refs = {name: ref.image.data for name, ref in video.references.items()}
     sims = [fg_bg_similarity(scene.scene_image.data,
                              next((refs[n] for n in scene.spec.foreground if n in refs), None),
@@ -574,7 +557,7 @@ def _generate_scene(spec, config, references, t2i_backend,
     c, h, w = config.latent_shape
     scene_seed = derive_seed(config.seed, "scene", spec.index)
 
-    composite, boxes = compose_scene(spec, references, h, w, t2i_backend, scene_seed)
+    composite = compose_scene(spec, references, h, w, t2i_backend, scene_seed)
     schedule = config.noise_schedule()
     img_cfg = config.image_sampler_config(derive_seed(scene_seed, "image"))
     video_seed = derive_seed(scene_seed, "video")
@@ -600,8 +583,7 @@ def _generate_scene(spec, config, references, t2i_backend,
         clip_latent = sample_video(video_denoiser, (VidContext(y_s, y_a), scene_latent[:, None]),
                                    camera, schedule, config.video_sampler_config(video_seed))
     decoded = [latent_to_image(clip_latent[:, f]) for f in range(config.frames)]
-    return SceneOutput(spec, scene_latent, latent_to_image(scene_latent), clip_latent,
-                       decoded, boxes)
+    return SceneOutput(spec, scene_latent, latent_to_image(scene_latent), clip_latent, decoded)
 
 
 def run_pipeline(prompt, config, backends=None):
@@ -815,7 +797,7 @@ def load_manifest(out_dir, verify=True):
 def load_video(out_dir, verify=True):
     """Rebuild a MultiSceneVideo from an exported tree (checksum-verified).
 
-    File paths, reference kinds and entity boxes come from script.txt.
+    File paths and reference kinds come from script.txt.
     """
     manifest, script = _read_tree(out_dir, verify)
 
@@ -832,11 +814,9 @@ def load_video(out_dir, verify=True):
         *frame_rels, image_rel, scene_rel, clip_rel = _scene_files(
             index, manifest["frames_per_scene"])
         frames = [decode_ppm(read_file(rel)) for rel in frame_rels]
-        scene_image = decode_ppm(read_file(image_rel))
-        h, w = (frames[0] if frames else scene_image).data.shape[:2]
         scenes.append(SceneOutput(specs[index], load_tensor(os.path.join(out_dir, scene_rel)),
-                                  scene_image, load_tensor(os.path.join(out_dir, clip_rel)),
-                                  frames, _slot_boxes(specs[index], h, w)))
+                                  decode_ppm(read_file(image_rel)),
+                                  load_tensor(os.path.join(out_dir, clip_rel)), frames))
     return MultiSceneVideo(manifest["prompt"], script, scenes, references,
                            manifest, manifest["seed"])
 

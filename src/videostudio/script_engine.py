@@ -26,8 +26,7 @@ from importlib import resources
 from .camera_motion import DIRECTIONS, SPEEDS
 from .errors import (BackendError, EmptyDescription, EmptyPrompt, EmptyScript,
                      MalformedScene, NonContiguousIndices,
-                     ScriptGenerationExhausted, UnknownCameraToken,
-                     WrongExampleCount)
+                     ScriptGenerationExhausted, UnknownCameraToken)
 from .numeric_core import hash64, read_json
 
 MAX_SCENES = 12
@@ -288,25 +287,11 @@ def default_script_examples():
     return [ChatMessage(r["role"], r["content"]) for r in rows]
 
 
-def _check_example_transcript(examples):
-    if not examples or examples[0].role != "system":
-        raise WrongExampleCount("example transcript must start with a system message")
-    tail = examples[1:]
-    if len(tail) != 10:
-        raise WrongExampleCount(f"need exactly 5 example pairs, got {len(tail)} messages")
-    for i, msg in enumerate(tail):
-        want = "user" if i % 2 == 0 else "assistant"
-        if msg.role != want:
-            raise WrongExampleCount(f"example message {i + 1} has role {msg.role!r}, want {want!r}")
-
-
 def build_script_query(prompt):
     """System instruction + five example exchanges + the user's theme."""
     if not prompt or not prompt.strip():
         raise EmptyPrompt("script prompt is empty")
-    examples = default_script_examples()
-    _check_example_transcript(examples)
-    return examples + [ChatMessage("user", f"Video theme: {prompt.strip()}")]
+    return default_script_examples() + [ChatMessage("user", f"Video theme: {prompt.strip()}")]
 
 
 def build_aspect_query(entity):

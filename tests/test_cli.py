@@ -1,4 +1,6 @@
+import ast
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -238,11 +240,24 @@ def _error_classes(base=errors.VideoStudioError):
 
 def _exit_code_at_seed(cls):
     # the isinstance lists the CLI used before each class carried its code
-    if issubclass(cls, (errors.ValidationError, errors.NoCommonEntities, errors.DetectorMiss)):
+    if issubclass(cls, errors.ValidationError):
         return 2
     if issubclass(cls, (errors.BackendError, errors.BadTensorFile, errors.ChecksumMismatch)):
         return 3
     return 4
+
+
+def test_every_error_class_is_raised_somewhere():
+    # an error type no code path raises is dead weight in the exit-code table
+    raised = set()
+    for path in pathlib.Path(errors.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                func = node.exc.func
+                raised.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
+    bases = {errors.VideoStudioError, errors.ValidationError}
+    assert [cls.__name__ for cls in _error_classes()
+            if cls not in bases and cls.__name__ not in raised] == []
 
 
 @pytest.mark.parametrize("cls", _error_classes(), ids=lambda cls: cls.__name__)

@@ -12,9 +12,8 @@ from videostudio import numeric_core, pipeline
 from videostudio.cli import main
 from videostudio.cond_blocks import ToyFeatureExtractor
 from videostudio.errors import (BackendError, BadConfig, BadTensorFile,
-                                ChecksumMismatch, DetectorMiss, MalformedScene,
-                                NoCommonEntities, StageError, TooFewFrames,
-                                UnknownDirection)
+                                ChecksumMismatch, MalformedScene, StageError,
+                                TooFewFrames, UnknownDirection)
 from videostudio.action_condition import default_vocabulary
 from videostudio.numeric_core import Rng
 from videostudio.pipeline import (MetricsReport, MultiSceneVideo,
@@ -30,8 +29,8 @@ from videostudio.pipeline import (MetricsReport, MultiSceneVideo,
                                   resolve_backends, run_pipeline,
                                   scene_consistency, tm_sweep)
 from videostudio.ref_images import RgbImage, ToyTextToImageBackend
-from videostudio.script_engine import (CameraMove, MockChatBackend, SceneSpec,
-                                       build_chat_request, build_script_query,
+from videostudio.script_engine import (MAX_FOREGROUNDS, CameraMove, MockChatBackend,
+                                       SceneSpec, build_chat_request, build_script_query,
                                        parse_script, request_hash)
 
 PROMPT = "a silver robot spends a day in its workshop"
@@ -332,18 +331,22 @@ def test_encode_decode_other_channel_counts():
 # --- compositing --------------------------------------------------------------------------
 
 def test_compose_scene_records_boxes_without_references():
+    # the compositor returns only the canvas; the boxes the metrics crop
+    # are its slots, which follow from the script and the frame size alone
     spec = parse_script(SCRIPT2).scenes[0]
     t2i = ToyTextToImageBackend(16)
-    canvas, boxes = compose_scene(spec, {}, 16, 16, t2i, scene_seed=5)
-    assert canvas.shape == (16, 16, 3)
-    assert boxes["workshop"] == (0, 16, 0, 16)
-    assert "silver robot" in boxes
-    r0, r1, c0, c1 = boxes["silver robot"]
-    assert 0 <= r0 < r1 <= 16 and 0 <= c0 < c1 <= 16
-    again, _ = compose_scene(spec, {}, 16, 16, t2i, scene_seed=5)
+    canvas = compose_scene(spec, {}, 16, 16, t2i, scene_seed=5)
+    assert isinstance(canvas, np.ndarray) and canvas.shape == (16, 16, 3)
+    boxes = pipeline._slot_boxes(spec, 16, 16)
+    assert boxes == {"workshop": (0, 16, 0, 16), "silver robot": (2, 8, 2, 8)}
+    again = compose_scene(spec, {}, 16, 16, t2i, scene_seed=5)
     assert np.array_equal(canvas, again)
-    other, _ = compose_scene(spec, {}, 16, 16, t2i, scene_seed=6)
+    other = compose_scene(spec, {}, 16, 16, t2i, scene_seed=6)
     assert not np.array_equal(canvas, other)
+
+
+def test_every_parsed_foreground_has_a_slot():
+    assert len(pipeline._SLOT_ANCHORS) == MAX_FOREGROUNDS
 
 
 def test_compose_scene_pastes_foreground_tile_over_background():
@@ -355,8 +358,8 @@ def test_compose_scene_pastes_foreground_tile_over_background():
     tile[:, :, 0] = 1.0
     fg = EntityReference(RgbImage(tile), "foreground", Mask(np.ones((16, 16))))
     refs = {"workshop": bg, "silver robot": fg}
-    canvas, boxes = compose_scene(spec, refs, 16, 16, None, scene_seed=0)
-    r0, r1, c0, c1 = boxes["silver robot"]
+    canvas = compose_scene(spec, refs, 16, 16, None, scene_seed=0)
+    r0, r1, c0, c1 = pipeline._slot_boxes(spec, 16, 16)["silver robot"]
     assert np.allclose(canvas[r0:r1, c0:c1, 0], 1.0)   # tile pixels win
     outside = canvas.copy()
     outside[r0:r1, c0:c1] = 0.25
@@ -390,13 +393,13 @@ def test_cosine_edge_cases():
 
 # --- metric primitives -----------------------------------------------------------------------
 
-def _toy_scene(index, frame, boxes, prompt=None, fg=("silver robot",), bg="workshop",
+def _toy_scene(index, frame, prompt=None, fg=("silver robot",), bg="workshop",
                cam=("static", "slow"), frames=None):
     spec = SceneSpec(index, prompt or f"scene {index} action", list(fg), bg, CameraMove(*cam))
     img = RgbImage(frame)
     frame_list = frames if frames is not None else [img, img]
     return SceneOutput(spec, np.zeros((4, 16, 16)), img,
-                       np.zeros((4, len(frame_list), 16, 16)), frame_list, dict(boxes))
+                       np.zeros((4, len(frame_list), 16, 16)), frame_list)
 
 
 def test_frame_consistency_identical_frames_hit_exact_maximum():
@@ -409,24 +412,24 @@ def test_frame_consistency_identical_frames_hit_exact_maximum():
 
 
 def test_detector_crops_padded_box():
+    # the crop is the entity's slot box, (2, 8, 2, 8) on a 16 x 16 frame, padded by 2
     frame = Rng(6).uniform((16, 16, 3))
-    scene = _toy_scene(1, frame, {"silver robot": (4, 8, 4, 8)})
+    scene = _toy_scene(1, frame)
     crop = _entity_crop(scene, "silver robot")
-    assert crop.shape == (8, 8, 3)
-    assert np.array_equal(crop, frame[2:10, 2:10])
-    corner = _toy_scene(1, frame, {"silver robot": (1, 5, 12, 16)})
-    edge = _entity_crop(corner, "silver robot")
-    assert np.array_equal(edge, frame[0:7, 10:16])  # clipped at the frame border
-    with pytest.raises(DetectorMiss):
-        _entity_crop(scene, "coffee pot")
+    assert crop.shape == (10, 10, 3)
+    assert np.array_equal(crop, frame[0:10, 0:10])
+    assert np.array_equal(_entity_crop(scene, "workshop"), frame)
+    corner = _toy_scene(1, frame, fg=("a", "b", "c", "silver robot"))
+    edge = _entity_crop(corner, "silver robot")  # the fourth slot, (10, 16, 10, 16)
+    assert np.array_equal(edge, frame[8:16, 8:16])  # clipped at the frame border
+    wide = Rng(6).uniform((8, 32, 3))  # the box follows the frame: (1, 4, 4, 7) here
+    assert np.array_equal(_entity_crop(_toy_scene(1, wide), "silver robot"), wide[0:6, 2:9])
 
 
 def test_scene_consistency_identical_crops_score_100():
     frame = Rng(7).uniform((16, 16, 3))
-    boxes = {"silver robot": (4, 8, 4, 8), "workshop": (0, 16, 0, 16)}
     video = MultiSceneVideo(PROMPT, parse_script(SCRIPT2),
-                            [_toy_scene(1, frame, boxes), _toy_scene(2, frame, boxes)],
-                            {})
+                            [_toy_scene(1, frame), _toy_scene(2, frame)], {})
     assert scene_consistency(video) == ({"silver robot": 100.0, "workshop": 100.0}, [])
 
 
@@ -435,29 +438,32 @@ def test_scene_consistency_requires_common_entities():
             "[Scene 2: prompt: a quiet cellar | foreground: none | background: cellar | camera: static, slow]")
     script = parse_script(text)
     frame = Rng(8).uniform((16, 16, 3))
-    scenes = [_toy_scene(1, frame, {"hallway": (0, 16, 0, 16)}, fg=(), bg="hallway"),
-              _toy_scene(2, frame, {"cellar": (0, 16, 0, 16)}, fg=(), bg="cellar")]
+    scenes = [_toy_scene(1, frame, fg=(), bg="hallway"),
+              _toy_scene(2, frame, fg=(), bg="cellar")]
     video = MultiSceneVideo(PROMPT, script, scenes, {})
-    with pytest.raises(NoCommonEntities):
-        scene_consistency(video)
+    # without a common entity there is nothing to score, and nothing skipped
+    assert scene_consistency(video) == ({}, [])
+    report = compute_metrics(video)
+    assert report.scene_consistency_mean is None and report.skipped_entities == []
 
 
 def test_scene_consistency_skips_undetectable_entities():
+    # an entity is undetectable when fewer than two of its scenes were loaded
+    text = SCRIPT2 + ("\n[Scene 3: prompt: an empty workshop at night | foreground: none | "
+                      "background: workshop | camera: static, slow]")
     frame = Rng(9).uniform((16, 16, 3))
-    full = {"silver robot": (4, 8, 4, 8), "workshop": (0, 16, 0, 16)}
-    missing = {"workshop": (0, 16, 0, 16)}  # no robot box in scene 2
-    video = MultiSceneVideo(PROMPT, parse_script(SCRIPT2),
-                            [_toy_scene(1, frame, full), _toy_scene(2, frame, missing)],
-                            {})
-    report = compute_metrics(video)
+    video = MultiSceneVideo(PROMPT, parse_script(text),
+                            [_toy_scene(1, frame), _toy_scene(3, frame, fg=())], {})
+    report = compute_metrics(video)  # the robot's scene 2 is missing
     assert report.skipped_entities == ["silver robot"]
-    assert set(report.scene_consistency) == {"workshop"}
+    assert report.scene_consistency == {"workshop": 100.0}
     assert scene_consistency(video) == (report.scene_consistency, ["silver robot"])
-    # when every common entity is skipped the metric refuses to answer
-    none_at_all = [_toy_scene(1, frame, {}), _toy_scene(2, frame, {})]
-    broken = MultiSceneVideo(PROMPT, parse_script(SCRIPT2), none_at_all, {})
-    with pytest.raises(DetectorMiss):
-        scene_consistency(broken)
+    # when every common entity is skipped the metric reports null, not an error
+    lone = MultiSceneVideo(PROMPT, parse_script(text), [_toy_scene(1, frame)], {})
+    assert scene_consistency(lone) == ({}, ["silver robot", "workshop"])
+    report = compute_metrics(lone)
+    assert report.scene_consistency_mean is None
+    assert report.frame_consistency == [100.0]
 
 
 def test_fg_bg_similarity_self_is_exactly_one():
@@ -606,7 +612,8 @@ def test_partial_persistence_after_reference_failure(tmp_path):
     assert (tmp_path / "script.txt").exists()  # what finished was exported
 
 
-def test_partial_tree_after_a_scene_failure_loads_what_finished(tmp_path, monkeypatch):
+def _fail_scene_2(tmp_path, monkeypatch):
+    """Run SCRIPT3 into ``tmp_path`` with scene 2's sampler down; return the StageError."""
     real, calls = pipeline.sample_video, []
 
     def fail_on_scene_2(*args, **kwargs):  # the oracle samples one clip per scene
@@ -617,7 +624,11 @@ def test_partial_tree_after_a_scene_failure_loads_what_finished(tmp_path, monkey
     monkeypatch.setattr(pipeline, "sample_video", fail_on_scene_2)
     with pytest.raises(StageError) as err:
         _run(SCRIPT3, tmp_path)
-    assert err.value.stage == "scenes"
+    return err.value
+
+
+def test_partial_tree_after_a_scene_failure_loads_what_finished(tmp_path, monkeypatch):
+    assert _fail_scene_2(tmp_path, monkeypatch).stage == "scenes"
     failure = json.loads((tmp_path / "failure_manifest.json").read_text())
     assert failure["completed_scenes"] == [1]
     assert load_manifest(str(tmp_path))["scenes"] == [1]
@@ -626,8 +637,19 @@ def test_partial_tree_after_a_scene_failure_loads_what_finished(tmp_path, monkey
     assert len(back.script.scenes) == 3
     assert {name: ref.kind for name, ref in back.references.items()} == {
         "silver robot": "foreground", "workshop": "background"}
-    assert back.scenes[0].entity_boxes == compose_scene(
-        back.script.scenes[0], {}, 16, 16, ToyTextToImageBackend(), 0)[1]
+
+
+def test_metrics_on_a_partial_tree_report_null_scene_consistency(tmp_path, monkeypatch, capsys):
+    # every entity of SCRIPT3 is in all three scenes, so with scene 2 failed
+    # and scene 3 never run none has two loaded scenes to compare
+    _fail_scene_2(tmp_path, monkeypatch)
+    capsys.readouterr()
+    assert main(["metrics", "--out-dir", str(tmp_path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["scene_consistency_mean"] is None
+    assert report["scene_consistency"] == {}
+    assert report["skipped_entities"] == ["silver robot", "workshop"]
+    assert len(report["frame_consistency"]) == 1
 
 
 # --- export / load -------------------------------------------------------------------------------
@@ -662,7 +684,6 @@ def test_export_load_round_trip(tmp_path):
     assert len(back.scenes) == len(video.scenes)
     for orig, loaded in zip(video.scenes, back.scenes):
         assert loaded.spec == orig.spec
-        assert loaded.entity_boxes == orig.entity_boxes
         # latents ride through float32 storage
         assert np.max(np.abs(loaded.clip_latent - orig.clip_latent)) < 1e-6
         assert len(loaded.frames) == len(orig.frames)
@@ -670,9 +691,11 @@ def test_export_load_round_trip(tmp_path):
         assert np.max(np.abs(loaded.frames[0].data - orig.frames[0].data)) <= 0.5 / 255 + 1e-12
     assert set(back.references) == set(video.references)
     assert back.references["silver robot"].kind == "foreground"
-    # metrics recompute from the loaded tree without error
+    # metrics recompute from the loaded tree, cropping the same slots
     report = compute_metrics(back)
     assert report.scene_consistency_mean is not None
+    assert report.skipped_entities == []
+    assert set(report.scene_consistency) == set(compute_metrics(video).scene_consistency)
 
 
 def test_checksum_fault_injection(tmp_path):
