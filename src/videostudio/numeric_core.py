@@ -385,20 +385,25 @@ def attention(q, k, v, scale):
     """softmax(q @ k^T * scale) @ v over the last two axes.
 
     q: [..., L_q, d]; k: [..., L_k, d]; v: [..., L_k, d_v]; leading dims
-    broadcast.  The forward walks the first leading axis in chunks whose
-    score buffer stays within ``_CHUNK_BYTES`` and runs the scale and the
-    softmax in place on that one buffer; an operand without that axis is
-    shared by every chunk.  Only while the tape records are the
-    probabilities kept, in one full-size buffer, for the backward.
+    broadcast; L_k must be at least 1.  The forward walks the first leading
+    axis in chunks whose score buffer stays within ``_CHUNK_BYTES``, and
+    makes five passes over that one buffer: ``(q * scale) @ k^T``, minus
+    the row max, exp in place, and one matmul against ``[v | 1]``, whose
+    last column is each row's sum of exponentials; the ``[L_q, d_v]``
+    output is divided by those sums (deferred normalisation, as in online
+    softmax).  An operand without the walked axis is shared by every chunk.
+    Only while the tape records are the probabilities kept, in one
+    full-size buffer, for the backward.
     """
     q, k, v = _ensure(q), _ensure(k), _ensure(v)
-    if q.data.shape[-1] != k.data.shape[-1] or k.data.shape[-2] != v.data.shape[-2]:
+    if (q.data.shape[-1] != k.data.shape[-1] or k.data.shape[-2] != v.data.shape[-2]
+            or k.data.shape[-2] == 0):
         raise ShapeMismatch(f"attention q{q.data.shape} k{k.data.shape} v{v.data.shape}")
     kt = np.swapaxes(k.data, -1, -2)
     lead = np.broadcast_shapes(q.data.shape[:-2], k.data.shape[:-2], v.data.shape[:-2])
     grid = lead or (1,)  # a leading axis to walk even for plain matrices
-    l_q, l_k = q.data.shape[-2], k.data.shape[-2]
-    out = np.empty(grid + (l_q, v.data.shape[-1]))
+    l_q, l_k, d_v = q.data.shape[-2], k.data.shape[-2], v.data.shape[-1]
+    out = np.empty(grid + (l_q, d_v))
     record = _records((q, k, v))
     step = max(1, _CHUNK_BYTES // max(1, 8 * l_q * l_k * math.prod(grid[1:])))
     if record:
@@ -409,12 +414,15 @@ def attention(q, k, v, scale):
     for start in range(0, grid[0], step):
         rows = slice(start, start + step)
         scores = probs[rows] if record else buf[:min(step, grid[0] - start)]
-        np.matmul(_chunk_of(q.data, rows, ndim), _chunk_of(kt, rows, ndim), out=scores)
-        scores *= scale
+        np.matmul(_chunk_of(q.data, rows, ndim) * scale, _chunk_of(kt, rows, ndim), out=scores)
         scores -= scores.max(axis=-1, keepdims=True)
         np.exp(scores, out=scores)
-        scores /= scores.sum(axis=-1, keepdims=True)
-        np.matmul(scores, _chunk_of(v.data, rows, ndim), out=out[rows])
+        vc = _chunk_of(v.data, rows, ndim)
+        acc = np.matmul(scores, np.concatenate((vc, np.ones(vc.shape[:-1] + (1,))), axis=-1))
+        # each row's max contributes exp(0) = 1, so no row sum is below 1
+        np.divide(acc[..., :d_v], acc[..., d_v:], out=out[rows])
+        if record:
+            scores /= acc[..., d_v:]
     out = out.reshape(lead + out.shape[-2:])
 
     def back(g):

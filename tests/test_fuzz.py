@@ -29,6 +29,16 @@ from videostudio.script_engine import parse_script, serialize_script
 
 FUZZ = settings(database=None, derandomize=True, deadline=None, max_examples=300)
 
+# Strategies are built once, at import or before a test's examples, not
+# inside a draw, where every example would build and validate new ones.
+
+
+def _put(path, raw):
+    # a new file each time: ext4 flushes a file that was truncated and
+    # rewritten in place when it is closed, ten times the cost of a new file
+    path.unlink(missing_ok=True)
+    path.write_bytes(raw)
+
 
 def _typed(fn, *args):
     """``fn(*args)``, or None when it raises a VideoStudioError; any other
@@ -41,13 +51,17 @@ def _typed(fn, *args):
 
 # --- PPM / PGM ------------------------------------------------------------------
 
+_MAXVAL = st.one_of(st.integers(1, 255), st.integers(-1, 70000))
+_COMMENT = st.sampled_from((b"", b"# made by hand\n"))
+
+
 @st.composite
 def netpbm_files(draw, magic, channels):
     """A Netpbm header with random fields, then a payload that is sometimes
     exactly the size the header declares."""
     w, h = draw(st.integers(-2, 24)), draw(st.integers(-2, 24))
-    maxval = draw(st.one_of(st.integers(1, 255), st.integers(-1, 70000)))
-    comment = draw(st.sampled_from([b"", b"# made by hand\n"]))
+    maxval = draw(_MAXVAL)
+    comment = draw(_COMMENT)
     header = magic + b"\n" + comment + f"{w} {h}\n{maxval}\n".encode("ascii")
     size = w * h * channels
     if size > 0 and draw(st.booleans()):
@@ -66,13 +80,19 @@ def test_netpbm_decoders_raise_only_typed_errors(raw):
 
 # --- VSTN -------------------------------------------------------------------------
 
+_VSTN_VERSION = st.one_of(st.just(1), st.integers(0, 2 ** 32 - 1))
+_HUGE_DIMS = st.lists(st.integers(0, 2 ** 64 - 1), max_size=3)
+_SMALL_DIMS = st.binary(max_size=70)  # one dim of 0-4 per byte
+
+
 @st.composite
 def vstn_files(draw):
-    """A VSTN header with random version, rank and dims, then a payload that
-    is sometimes exactly the size the dims declare."""
-    version = draw(st.one_of(st.just(1), st.integers(0, 2 ** 32 - 1)))
-    dim = st.one_of(st.integers(0, 4), st.integers(0, 2 ** 64 - 1))
-    dims = draw(st.lists(dim, max_size=70))
+    """A VSTN header with random version, rank of up to 73 (past numpy's
+    64) and dims, up to three of them anywhere in 64 bits and the rest
+    0-4, then a payload that is sometimes exactly the size the dims
+    declare."""
+    version = draw(_VSTN_VERSION)
+    dims = draw(_HUGE_DIMS) + [b % 5 for b in draw(_SMALL_DIMS)]
     raw = b"VSTN" + struct.pack("<II", version, len(dims)) + struct.pack(f"<{len(dims)}Q", *dims)
     count = math.prod(dims)
     if count <= 256 and draw(st.booleans()):
@@ -88,7 +108,7 @@ def test_load_tensor_raises_only_typed_errors(tmp_path):
                      st.binary(max_size=64).map(lambda tail: b"VSTN" + tail),
                      vstn_files()))
     def check(raw):
-        path.write_bytes(raw)
+        _put(path, raw)
         arr = _typed(load_tensor, path)
         assert arr is None or (arr.dtype == np.dtype("<f4") and np.isfinite(arr).all())
 
@@ -103,6 +123,7 @@ def test_tensor_files_round_trip_finite_float32(tmp_path):
     @given(hnp.arrays(np.float32, hnp.array_shapes(min_dims=0, max_dims=4, min_side=0,
                                                    max_side=5), elements=finite))
     def check(arr):
+        path.unlink(missing_ok=True)  # see _put
         save_tensor(path, arr)
         back = load_tensor(path)
         assert back.shape == arr.shape
@@ -116,6 +137,12 @@ def test_tensor_files_round_trip_finite_float32(tmp_path):
 _ANY = st.one_of(st.sampled_from(["red fox", "Snowy  Forest", "x"]), st.text(max_size=12))
 # one line of text: no control characters and no line or paragraph separators
 _ON_LINE = st.text(st.characters(exclude_categories=("Cc", "Zl", "Zp")), min_size=1, max_size=12)
+# prompt, background and 0-3 foreground names
+_FIELDS = {field: st.lists(field, min_size=2, max_size=5) for field in (_ON_LINE, _ANY)}
+_NO_NAMES = st.sampled_from(("none", "None", ""))
+_DIRECTION, _SPEED = st.sampled_from(DIRECTIONS), st.sampled_from(SPEEDS)
+_ANY_INDEX = st.one_of(st.integers(0, 6), st.text("0123456789", min_size=1))
+_ANY_DIRECTION, _ANY_SPEED = st.one_of(_DIRECTION, _ANY), st.one_of(_SPEED, _ANY)
 
 
 @st.composite
@@ -132,15 +159,14 @@ def scene_records(draw):
     for k in range(draw(st.integers(1, 3))):
         if strict:
             index = k + 1
-            direction, speed = draw(st.sampled_from(DIRECTIONS)), draw(st.sampled_from(SPEEDS))
+            direction, speed = draw(_DIRECTION), draw(_SPEED)
         else:
-            index = draw(st.one_of(st.integers(0, 6), st.text("0123456789", min_size=1)))
-            direction = draw(st.one_of(st.sampled_from(DIRECTIONS), _ANY))
-            speed = draw(st.one_of(st.sampled_from(SPEEDS), _ANY))
-        names = draw(st.lists(field, max_size=3))
-        foreground = ", ".join(names) if names else draw(st.sampled_from(["none", "None", ""]))
-        lines.append(f"[Scene {index}: prompt: {draw(field)} | foreground: {foreground} | "
-                     f"background: {draw(field)} | camera: {direction}, {speed}]")
+            index = draw(_ANY_INDEX)
+            direction, speed = draw(_ANY_DIRECTION), draw(_ANY_SPEED)
+        prompt, background, *names = draw(_FIELDS[field])
+        foreground = ", ".join(names) if names else draw(_NO_NAMES)
+        lines.append(f"[Scene {index}: prompt: {prompt} | foreground: {foreground} | "
+                     f"background: {background} | camera: {direction}, {speed}]")
     return "\n".join(lines)
 
 
@@ -159,9 +185,15 @@ _NUMBER = st.one_of(st.integers(-2, 70), st.integers(0, 80).map(lambda k: 2 ** k
                     st.just(2 ** 1100), st.floats())
 _LEAF = st.one_of(st.none(), st.booleans(), _NUMBER, st.text(max_size=8),
                   st.sampled_from(["oracle", "network", "mock", "http", "toy", "vocab.json"]))
-_VALUE = st.recursive(_LEAF, lambda inner: st.one_of(
-    st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=6), inner, max_size=3)),
-    max_leaves=8)
+
+
+def _nest(inner):
+    return st.one_of(_LEAF, st.lists(inner, max_size=4),
+                     st.dictionaries(st.text(max_size=6), inner, max_size=3))
+
+
+# any JSON value, containers nested up to two deep (st.recursive costs twice as much)
+_VALUE = _nest(_nest(_LEAF))
 _VOCAB_ROW = st.fixed_dictionaries({
     "name": st.one_of(st.sampled_from(["waving", "Riding Bike", "riding  bike"]), _LEAF),
     "embedding": st.one_of(st.sampled_from([[1.0, 0.0], [0.0, 1.0]]),
@@ -176,14 +208,20 @@ def _leaf_paths(doc, prefix=()):
             yield prefix + (key,)
 
 
-_CONFIG_LEAVES = tuple(_leaf_paths(default_config()))
+_SWAPS = st.dictionaries(st.sampled_from(tuple(_leaf_paths(default_config()))),
+                         st.one_of(_NUMBER, _VALUE, st.lists(_NUMBER, max_size=4)), max_size=3)
+_EXTRA = st.sampled_from(("none",) * 4 + ("big", "unknown", "section", "root"))
+_UNKNOWN_IN = st.sampled_from((None, "model", "chat"))
+_UNKNOWN_KEY = st.text(max_size=6)
+_SECTION = st.sampled_from(("model", "video_sampler", "chat"))
+_VOCAB = st.one_of(st.lists(_VOCAB_ROW, min_size=1, max_size=3), _VALUE)
+_CUT = st.sampled_from((False, False, False, True))
 
 
 def _json_text(doc, draw):
     # the text of doc, with each _BIG spelled out, one time in four cut short
     text = json.dumps(doc).replace(json.dumps(_BIG), "9" * 5000)
-    cut = draw(st.sampled_from([False, False, False, True]))
-    return text[:draw(st.integers(0, len(text)))] if cut else text
+    return text[:draw(st.integers(0, len(text)))] if draw(_CUT) else text
 
 
 @st.composite
@@ -193,21 +231,19 @@ def config_files(draw):
     integers), sometimes an unknown key or a section replaced by a value.
     A ``"vocab.json"`` leaf names the well-formed vocabulary file."""
     doc = default_config()
-    swaps = draw(st.dictionaries(st.sampled_from(_CONFIG_LEAVES),
-                                 st.one_of(_NUMBER, _VALUE, st.lists(_NUMBER, max_size=4)),
-                                 max_size=3))
-    for path, value in swaps.items():
+    for path, value in draw(_SWAPS).items():
         section = doc
         for name in path[:-1]:
             section = section[name]
         section[path[-1]] = value
-    extra = draw(st.sampled_from(["none"] * 4 + ["big", "unknown", "section", "root"]))
+    extra = draw(_EXTRA)
     if extra == "big":
         doc["seed"] = _BIG
     elif extra == "unknown":
-        draw(st.sampled_from([doc, doc["model"], doc["chat"]]))[draw(st.text(max_size=6))] = 1
+        section = draw(_UNKNOWN_IN)
+        (doc[section] if section else doc)[draw(_UNKNOWN_KEY)] = 1
     elif extra == "section":
-        doc[draw(st.sampled_from(["model", "video_sampler", "chat"]))] = draw(_LEAF)
+        doc[draw(_SECTION)] = draw(_LEAF)
     elif extra == "root":
         doc = draw(_VALUE)
     vocab = [{"name": "waving", "embedding": [1.0, 0.0]}]
@@ -218,7 +254,7 @@ def config_files(draw):
 def vocabulary_files(draw):
     """(config text, vocabulary text): a config naming the vocabulary file,
     whose rows have random names and embeddings."""
-    vocab = draw(st.one_of(st.lists(_VOCAB_ROW, min_size=1, max_size=3), _VALUE))
+    vocab = draw(_VOCAB)
     return json.dumps({"vocabulary_path": "vocab.json"}), _json_text(vocab, draw)
 
 
@@ -230,9 +266,9 @@ def test_load_config_raises_only_typed_errors(tmp_path, monkeypatch):
                      st.tuples(st.binary(max_size=64), st.just("[]"))))
     def check(files):
         config_text, vocab_text = files
-        (tmp_path / "vocab.json").write_text(vocab_text)
+        _put(tmp_path / "vocab.json", vocab_text.encode())
         raw = config_text if isinstance(config_text, bytes) else config_text.encode()
-        (tmp_path / "config.json").write_bytes(raw)
+        _put(tmp_path / "config.json", raw)
         config = _typed(load_config, "config.json")
         assert config is None or isinstance(config, PipelineConfig)
 
@@ -248,19 +284,30 @@ _SCRIPT = ("[Scene 1: prompt: a red fox waving in the snowy forest | foreground:
            "background: snowy forest | camera: static, slow]")
 
 
-@st.composite
-def byte_edits(draw, raw):
-    """``raw`` with one edit, often inside its header: a byte changed, the
-    tail cut off, a run spliced in, or the whole file replaced."""
-    at = draw(st.one_of(st.integers(0, min(len(raw), 24)), st.integers(0, len(raw))))
-    kind = draw(st.sampled_from(["flip", "cut", "splice", "replace"]))
-    if kind == "flip" and at < len(raw):
-        return raw[:at] + bytes([raw[at] ^ draw(st.integers(1, 255))]) + raw[at + 1:]
-    if kind == "cut":
-        return raw[:at]
-    if kind == "splice":
-        return raw[:at] + draw(st.binary(max_size=16)) + raw[at + draw(st.integers(0, 16)):]
-    return draw(st.binary(max_size=64))
+_EDIT_KIND = st.sampled_from(("flip", "cut", "splice", "replace"))
+_FLIP = st.integers(1, 255)
+_SPLICE, _SPLICE_OVER = st.binary(max_size=16), st.integers(0, 16)
+_REPLACEMENT = st.binary(max_size=64)
+
+
+def byte_edits(raw):
+    """Copies of ``raw`` with one edit, often inside its header: a byte
+    changed, the tail cut off, a run spliced in, or the whole file replaced."""
+    where = st.one_of(st.integers(0, min(len(raw), 24)), st.integers(0, len(raw)))
+
+    @st.composite
+    def edited(draw):
+        at = draw(where)
+        kind = draw(_EDIT_KIND)
+        if kind == "flip" and at < len(raw):
+            return raw[:at] + bytes([raw[at] ^ draw(_FLIP)]) + raw[at + 1:]
+        if kind == "cut":
+            return raw[:at]
+        if kind == "splice":
+            return raw[:at] + draw(_SPLICE) + raw[at + draw(_SPLICE_OVER):]
+        return draw(_REPLACEMENT)
+
+    return edited()
 
 
 def _json_paths(doc, prefix=()):
@@ -277,24 +324,31 @@ def _lookup(doc, path):
     return doc
 
 
-@st.composite
-def json_edits(draw, doc):
-    """A copy of ``doc`` with one node deleted or replaced, by any JSON value
-    or by another of the document's own leaves (a file path for another)."""
-    doc = json.loads(json.dumps(doc))
+def json_edits(doc):
+    """The JSON text of copies of ``doc`` with one node deleted or replaced,
+    by any JSON value or by another of the document's own leaves (a file
+    path for another)."""
+    text = json.dumps(doc)
     paths = list(_json_paths(doc))
-    leaves = [_lookup(doc, path) for path in paths
-              if not isinstance(_lookup(doc, path), (dict, list))]
-    path = draw(st.sampled_from(paths))
-    value = draw(st.one_of(_VALUE, st.sampled_from(leaves)))
-    if not path:
-        return value
-    parent = _lookup(doc, path[:-1])
-    if isinstance(parent, dict) and draw(st.booleans()):
-        del parent[path[-1]]
-    else:
-        parent[path[-1]] = value
-    return doc
+    where = st.sampled_from(paths)
+    values = st.one_of(_VALUE, st.sampled_from([
+        _lookup(doc, path) for path in paths if not isinstance(_lookup(doc, path), (dict, list))]))
+
+    @st.composite
+    def edited(draw):
+        doc = json.loads(text)
+        path = draw(where)
+        value = draw(values)
+        if not path:
+            return json.dumps(value).encode()
+        parent = _lookup(doc, path[:-1])
+        if isinstance(parent, dict) and draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+        return json.dumps(doc).encode()
+
+    return edited()
 
 
 def _files(root):
@@ -302,25 +356,31 @@ def _files(root):
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
-@st.composite
-def tree_edits(draw, files):
+def tree_edits(files):
     """{relative path: new bytes}: one file of an exported tree edited, with
     the manifest checksum re-signed so the edit reaches the decoders, or the
     manifest edited as JSON or as bytes."""
     manifest = json.loads(files["manifest.json"])
-    rel = draw(st.sampled_from(sorted(files) + ["manifest.json"] * 4))
-    if rel == "manifest.json":
-        edited = draw(st.one_of(json_edits(manifest).map(lambda doc: json.dumps(doc).encode()),
-                                byte_edits(files[rel])))
-        return {rel: edited}
-    raw = draw(byte_edits(files[rel]))
-    manifest["checksums"][rel] = hashlib.sha256(raw).hexdigest()
-    return {rel: raw, "manifest.json": json.dumps(manifest).encode()}
+    edits = {rel: byte_edits(raw) for rel, raw in files.items()}
+    edits["manifest.json"] = st.one_of(json_edits(manifest), edits["manifest.json"])
+    which = st.sampled_from(sorted(files) + ["manifest.json"] * 4)
+
+    @st.composite
+    def edited(draw):
+        rel = draw(which)
+        raw = draw(edits[rel])
+        if rel == "manifest.json":
+            return {rel: raw}
+        checksums = {**manifest["checksums"], rel: hashlib.sha256(raw).hexdigest()}
+        signed = json.dumps({**manifest, "checksums": checksums}).encode()
+        return {rel: raw, "manifest.json": signed}
+
+    return edited()
 
 
 def _rewrite(root, files):
     for rel, raw in files.items():
-        (root / rel).write_bytes(raw)
+        _put(root / rel, raw)
 
 
 def test_load_video_raises_only_typed_errors(tmp_path):
@@ -351,15 +411,20 @@ def _checkpoint_model(seed):
                        text_channels=4, fg_channels=4, bg_channels=4)
 
 
-@st.composite
-def checkpoint_edits(draw, files):
+def checkpoint_edits(files):
     """{relative path: new bytes}: one file of a checkpoint edited as bytes,
     or its weights.json edited as JSON."""
-    rel = draw(st.sampled_from(sorted(files) + ["weights.json"] * 4))
-    edits = [byte_edits(files[rel])]
-    if rel == "weights.json":
-        edits.append(json_edits(json.loads(files[rel])).map(lambda doc: json.dumps(doc).encode()))
-    return {rel: draw(st.one_of(edits))}
+    edits = {rel: byte_edits(raw) for rel, raw in files.items()}
+    edits["weights.json"] = st.one_of(edits["weights.json"],
+                                      json_edits(json.loads(files["weights.json"])))
+    which = st.sampled_from(sorted(files) + ["weights.json"] * 4)
+
+    @st.composite
+    def edited(draw):
+        rel = draw(which)
+        return {rel: draw(edits[rel])}
+
+    return edited()
 
 
 def test_load_weights_raises_only_typed_errors(tmp_path):

@@ -160,10 +160,40 @@ def test_attention_across_chunks_matches_composed_reference(shared_context):
     out = attention(q, k, v, 1.0 / math.sqrt(d))
     out.backward(g)
     want = _composed_attention(q.data, k.data, v.data, 1.0 / math.sqrt(d), g)
-    assert np.array_equal(out.data, want[0])  # the same float64 steps per chunk
+    # row sums come from the [v | 1] matmul, not np.sum's pairwise order
+    assert np.allclose(out.data, want[0], rtol=1e-12, atol=1e-12)
     for got, ref in zip((q.grad, k.grad, v.grad), want[1:]):
         assert got.shape == ref.shape
         assert np.allclose(got, ref, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("l_k", [1, 40])
+def test_attention_with_large_scores_stays_finite(l_k):
+    # k scaled so that scores reach about +-1e3, where exp overflows
+    # unless the row max is subtracted first
+    rng = Rng(43)
+    q = Parameter(rng.normal((3, 2, 16, 8)), name="q")
+    k = Parameter(300.0 * rng.normal((3, 2, l_k, 8)), name="k")
+    v = Parameter(rng.normal((3, 2, l_k, 8)), name="v")
+    scale = 1.0 / math.sqrt(8)
+    scores = np.abs(np.matmul(q.data, np.swapaxes(k.data, -1, -2)) * scale)
+    assert scores.max() > 700.0  # np.exp(710) overflows float64
+    g = rng.normal((3, 2, 16, 8))
+    out = attention(q, k, v, scale)
+    out.backward(g)
+    want = _composed_attention(q.data, k.data, v.data, scale, g)
+    for got, ref in zip((out.data, q.grad, k.grad, v.grad), want):
+        assert np.isfinite(got).all()
+        assert np.allclose(got, ref, rtol=1e-12, atol=1e-12)
+    if l_k == 1:  # one key: every row's weight is exactly 1
+        assert np.array_equal(out.data, np.broadcast_to(v.data, out.data.shape))
+
+
+def test_attention_rejects_an_empty_key_axis():
+    rng = Rng(44)
+    q = Tensor(rng.normal((2, 5, 4)))
+    with pytest.raises(ShapeMismatch):
+        attention(q, Tensor(np.zeros((2, 0, 4))), Tensor(np.zeros((2, 0, 3))), 0.5)
 
 
 def test_attention_without_tape_matches_taped_forward():
