@@ -254,13 +254,11 @@ class VidDenoiser(Module):
         null.residuals = [blk.residual(zeros, null) for blk in self.blocks]
         return (null, ref_latent)
 
-    def predict(self, video_latent, t, ctx, ref_latent=None):
+    def predict(self, video_latent, t, ctx, ref_latent):
         video_latent = np.asarray(video_latent, dtype=np.float64)
         if video_latent.shape != self.latent_shape:
             raise ShapeMismatch(f"latent {video_latent.shape} vs {self.latent_shape}")
         c_lat, frames, h, w = video_latent.shape
-        if ref_latent is None:
-            ref_latent = np.zeros((c_lat, 1, h, w))
         ref_latent = np.asarray(ref_latent, dtype=np.float64)
         if ref_latent.shape != (c_lat, 1, h, w):
             raise ShapeMismatch(f"reference latent {ref_latent.shape} vs {(c_lat, 1, h, w)}")

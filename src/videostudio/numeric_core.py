@@ -52,8 +52,6 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev")
 
     def __init__(self, data, requires_grad=False, dtype=None):
-        if isinstance(data, Tensor):
-            data = data.data
         self.data = np.asarray(data, dtype=dtype if dtype is not None else np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
@@ -125,9 +123,6 @@ class Tensor:
     def __sub__(self, other):
         return self + (-_ensure(other))
 
-    def __rsub__(self, other):
-        return _ensure(other) + (-self)
-
     def __mul__(self, other):
         other = _ensure(other)
 
@@ -154,9 +149,6 @@ class Tensor:
     # -- shape ops -----------------------------------------------------
 
     def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-
         def back(g):
             if self.requires_grad:
                 self._accumulate(g.reshape(self.data.shape))
@@ -176,21 +168,14 @@ class Tensor:
         perm[a], perm[b] = perm[b], perm[a]
         return self.transpose(perm)
 
-    def sum(self, axis=None, keepdims=False):
+    def sum(self):
         def back(g):
-            if not self.requires_grad:
-                return
-            if axis is None:
+            if self.requires_grad:
                 self._accumulate(np.broadcast_to(g, self.data.shape).copy())
-                return
-            if not keepdims:
-                g = np.expand_dims(g, axis)
-            self._accumulate(np.broadcast_to(g, self.data.shape).copy())
-        return _node(self.data.sum(axis=axis, keepdims=keepdims), (self,), back)
+        return _node(self.data.sum(), (self,), back)
 
-    def mean(self, axis=None, keepdims=False):
-        count = self.data.size if axis is None else self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
+    def mean(self):
+        return self.sum() * (1.0 / self.data.size)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, grad={'yes' if self.requires_grad else 'no'})"
@@ -302,12 +287,12 @@ def layer_norm(t, gain, bias, eps=1e-5):
     return _node(xhat * gain.data + bias.data, (t, gain, bias), back)
 
 
-def temporal_conv1d(x, kernel, bias=None):
+def temporal_conv1d(x, kernel, bias):
     """Width-3 cross-correlation along the frame axis, zero padding 1.
 
-    x: [C, F, H, W]; kernel: [C_out, C, 3]; bias: [C_out] or None.
+    x: [C, F, H, W]; kernel: [C_out, C, 3]; bias: [C_out].
     """
-    x, kernel = _ensure(x), _ensure(kernel)
+    x, kernel, bias = _ensure(x), _ensure(kernel), _ensure(bias)
     if x.data.ndim != 4 or kernel.data.ndim != 3 or kernel.data.shape[2] != 3:
         raise ShapeMismatch(f"temporal_conv1d got x{x.data.shape} kernel{kernel.data.shape}")
     if kernel.data.shape[1] != x.data.shape[0]:
@@ -317,10 +302,7 @@ def temporal_conv1d(x, kernel, bias=None):
     out_data = np.zeros((kernel.data.shape[0], f, h, w), dtype=x.data.dtype)
     for u in range(3):
         out_data += np.einsum("oc,cfhw->ofhw", kernel.data[:, :, u], xp[:, u:u + f])
-    parents = (x, kernel) if bias is None else (x, kernel, _ensure(bias))
-    if bias is not None:
-        bias = parents[2]
-        out_data = out_data + bias.data[:, None, None, None]
+    out_data += bias.data[:, None, None, None]
 
     def back(g):
         if kernel.requires_grad:
@@ -333,9 +315,9 @@ def temporal_conv1d(x, kernel, bias=None):
             for u in range(3):
                 gxp[:, u:u + f] += np.einsum("oc,ofhw->cfhw", kernel.data[:, :, u], g)
             x._accumulate(gxp[:, 1:1 + f])
-        if bias is not None and bias.requires_grad:
+        if bias.requires_grad:
             bias._accumulate(g.sum(axis=(1, 2, 3)))
-    return _node(out_data, parents, back)
+    return _node(out_data, (x, kernel, bias), back)
 
 
 # --- attention -----------------------------------------------------------
@@ -357,9 +339,6 @@ class AttentionParams(Module):
     @classmethod
     def init(cls, rng, query_channels, context_channels, inner_dim, heads=1,
              trainable=True, name="attn"):
-        if inner_dim % heads:
-            raise ShapeMismatch("attention heads must divide the inner dim")
-
         def mk(rows, cols, label):
             w = rng.normal((rows, cols)) / np.sqrt(rows)
             return Parameter(w, trainable=trainable, name=f"{name}.{label}")

@@ -19,6 +19,7 @@ concurrently; we run them in index order for simplicity.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import functools
 import hashlib
@@ -44,10 +45,9 @@ from .numeric_core import (AttentionParams, Parameter, Rng, Tensor,
                            finite_diff_check, hash64, layer_norm, load_tensor,
                            read_bytes, read_json, save_tensor,
                            temporal_conv1d, write_bytes, write_json)
-from .ref_images import (MIN_SIDE, EntityReference, LuminanceSegmenter, RgbImage,
-                         RemoteTextToImageBackend, ToyTextToImageBackend,
-                         build_entity_references, decode_pgm, decode_ppm,
-                         encode_pgm, encode_ppm)
+from .ref_images import (MIN_SIDE, EntityReference, RgbImage, RemoteTextToImageBackend,
+                         ToyTextToImageBackend, build_entity_references, decode_pgm,
+                         decode_ppm, encode_pgm, encode_ppm)
 from .sampler import SamplerConfig, make_schedule, sample_image, sample_video
 from .script_engine import (HttpChatBackend, MockChatBackend, build_aspect_query,
                             build_chat_request, build_description_query,
@@ -251,12 +251,11 @@ def load_config(path=None, overrides=None):
 
 
 class PipelineBackends:
-    """The three pluggable services a run needs."""
+    """The two pluggable services a run needs."""
 
-    def __init__(self, chat, text_to_image, segmenter):
+    def __init__(self, chat, text_to_image):
         self.chat = chat
         self.text_to_image = text_to_image
-        self.segmenter = segmenter
 
 
 def resolve_backends(config, mock_llm=None):
@@ -279,7 +278,7 @@ def resolve_backends(config, mock_llm=None):
         if not t2i_cfg["url"]:
             raise BadConfig("text_to_image.kind is 'http' but text_to_image.url is not set")
         t2i = RemoteTextToImageBackend(t2i_cfg["url"])
-    return PipelineBackends(chat, t2i, LuminanceSegmenter())
+    return PipelineBackends(chat, t2i)
 
 
 # --- latent <-> RGB ----------------------------------------------------------
@@ -530,16 +529,13 @@ def _oracle_denoiser(config, target):
                                     config.noise_schedule(), target.shape)
 
 
-def _sample_clip(config, scene_latent, camera, seed, t_m=None, denoiser=None):
+def _sample_clip(config, scene_latent, camera, seed, t_m=None):
     """Oracle clip latent [C, F, H, W] for one scene latent, moved by ``camera``.
 
     The clip comes from the oracle anchored on the camera-moved scene
-    latent; ``denoiser`` reuses one already built on that anchor.  The
-    oracle reads no conditioning, so none is built.
+    latent.  The oracle reads no conditioning, so none is built.
     """
-    if denoiser is None:
-        anchor = _camera_anchor(scene_latent, camera, config.frames)
-        denoiser = _oracle_denoiser(config, anchor)
+    denoiser = _oracle_denoiser(config, _camera_anchor(scene_latent, camera, config.frames))
     return sample_video(denoiser, (), camera, config.noise_schedule(),
                         config.video_sampler_config(seed, t_m))
 
@@ -556,13 +552,12 @@ def _generate_scene(spec, config, references, t2i_backend,
                     image_denoiser=None, video_denoiser=None):
     c, h, w = config.latent_shape
     scene_seed = derive_seed(config.seed, "scene", spec.index)
-
-    composite = compose_scene(spec, references, h, w, t2i_backend, scene_seed)
     schedule = config.noise_schedule()
     img_cfg = config.image_sampler_config(derive_seed(scene_seed, "image"))
     video_seed = derive_seed(scene_seed, "video")
     camera = (spec.camera.direction, spec.camera.speed)
     if image_denoiser is None:  # the oracles read no conditioning
+        composite = compose_scene(spec, references, h, w, t2i_backend, scene_seed)
         oracle = _oracle_denoiser(config, encode_image(composite, c))
         scene_latent = sample_image(oracle, (), schedule, img_cfg)
         clip_latent = _sample_clip(config, scene_latent, camera, video_seed)
@@ -688,8 +683,13 @@ def export_video(video, out_dir):
 
     The file layout (``_reference_files``, ``_scene_files``), the entity boxes
     and the reference kinds follow from script.txt, the one copy of the
-    script, so the manifest holds only what the script does not fix.
+    script, so the manifest holds only what the script does not fix.  An
+    earlier run's failure_manifest.json and metrics.json, which no checksum
+    covers, are removed first.
     """
+    for stale in ("failure_manifest.json", "metrics.json"):
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(out_dir, stale))
     checksums = {}
 
     def put_bytes(rel, payload):
@@ -823,11 +823,13 @@ def load_video(out_dir, verify=True):
 
 # --- displacement diagnostics -----------------------------------------------------
 
-# Widest shift, in pixels along each axis, that estimate_translation searches.
+# Widest shift, in pixels along each axis, that estimate_translation searches,
+# and the fewest overlapping rows and columns a shift must leave.
 _MAX_SHIFT = 8
+_MIN_OVERLAP = 4
 
 
-def estimate_translation(frame_a, frame_b, max_shift=_MAX_SHIFT, min_overlap=4):
+def estimate_translation(frame_a, frame_b):
     """Integer (dx, dy) taking frame_a content to frame_b.
 
     Exhaustive match over the overlap region: b[r, c] ~ a[r - dy, c - dx],
@@ -843,14 +845,14 @@ def estimate_translation(frame_a, frame_b, max_shift=_MAX_SHIFT, min_overlap=4):
     if a.shape != b.shape:
         raise ShapeMismatch(f"frames {a.shape} vs {b.shape}")
     h, w = a.shape
-    shifts = sorted(((dy, dx) for dy in range(-max_shift, max_shift + 1)
-                     for dx in range(-max_shift, max_shift + 1)),
+    shifts = sorted(((dy, dx) for dy in range(-_MAX_SHIFT, _MAX_SHIFT + 1)
+                     for dx in range(-_MAX_SHIFT, _MAX_SHIFT + 1)),
                     key=lambda s: (abs(s[0]) + abs(s[1]), s))
     best, best_err = (0, 0), np.inf
     for dy, dx in shifts:
         r0, r1 = max(0, dy), h + min(0, dy)
         c0, c1 = max(0, dx), w + min(0, dx)
-        if r1 - r0 < min_overlap or c1 - c0 < min_overlap:
+        if r1 - r0 < _MIN_OVERLAP or c1 - c0 < _MIN_OVERLAP:
             continue
         diff = b[r0:r1, c0:c1] - a[r0 - dy:r1 - dy, c0 - dx:c1 - dx]
         err = float(np.mean(diff * diff))
@@ -912,7 +914,8 @@ def tm_sweep(config, camera=("right", "medium"), tms=(1, 5, 20)):
     denoiser = _oracle_denoiser(config, anchor)
     rows = []
     for tm in tms:
-        clip = _sample_clip(config, scene_latent, camera, seed, tm, denoiser)
+        clip = sample_video(denoiser, (), camera, config.noise_schedule(),
+                            config.video_sampler_config(seed, tm))
         base = decode_latent(clip[:, 0])
         errs = []
         for f, exp in probes:

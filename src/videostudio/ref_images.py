@@ -20,6 +20,9 @@ from .numeric_core import Rng, derive_seed, hash64
 from .script_engine import find_common_entities, post_json
 
 MIN_SIDE = 8
+IMAGE_SIZE = 64  # side, in pixels, of every reference image a backend draws
+SEGMENT_THRESHOLD = 0.5  # Rec. 709 luminance above which a pixel is salient
+T2I_TIMEOUT = 120.0  # seconds an HTTP text-to-image request may take
 
 
 class RgbImage:
@@ -61,7 +64,7 @@ class EntityReference:
 class ToyTextToImageBackend:
     """Procedural stand-in for a diffusion text-to-image service."""
 
-    def __init__(self, size=64):
+    def __init__(self, size=IMAGE_SIZE):
         if size < MIN_SIDE:
             raise DimensionMismatch(f"size must be >= {MIN_SIDE}")
         self.size = size
@@ -79,7 +82,7 @@ class ToyTextToImageBackend:
         n = self.size
         ys, xs = np.mgrid[0:n, 0:n] / (n - 1.0)
         inside = ((xs - cx) / rx) ** 2 + ((ys - cy) / ry) ** 2 <= 1.0
-        # blob luminance must clear the default 0.5 segmentation threshold
+        # blob luminance must clear SEGMENT_THRESHOLD (0.5)
         # at every hue (worst case blue: sat 0.45 / val 0.95 -> 0.55), while
         # the background stays below it (val 0.25 caps luminance at 0.25)
         fg = np.array(colorsys.hsv_to_rgb(hue, 0.45, 0.95))
@@ -92,16 +95,14 @@ class ToyTextToImageBackend:
 class RemoteTextToImageBackend:
     """JSON-over-HTTP text-to-image: returns base64 PPM bytes."""
 
-    def __init__(self, url, size=64, timeout=120.0):
+    def __init__(self, url):
         self.url = url
-        self.size = size
-        self.timeout = timeout
 
     def generate(self, description, seed):
         if not description or not description.strip():
             raise BackendError("text-to-image description is empty")
         payload = post_json(self.url, {"prompt": description, "seed": int(seed),
-                                       "width": self.size, "height": self.size}, self.timeout)
+                                       "width": IMAGE_SIZE, "height": IMAGE_SIZE}, T2I_TIMEOUT)
         encoded = payload.get("image_ppm_b64") if isinstance(payload, dict) else None
         if not isinstance(encoded, str):
             raise BackendError(f"text-to-image reply from {self.url} has no "
@@ -113,24 +114,13 @@ class RemoteTextToImageBackend:
 
 
 class LuminanceSegmenter:
-    """Salient = brighter than a luminance threshold (Rec. 709 weights)."""
-
-    def __init__(self, threshold=0.5):
-        self.threshold = threshold
+    """Salient = brighter than SEGMENT_THRESHOLD (Rec. 709 weights)."""
 
     def segment(self, image):
         lum = (0.2126 * image.data[:, :, 0]
                + 0.7152 * image.data[:, :, 1]
                + 0.0722 * image.data[:, :, 2])
-        return Mask((lum > self.threshold).astype(np.float64))
-
-
-def segment_salient(image, segmenter):
-    mask = segmenter.segment(image)
-    if mask.data.shape != image.data.shape[:2]:
-        raise DimensionMismatch(f"segmenter returned {mask.data.shape} for image "
-                                f"{image.data.shape[:2]}")
-    return mask
+        return Mask((lum > SEGMENT_THRESHOLD).astype(np.float64))
 
 
 def apply_mask(image, mask, keep):
@@ -146,7 +136,7 @@ def apply_mask(image, mask, keep):
 def build_entity_references(script, descriptions, backends, seed):
     """One masked reference per unique entity, deterministic per name.
 
-    ``backends`` carries .text_to_image and .segmenter; ``descriptions``
+    ``backends`` carries .text_to_image; ``descriptions``
     maps entity name -> description text.
     """
     references = {}
@@ -156,7 +146,7 @@ def build_entity_references(script, descriptions, backends, seed):
             raise BackendError(f"entity {record.name!r} has no description")
         entity_seed = derive_seed(seed, "entity", record.name)
         image = backends.text_to_image.generate(description, entity_seed)
-        mask = segment_salient(image, backends.segmenter)
+        mask = LuminanceSegmenter().segment(image)
         keep = "fg" if record.kind == "foreground" else "bg"
         masked = apply_mask(image, mask, keep)
         references[record.name] = EntityReference(masked, record.kind, mask)

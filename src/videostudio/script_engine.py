@@ -32,6 +32,7 @@ from .numeric_core import hash64, read_json
 MAX_SCENES = 12
 MAX_FOREGROUNDS = 4
 MAX_ATTEMPTS = 3
+CHAT_TIMEOUT = 60.0  # seconds an HTTP chat request may take
 
 
 # --- domain types -----------------------------------------------------------
@@ -230,14 +231,13 @@ def post_json(url, doc, timeout):
 class HttpChatBackend:
     """POSTs the chat-completion request shape to a local endpoint."""
 
-    def __init__(self, url, model="local-chat", timeout=60.0):
+    def __init__(self, url, model="local-chat"):
         self.url = url
         self.model = model
-        self.timeout = timeout
 
     def complete(self, messages):
         return parse_chat_response(post_json(self.url, build_chat_request(messages, self.model),
-                                             self.timeout))
+                                             CHAT_TIMEOUT))
 
 
 def _is_reply(value):

@@ -5,7 +5,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from videostudio import cli, errors
+from videostudio import cli, errors, pipeline
 from videostudio.cli import main
 from videostudio.numeric_core import load_tensor
 from videostudio.pipeline import build_mock_llm_fixture, load_manifest
@@ -108,6 +108,34 @@ def test_generate_with_incomplete_fixture(tmp_path, capsys):
                  "--out-dir", str(tmp_path / "out")])
     assert code == 3
     assert "stage 'script'" in capsys.readouterr().err
+
+
+def test_good_rerun_removes_the_earlier_failure_record(fixture_path, tmp_path, capsys):
+    out, bad = tmp_path / "out", tmp_path / "bad.json"
+    bad.write_text(json.dumps({"deadbeef": "useless"}))
+    assert main(["generate", "--prompt", PROMPT, "--mock-llm", str(bad),
+                 "--out-dir", str(out)]) == 3
+    assert (out / "failure_manifest.json").exists()
+    assert main(["generate", "--prompt", PROMPT, "--mock-llm", fixture_path,
+                 "--out-dir", str(out)]) == 0
+    assert not (out / "failure_manifest.json").exists()
+    capsys.readouterr()
+
+
+def test_failed_rerun_removes_the_earlier_metrics(fixture_path, tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    assert main(["generate", "--prompt", PROMPT, "--mock-llm", fixture_path,
+                 "--out-dir", str(out)]) == 0
+    assert (out / "metrics.json").exists()
+
+    def sampler_down(*_args, **_kwargs):
+        raise errors.TooFewFrames("sampler down")
+    monkeypatch.setattr(pipeline, "sample_video", sampler_down)
+    assert main(["generate", "--prompt", PROMPT, "--mock-llm", fixture_path,
+                 "--out-dir", str(out)]) == 2
+    assert json.loads((out / "failure_manifest.json").read_text())["failed_stage"] == "scenes"
+    assert not (out / "metrics.json").exists()
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("content", [

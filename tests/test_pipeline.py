@@ -572,6 +572,19 @@ def test_network_scenes_build_their_conditioning_once_each(monkeypatch):
                      "indicator": scenes}
 
 
+def test_network_scenes_compose_no_oracle_target(monkeypatch):
+    # the composed picture is the oracle's target; the network denoisers never read it
+    real, calls = pipeline.compose_scene, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(pipeline, "compose_scene", counted)
+    video, _ = _run(SCRIPT2, **TINY_NETWORK)
+    assert len(video.scenes) == 2
+    assert calls == []
+
+
 def test_scene_outputs_do_not_depend_on_later_scenes(tmp_path):
     out_a, out_b = tmp_path / "three", tmp_path / "two"
     video3, _ = _run(SCRIPT3)
@@ -855,6 +868,21 @@ def test_unverified_load_of_a_bad_script_txt_is_a_typed_error(_exported, tmp_pat
         load_video(str(tree), verify=False)
 
 
+def test_verified_load_of_a_vouched_non_utf8_script_txt_is_malformed(_exported, tmp_path,
+                                                                     capsys):
+    # a checksum vouches for the bytes' integrity, not that they are a script
+    def vouch_for_bad_bytes(manifest, tree):
+        path = tree / "script.txt"
+        path.write_bytes(b"\xff\xfe not utf-8\n")
+        manifest["checksums"]["script.txt"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    tree = _tampered_tree(_exported, tmp_path, vouch_for_bad_bytes)
+    with pytest.raises(MalformedScene):
+        load_video(str(tree))
+    capsys.readouterr()
+    assert main(["metrics", "--out-dir", str(tree)]) == 2
+    assert "not a scene record" in capsys.readouterr().err
+
+
 def test_unverified_load_of_a_missing_latent_is_a_typed_error(_exported, tmp_path):
     def drop_latent(manifest, tree):
         (tree / "scene_1" / "clip_latent.vstn").unlink()
@@ -926,7 +954,7 @@ def test_estimate_translation_recovers_integer_shift():
     a = rng.uniform((24, 24, 3))
     for dx, dy in [(0, 0), (3, 0), (0, -2), (-4, 5)]:
         b = np.roll(np.roll(a, dy, axis=0), dx, axis=1)
-        est = estimate_translation(a, b, max_shift=6)
+        est = estimate_translation(a, b)
         assert est == (dx, dy), (dx, dy, est)
 
 

@@ -7,8 +7,7 @@ from videostudio.pipeline import PipelineBackends
 from videostudio.ref_images import (LuminanceSegmenter, Mask, RgbImage,
                                     ToyTextToImageBackend, apply_mask,
                                     build_entity_references, decode_pgm,
-                                    decode_ppm, encode_pgm, encode_ppm,
-                                    segment_salient)
+                                    decode_ppm, encode_pgm, encode_ppm)
 from videostudio.script_engine import parse_script
 
 SCRIPT = parse_script(
@@ -88,23 +87,13 @@ def test_luminance_segmenter_thresholds_rec709():
     img = RgbImage(np.stack([np.full((8, 8), 0.9),
                              np.full((8, 8), 0.9),
                              np.full((8, 8), 0.9)], axis=2))
-    assert np.array_equal(LuminanceSegmenter(0.5).segment(img).data, np.ones((8, 8)))
+    assert np.array_equal(LuminanceSegmenter().segment(img).data, np.ones((8, 8)))
     dark = RgbImage(np.full((8, 8, 3), 0.2))
-    assert np.count_nonzero(LuminanceSegmenter(0.5).segment(dark).data) == 0
+    assert np.count_nonzero(LuminanceSegmenter().segment(dark).data) == 0
     # pure blue: luminance 0.0722, below any sane threshold
     blue = np.zeros((8, 8, 3))
     blue[:, :, 2] = 1.0
-    assert np.count_nonzero(LuminanceSegmenter(0.5).segment(RgbImage(blue)).data) == 0
-
-
-def test_segment_salient_validates_shape():
-    class BadSegmenter:
-        def segment(self, image):
-            return Mask(np.zeros((4, 4)))
-
-    img = RgbImage(np.zeros((8, 8, 3)))
-    with pytest.raises(DimensionMismatch):
-        segment_salient(img, BadSegmenter())
+    assert np.count_nonzero(LuminanceSegmenter().segment(RgbImage(blue)).data) == 0
 
 
 # --- masking -----------------------------------------------------------------------
@@ -126,7 +115,7 @@ def test_apply_mask_fg_and_bg_partition():
 # --- reference building -----------------------------------------------------------------
 
 def _backends():
-    return PipelineBackends(None, ToyTextToImageBackend(), LuminanceSegmenter())
+    return PipelineBackends(None, ToyTextToImageBackend())
 
 
 def test_build_entity_references_covers_all_entities():

@@ -366,10 +366,11 @@ def test_train_step_after_sampling_fills_every_gradient():
                       heads=2, vocab_size=4, scene_channels=8)
     ctx = VidContext(Rng(31).normal((3, 8)), np.array([1.0, 0.0, 0.5, 0.0]))
     cfg = SamplerConfig(steps=4, eta=1.0, guidance_scale=12.0, t_m=1, seed=5)
-    clip = sample_video(den, (ctx, None), ("right", "medium"), sched, cfg)
+    ref_latent = np.zeros((2, 1, 4, 4))
+    clip = sample_video(den, (ctx, ref_latent), ("right", "medium"), sched, cfg)
     for _, p in den.parameters():
         assert p.grad is None
-    batch = [(clip, (ctx, None))]
+    batch = [(clip, (ctx, ref_latent))]
     train_step(den, batch, sched, Rng(32), p_drop=0.0)
     for name, p in den.parameters():
         assert p.trainable, name
