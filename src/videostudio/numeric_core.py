@@ -350,29 +350,36 @@ class AttentionParams(Module):
                    heads=heads)
 
 
-# Largest score buffer one attention chunk fills, unless a single slice of
-# the leading axis is larger: a chunk holds at least one.  At the default
-# video shapes (4 heads, 256 tokens) one frame's slice is exactly this size.
-_CHUNK_BYTES = 2 * 1024 * 1024
+# Largest buffer an attention tile fills, and most multiply-adds in one of its matmuls:
+# OpenBLAS runs a matmul that small on the calling thread, where it would split a larger
+# one over its own threads, which then spin on the other core.  Blocks of 4k query rows
+# get the same bits from OpenBLAS as whole matrices.  Default temporal attention is one tile.
+_TILE_BYTES, _SERIAL_MACS = 768 * 1024, 4 * 65536
 
 
-def _chunk_of(arr, rows, ndim):
-    return arr[rows] if arr.ndim == ndim and arr.shape[0] != 1 else arr
+def _tile_plan(grid, l_q, l_k, d, d_v):
+    """Attention tiles as (leading slices, query rows): runs of slices, or blocks of
+    query rows when one slice is too big.  A tile's buffers stay within ``_TILE_BYTES``
+    and its matmuls within ``_SERIAL_MACS`` unless one query row, or one slice of
+    ``[v | 1]``, is larger."""
+    inner = 8 * math.prod(grid[1:])
+    row_bytes, row_macs = inner * max(l_k, d, d_v + 1), l_k * max(d, d_v + 1)
+    rows = min(_TILE_BYTES // max(1, row_bytes), _SERIAL_MACS // row_macs) // 4 * 4
+    step = _TILE_BYTES // max(1, row_bytes * l_q, inner * l_k * (d_v + 1)) if rows >= l_q else 1
+    rows, step = max(1, min(rows, l_q)), max(1, step)
+    return [(slice(s, min(s + step, grid[0])), slice(r, min(r + rows, l_q)))
+            for s in range(0, max(1, grid[0]), step) for r in range(0, max(1, l_q), rows)]
 
 
 def attention(q, k, v, scale):
     """softmax(q @ k^T * scale) @ v over the last two axes.
 
     q: [..., L_q, d]; k: [..., L_k, d]; v: [..., L_k, d_v]; leading dims
-    broadcast; L_k must be at least 1.  The forward walks the first leading
-    axis in chunks whose score buffer stays within ``_CHUNK_BYTES``, and
-    makes five passes over that one buffer: ``(q * scale) @ k^T``, minus
-    the row max, exp in place, and one matmul against ``[v | 1]``, whose
-    last column is each row's sum of exponentials; the ``[L_q, d_v]``
-    output is divided by those sums (deferred normalisation, as in online
-    softmax).  An operand without the walked axis is shared by every chunk.
-    Only while the tape records are the probabilities kept, in one
-    full-size buffer, for the backward.
+    broadcast; L_k must be at least 1.  Each of ``_tile_plan``'s tiles
+    (FlashAttention's query blocks) takes five passes over its scores:
+    ``(q * scale) @ k^T``, minus the row max, exp in place, and a matmul
+    against ``[v | 1]``, whose last column holds the row sums the output is
+    divided by (deferred normalisation).  Only a tape keeps the probabilities.
     """
     q, k, v = _ensure(q), _ensure(k), _ensure(v)
     if (q.data.shape[-1] != k.data.shape[-1] or k.data.shape[-2] != v.data.shape[-2]
@@ -381,26 +388,39 @@ def attention(q, k, v, scale):
     kt = np.swapaxes(k.data, -1, -2)
     lead = np.broadcast_shapes(q.data.shape[:-2], k.data.shape[:-2], v.data.shape[:-2])
     grid = lead or (1,)  # a leading axis to walk even for plain matrices
-    l_q, l_k, d_v = q.data.shape[-2], k.data.shape[-2], v.data.shape[-1]
+    l_q, l_k, d, d_v = q.data.shape[-2], k.data.shape[-2], q.data.shape[-1], v.data.shape[-1]
     out = np.empty(grid + (l_q, d_v))
-    record = _records((q, k, v))
-    step = max(1, _CHUNK_BYTES // max(1, 8 * l_q * l_k * math.prod(grid[1:])))
-    if record:
-        probs = np.empty(grid + (l_q, l_k))
-    else:
-        buf = np.empty((min(step, grid[0]),) + grid[1:] + (l_q, l_k))
-    ndim = len(grid) + 2
-    for start in range(0, grid[0], step):
-        rows = slice(start, start + step)
-        scores = probs[rows] if record else buf[:min(step, grid[0] - start)]
-        np.matmul(_chunk_of(q.data, rows, ndim) * scale, _chunk_of(kt, rows, ndim), out=scores)
-        scores -= scores.max(axis=-1, keepdims=True)
+    probs = np.empty(grid + (l_q, l_k)) if _records((q, k, v)) else None
+    tiles = _tile_plan(grid, l_q, l_k, d, d_v)
+
+    def tile_of(arr, rows):  # an operand without the walked axis is shared by every tile
+        return arr[rows] if arr.ndim == out.ndim and arr.shape[0] != 1 else arr
+
+    rows, q_rows = tiles[0]  # the largest tile
+    n = math.prod(out[rows, ..., q_rows, :].shape[:-1])
+    # one allocation, which malloc reuses call after call where smaller ones were faulted
+    # in afresh; the row max and widened product reuse q * scale's spent buffer
+    sizes = (n * max(d, d_v + 1), n * l_k if probs is None else 0,
+             math.prod(tile_of(v.data, rows).shape[:-1]) * (d_v + 1))
+    work, score_buf, v_buf = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
+    v1 = v_rows = None
+    for rows, q_rows in tiles:
+        shape = out[rows, ..., q_rows, :].shape[:-1]
+        qs = np.multiply(tile_of(q.data, rows)[..., q_rows, :], scale,
+                         out=np.ndarray(shape + (d,), buffer=work))
+        scores = (np.ndarray(shape + (l_k,), buffer=score_buf) if probs is None
+                  else probs[rows, ..., q_rows, :])
+        np.matmul(qs, tile_of(kt, rows), out=scores)
+        scores -= scores.max(axis=-1, keepdims=True, out=np.ndarray(shape + (1,), buffer=work))
         np.exp(scores, out=scores)
-        vc = _chunk_of(v.data, rows, ndim)
-        acc = np.matmul(scores, np.concatenate((vc, np.ones(vc.shape[:-1] + (1,))), axis=-1))
+        vt = tile_of(v.data, rows)
+        if v1 is None or (vt is not v.data and rows != v_rows):  # [v | 1] of a new slice
+            v1, v_rows = np.ndarray(vt.shape[:-1] + (d_v + 1,), buffer=v_buf), rows
+            v1[..., :d_v], v1[..., d_v] = vt, 1.0
+        acc = np.matmul(scores, v1, out=np.ndarray(shape + (d_v + 1,), buffer=work))
         # each row's max contributes exp(0) = 1, so no row sum is below 1
-        np.divide(acc[..., :d_v], acc[..., d_v:], out=out[rows])
-        if record:
+        np.divide(acc[..., :d_v], acc[..., d_v:], out=out[rows, ..., q_rows, :])
+        if probs is not None:
             scores /= acc[..., d_v:]
     out = out.reshape(lead + out.shape[-2:])
 

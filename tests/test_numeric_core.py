@@ -145,12 +145,8 @@ def _composed_attention(q, k, v, scale, g):
     return out, gq, gk, gv
 
 
-@pytest.mark.parametrize("shared_context", [False, True])
-def test_attention_across_chunks_matches_composed_reference(shared_context):
-    lead, heads, l_q, l_k, d = 20, 2, 128, 128, 8
-    step = numeric_core._CHUNK_BYTES // (8 * heads * l_q * l_k)
-    assert -(-lead // step) >= 3  # at least three chunks, the last one partial
-    assert lead % step
+def _check_against_composed(lead, heads, l_q, l_k, shared_context):
+    d = 8
     rng = Rng(40)
     ctx_lead = (heads,) if shared_context else (lead, heads)
     q = Parameter(rng.normal((lead, heads, l_q, d)), name="q")
@@ -165,6 +161,87 @@ def test_attention_across_chunks_matches_composed_reference(shared_context):
     for got, ref in zip((q.grad, k.grad, v.grad), want[1:]):
         assert got.shape == ref.shape
         assert np.allclose(got, ref, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("shared_context", [False, True])
+def test_attention_across_chunks_matches_composed_reference(shared_context):
+    # tiles of whole leading slices
+    lead, heads, l_q, l_k = 20, 2, 128, 128
+    step = numeric_core._TILE_BYTES // (8 * heads * l_q * l_k)
+    assert -(-lead // step) >= 3  # at least three tiles, the last one partial
+    assert lead % step
+    _check_against_composed(lead, heads, l_q, l_k, shared_context)
+
+
+@pytest.mark.parametrize("shared_context", [False, True])
+def test_attention_across_row_tiles_matches_composed_reference(shared_context):
+    # one slice's scores exceed a tile, so a tile is a block of query rows
+    lead, heads, l_q, l_k = 3, 2, 300, 700
+    assert 8 * heads * l_q * l_k > numeric_core._TILE_BYTES
+    rows = numeric_core._tile_plan((lead, heads), l_q, l_k, 8, 8)[0][1].stop
+    assert -(-l_q // rows) >= 3  # at least three tiles per slice, the last one partial
+    assert l_q % rows
+    _check_against_composed(lead, heads, l_q, l_k, shared_context)
+
+
+# (q, k) shapes at default model sizes: spatial, scene cross-attention (one
+# context shared by every frame), temporal, and image attention over the
+# scene latent and over the text
+_DEFAULT_SHAPES = [((9, 4, 256, 8), (9, 4, 256, 8)), ((9, 4, 256, 8), (4, 256, 8)),
+                   ((256, 4, 9, 8), (256, 4, 9, 8)), ((4, 256, 8), (4, 256, 8)),
+                   ((4, 256, 8), (4, 77, 8))]
+
+
+@pytest.mark.parametrize("q_shape,k_shape", _DEFAULT_SHAPES)
+def test_attention_in_tiles_matches_one_tile_bit_for_bit(monkeypatch, q_shape, k_shape):
+    # q, k and v are head-split views, as cross_attention makes them
+    rng = Rng(45)
+
+    def heads(shape):
+        *lead, length, dh = shape
+        return rng.normal(tuple(lead[:-1]) + (length, lead[-1] * dh)).reshape(
+            *lead[:-1], length, lead[-1], dh).swapaxes(-2, -3)
+    arrays = (heads(q_shape), 3.0 * heads(k_shape), heads(k_shape))
+    g = rng.normal(q_shape)
+
+    def run():
+        with no_grad():
+            free = attention(*arrays, 0.35).data
+        q, k, v = (Parameter(a, name=n) for a, n in zip(arrays, "qkv"))
+        taped = attention(q, k, v, 0.35)
+        taped.backward(g)
+        return free, taped.data, q.grad, k.grad, v.grad
+
+    tiled = run()
+    monkeypatch.setattr(numeric_core, "_TILE_BYTES", 2 ** 62)
+    monkeypatch.setattr(numeric_core, "_SERIAL_MACS", 2 ** 62)
+    assert len(numeric_core._tile_plan(q_shape[:-2], q_shape[-2], k_shape[-2], 8, 8)) == 1
+    for got, ref in zip(tiled, run()):
+        assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("grid,l_q,l_k", [((9, 4), 256, 256), ((256, 4), 9, 9),
+                                         ((4,), 256, 256), ((2, 2), 300, 700)])
+def test_tile_plan_bounds_every_tile_buffer_and_matmul(grid, l_q, l_k):
+    # spatial, temporal, image and a query-row split, with d = d_v = 8
+    d = d_v = 8
+    tiles = numeric_core._tile_plan(grid, l_q, l_k, d, d_v)
+    inner = math.prod(grid[1:])
+    seen = np.zeros((grid[0], l_q), dtype=int)
+    for rows, q_rows in tiles:
+        seen[rows, q_rows] += 1
+        slices, height = rows.stop - rows.start, q_rows.stop - q_rows.start
+        # scores, q * scale and the widened product, then [v | 1]
+        for width in (l_k, d, d_v + 1):
+            assert 8 * slices * inner * height * width <= numeric_core._TILE_BYTES
+        assert 8 * slices * inner * l_k * (d_v + 1) <= numeric_core._TILE_BYTES
+        # both matmuls of each head: (q * scale) @ k^T and scores @ [v | 1]
+        assert height * l_k * max(d, d_v + 1) <= numeric_core._SERIAL_MACS
+        assert height == l_q or height % 4 == 0 or q_rows.stop == l_q
+    assert (seen == 1).all()
+    # a score buffer larger than one tile is cut; one that fits is not
+    scores = 8 * math.prod(grid) * l_q * l_k
+    assert (len(tiles) >= 2) == (scores > numeric_core._TILE_BYTES)
 
 
 @pytest.mark.parametrize("l_k", [1, 40])
