@@ -353,7 +353,9 @@ class AttentionParams(Module):
 # Largest buffer an attention tile fills, and most multiply-adds in one of its matmuls:
 # OpenBLAS runs a matmul that small on the calling thread, where it would split a larger
 # one over its own threads, which then spin on the other core.  Blocks of 4k query rows
-# get the same bits from OpenBLAS as whole matrices.  Default temporal attention is one tile.
+# (and the backward's blocks of 4k keys) get the same bits from OpenBLAS as whole matrices
+# at the default shapes, which the tests pin; elsewhere a last bit may differ.  Default
+# temporal attention is one tile.
 _TILE_BYTES, _SERIAL_MACS = 768 * 1024, 4 * 65536
 
 
@@ -379,7 +381,8 @@ def attention(q, k, v, scale):
     (FlashAttention's query blocks) takes five passes over its scores:
     ``(q * scale) @ k^T``, minus the row max, exp in place, and a matmul
     against ``[v | 1]``, whose last column holds the row sums the output is
-    divided by (deferred normalisation).  Only a tape keeps the probabilities.
+    divided by (deferred normalisation).  A tape keeps each query row's max
+    and sum, not the probabilities; the backward recomputes them tile by tile.
     """
     q, k, v = _ensure(q), _ensure(k), _ensure(v)
     if (q.data.shape[-1] != k.data.shape[-1] or k.data.shape[-2] != v.data.shape[-2]
@@ -390,17 +393,17 @@ def attention(q, k, v, scale):
     grid = lead or (1,)  # a leading axis to walk even for plain matrices
     l_q, l_k, d, d_v = q.data.shape[-2], k.data.shape[-2], q.data.shape[-1], v.data.shape[-1]
     out = np.empty(grid + (l_q, d_v))
-    probs = np.empty(grid + (l_q, l_k)) if _records((q, k, v)) else None
+    stats = np.empty(grid + (l_q, 2)) if _records((q, k, v)) else None  # row max, row sum
     tiles = _tile_plan(grid, l_q, l_k, d, d_v)
 
     def tile_of(arr, rows):  # an operand without the walked axis is shared by every tile
-        return arr[rows] if arr.ndim == out.ndim and arr.shape[0] != 1 else arr
+        return arr[rows] if arr.ndim == len(grid) + 2 and arr.shape[0] != 1 else arr
 
     rows, q_rows = tiles[0]  # the largest tile
     n = math.prod(out[rows, ..., q_rows, :].shape[:-1])
     # one allocation, which malloc reuses call after call where smaller ones were faulted
     # in afresh; the row max and widened product reuse q * scale's spent buffer
-    sizes = (n * max(d, d_v + 1), n * l_k if probs is None else 0,
+    sizes = (n * max(d, d_v + 1), n * l_k,
              math.prod(tile_of(v.data, rows).shape[:-1]) * (d_v + 1))
     work, score_buf, v_buf = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
     v1 = v_rows = None
@@ -408,10 +411,11 @@ def attention(q, k, v, scale):
         shape = out[rows, ..., q_rows, :].shape[:-1]
         qs = np.multiply(tile_of(q.data, rows)[..., q_rows, :], scale,
                          out=np.ndarray(shape + (d,), buffer=work))
-        scores = (np.ndarray(shape + (l_k,), buffer=score_buf) if probs is None
-                  else probs[rows, ..., q_rows, :])
+        scores = np.ndarray(shape + (l_k,), buffer=score_buf)
         np.matmul(qs, tile_of(kt, rows), out=scores)
-        scores -= scores.max(axis=-1, keepdims=True, out=np.ndarray(shape + (1,), buffer=work))
+        scores -= scores.max(axis=-1, keepdims=True,
+                             out=np.ndarray(shape + (1,), buffer=work) if stats is None
+                             else stats[rows, ..., q_rows, :1])
         np.exp(scores, out=scores)
         vt = tile_of(v.data, rows)
         if v1 is None or (vt is not v.data and rows != v_rows):  # [v | 1] of a new slice
@@ -420,27 +424,64 @@ def attention(q, k, v, scale):
         acc = np.matmul(scores, v1, out=np.ndarray(shape + (d_v + 1,), buffer=work))
         # each row's max contributes exp(0) = 1, so no row sum is below 1
         np.divide(acc[..., :d_v], acc[..., d_v:], out=out[rows, ..., q_rows, :])
-        if probs is not None:
-            scores /= acc[..., d_v:]
+        if stats is not None:
+            stats[rows, ..., q_rows, 1:] = acc[..., d_v:]
     out = out.reshape(lead + out.shape[-2:])
 
     def back(g):
-        # the unfused chain's arithmetic: probs @ v, softmax, * scale, q @ k^T
-        y = probs.reshape(lead + (l_q, l_k))
-        if v.requires_grad:
-            gv = np.matmul(np.swapaxes(y, -1, -2), g)
-            v._accumulate(_unbroadcast(gv, v.data.shape))
-        if not (q.requires_grad or k.requires_grad):
-            return
-        gs = np.matmul(g, np.swapaxes(v.data, -1, -2))
-        gs -= (gs * y).sum(axis=-1, keepdims=True)
-        gs *= y
-        gs *= scale
-        if q.requires_grad:
-            q._accumulate(_unbroadcast(np.matmul(gs, k.data), q.data.shape))
-        if k.requires_grad:
-            gkt = np.matmul(np.swapaxes(q.data, -1, -2), gs)
-            k._accumulate(np.swapaxes(_unbroadcast(gkt, kt.shape), -1, -2))
+        # the unfused chain's arithmetic (probs @ v, softmax, * scale, q @ k^T) on the
+        # forward's tiles: a run of leading slices recomputes its probabilities y one
+        # row block at a time, then takes y^T @ g and q^T @ gs over all its rows in
+        # blocks of 4k keys, so every matmul stays within _SERIAL_MACS
+        g = g.reshape(grid + g.shape[-2:])
+        gq = np.empty(grid + (l_q, d)) if q.requires_grad else None
+        gkt = np.empty(grid + (d, l_k)) if k.requires_grad else None
+        gv = np.empty(grid + (l_k, d_v)) if v.requires_grad else None
+        need_gs = gq is not None or gkt is not None
+        runs = [rows for rows, q_rows in tiles if q_rows.start == 0]
+        blocks = [q_rows for rows, q_rows in tiles if rows == runs[0]]
+        keys = max(1, _SERIAL_MACS // max(1, l_q * max(d, d_v)) // 4 * 4)
+        size = (runs[0].stop - runs[0].start) * math.prod(grid[1:]) * l_q * l_k
+        y_buf, work = np.empty(size), np.empty(n * max(d, l_k))
+        gs_buf = np.empty(size) if need_gs else y_buf  # no gs without a q or k gradient
+        for rows in runs:
+            shape = (rows.stop - rows.start,) + grid[1:] + (l_q, l_k)
+            y, gs = np.ndarray(shape, buffer=y_buf), np.ndarray(shape, buffer=gs_buf)
+            for q_rows in blocks:
+                y_blk = y[..., q_rows, :]
+                st = stats[rows, ..., q_rows, :]
+                qs = np.multiply(tile_of(q.data, rows)[..., q_rows, :], scale,
+                                 out=np.ndarray(y_blk.shape[:-1] + (d,), buffer=work))
+                np.matmul(qs, tile_of(kt, rows), out=y_blk)
+                y_blk -= st[..., :1]
+                np.exp(y_blk, out=y_blk)
+                y_blk /= st[..., 1:]
+                if not need_gs:
+                    continue
+                gs_blk = gs[..., q_rows, :]
+                np.matmul(g[rows, ..., q_rows, :], np.swapaxes(tile_of(v.data, rows), -1, -2),
+                          out=gs_blk)
+                gy = np.multiply(gs_blk, y_blk, out=np.ndarray(y_blk.shape, buffer=work))
+                gs_blk -= gy.sum(axis=-1, keepdims=True)
+                gs_blk *= y_blk
+                gs_blk *= scale
+                if gq is not None:
+                    np.matmul(gs_blk, tile_of(k.data, rows), out=gq[rows, ..., q_rows, :])
+            for kb in range(0, l_k, keys):
+                cols = slice(kb, kb + keys)
+                if gv is not None:
+                    np.matmul(np.swapaxes(y[..., cols], -1, -2), g[rows],
+                              out=gv[rows, ..., cols, :])
+                if gkt is not None:
+                    np.matmul(np.swapaxes(tile_of(q.data, rows), -1, -2), gs[..., cols],
+                              out=gkt[rows, ..., cols])
+        if gv is not None:
+            v._accumulate(_unbroadcast(gv.reshape(lead + gv.shape[-2:]), v.data.shape))
+        if gq is not None:
+            q._accumulate(_unbroadcast(gq.reshape(lead + gq.shape[-2:]), q.data.shape))
+        if gkt is not None:
+            gkt = _unbroadcast(gkt.reshape(lead + gkt.shape[-2:]), kt.shape)
+            k._accumulate(np.swapaxes(gkt, -1, -2))
     return _node(out, (q, k, v), back)
 
 

@@ -3,6 +3,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -280,6 +281,104 @@ def test_attention_without_tape_matches_taped_forward():
     with no_grad():
         free = attention(q, k, v, 0.3).data
     assert np.array_equal(taped, free)
+
+
+def test_taped_attention_keeps_row_stats_not_probabilities():
+    # spatial attention at default shapes: the probabilities would be 18.9 MB
+    rng = Rng(46)
+    q, k, v = (Parameter(rng.normal((9, 4, 256, 8)), name=n) for n in "qkv")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = attention(q, k, v, 0.35)
+        kept = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
+    finally:
+        tracemalloc.stop()
+    assert kept <= 2 ** 20
+    assert out._backward is not None
+
+
+class _RecordingNumpy:
+    """numpy, except that matmul operand shapes and buffer sizes are recorded."""
+
+    def __init__(self):
+        self.matmuls, self.buffers = [], []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, a, b, **kwargs):
+        self.matmuls.append((np.shape(a), np.shape(b)))
+        return np.matmul(a, b, **kwargs)
+
+    def empty(self, shape, *args, **kwargs):
+        buf = np.empty(shape, *args, **kwargs)
+        self.buffers.append(buf.nbytes)
+        return buf
+
+    def zeros_like(self, arr, *args, **kwargs):
+        buf = np.zeros_like(arr, *args, **kwargs)
+        self.buffers.append(buf.nbytes)
+        return buf
+
+
+@pytest.mark.parametrize("q_shape,k_shape", _DEFAULT_SHAPES)
+def test_attention_backward_bounds_every_matmul_and_buffer(monkeypatch, q_shape, k_shape):
+    rng = Rng(47)
+    q = Parameter(rng.normal(q_shape), name="q")
+    k, v = (Parameter(rng.normal(k_shape), name=n) for n in "kv")
+    g = rng.normal(q_shape)
+    out = attention(q, k, v, 0.35)
+    record = _RecordingNumpy()
+    monkeypatch.setattr(numeric_core, "np", record)
+    out.backward(g)
+    monkeypatch.undo()
+    # each head's product stays on the calling thread, as the forward's tiles do
+    assert record.matmuls
+    for a, b in record.matmuls:
+        assert a[-2] * a[-1] * b[-1] <= numeric_core._SERIAL_MACS
+    # no buffer holds more than one tile, one leading slice's scores, or one
+    # gradient of the broadcast shape; all of the scores would be far larger
+    grid, l_q, l_k, d = q_shape[:-2], q_shape[-2], k_shape[-2], q_shape[-1]
+    bound = max(numeric_core._TILE_BYTES, 8 * math.prod(grid[1:]) * l_q * l_k,
+                8 * math.prod(grid) * max(l_q, l_k) * d)
+    assert max(record.buffers) <= bound
+    want = _composed_attention(q.data, k.data, v.data, 0.35, g)
+    for got, ref in zip((q.grad, k.grad, v.grad), want[1:]):
+        assert np.allclose(got, ref, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("wants", ["q", "k", "v", "kv"])
+def test_attention_backward_for_each_subset_of_inputs(wants):
+    rng = Rng(48)
+    arrays = {n: rng.normal((3, 2, 40, 8)) for n in "qkv"}
+    arrays["k"] *= 3.0
+    t = {n: Parameter(a, name=n) if n in wants else Tensor(a) for n, a in arrays.items()}
+    g = rng.normal((3, 2, 40, 8))
+    attention(t["q"], t["k"], t["v"], 0.35).backward(g)
+    want = dict(zip("qkv", _composed_attention(arrays["q"], arrays["k"], arrays["v"], 0.35, g)[1:]))
+    for n in "qkv":
+        if n in wants:
+            assert np.allclose(t[n].grad, want[n], rtol=1e-12, atol=1e-12)
+        else:
+            assert t[n].grad is None
+
+
+def test_attention_backward_twice_doubles_the_gradient():
+    # the kept row stats are read, never overwritten, by a backward
+    rng = Rng(49)
+    q, k, v = (Parameter(rng.normal((9, 4, 64, 8)), name=n) for n in "qkv")
+    g = rng.normal((9, 4, 64, 8))
+    out = attention(q, k, v, 0.35)
+    out.backward(g)
+    once = [p.grad.copy() for p in (q, k, v)]
+    out.grad = None  # the seed is accumulated on the output too
+    out.backward(g)
+    for p, first in zip((q, k, v), once):
+        assert np.array_equal(p.grad, 2.0 * first)
+    want = _composed_attention(q.data, k.data, v.data, 0.35, g)
+    for first, ref in zip(once, want[1:]):
+        assert np.allclose(first, ref, rtol=1e-12, atol=1e-12)
 
 
 def test_no_grad_outputs_are_leaves():
