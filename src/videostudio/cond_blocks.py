@@ -246,12 +246,18 @@ class VidDenoiser(Module):
 
     def null_cond(self, cond):
         """The zeroed context, holding each block's residual.  Over zero y_s
-        the cross-attention returns exactly 0, so no residual reads x or t."""
+        the cross-attention returns exactly 0, so no residual reads x or t,
+        and all its rows are one row: the embedded zero indicator, passed
+        through self-attentions over identical rows.  Each block runs on one
+        token, and its row is broadcast to the ``[F+1, HW, C]`` grid in C
+        order; a ``[1, 1, C]`` row added to the tokens would take their
+        layout, which gives ``predict``'s later matmuls other last bits."""
         ctx, ref_latent = cond
         null = ctx.null_like()
         _, frames, h, w = self.latent_shape
-        zeros = Tensor(np.zeros((frames + 1, h * w, self.channels)))
-        null.residuals = [blk.residual(zeros, null) for blk in self.blocks]
+        token = Tensor(np.zeros((1, 1, self.channels)))
+        grid = Tensor(np.zeros((frames + 1, h * w, self.channels)))
+        null.residuals = [blk.residual(token, null) + grid for blk in self.blocks]
         return (null, ref_latent)
 
     def predict(self, video_latent, t, ctx, ref_latent):

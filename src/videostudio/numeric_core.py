@@ -72,9 +72,11 @@ class Tensor:
         return self.data.item()
 
     def _accumulate(self, grad):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+        if self.grad is None:  # in this tensor's layout, which later matmuls see
+            self.grad = np.empty_like(self.data)
+            np.copyto(self.grad, grad)
+        else:
+            self.grad += grad
 
     def backward(self, grad=None):
         if grad is None:
@@ -358,6 +360,21 @@ class AttentionParams(Module):
 # temporal attention is one tile.
 _TILE_BYTES, _SERIAL_MACS = 768 * 1024, 4 * 65536
 
+# Largest exponent bound at which the softmax skips subtracting its row max; exp
+# overflows a double past 709.78.
+_EXP_SAFE = 600.0
+
+
+def _exp_bound(q, k, v, scale):
+    """``|scale| * d * max|q| * max|k|``, which bounds every score's size, plus
+    ``log(L_k * max(1, max|v|))``, the most a row's sum of L_k exps times v or 1
+    adds to the log of its largest term.  NaN when q or k holds NaN."""
+    def max_abs(a):  # two reductions, no temporary
+        return max(a.max(), -a.min()) if a.size else 0.0
+    d, l_k = q.shape[-1], k.shape[-2]
+    return (abs(scale) * d * max_abs(q) * max_abs(k)
+            + math.log(l_k * max(1.0, max_abs(v))))
+
 
 def _tile_plan(grid, l_q, l_k, d, d_v):
     """Attention tiles as (leading slices, query rows): runs of slices, or blocks of
@@ -381,8 +398,11 @@ def attention(q, k, v, scale):
     (FlashAttention's query blocks) takes five passes over its scores:
     ``(q * scale) @ k^T``, minus the row max, exp in place, and a matmul
     against ``[v | 1]``, whose last column holds the row sums the output is
-    divided by (deferred normalisation).  A tape keeps each query row's max
-    and sum, not the probabilities; the backward recomputes them tile by tile.
+    divided by (deferred normalisation).  When ``_exp_bound`` is within
+    ``_EXP_SAFE`` no exp can overflow, so the row max and its subtraction are
+    skipped and three passes remain.  A tape keeps each query row's shift
+    (its max, or 0) and sum, not the probabilities; the backward recomputes
+    them tile by tile.
     """
     q, k, v = _ensure(q), _ensure(k), _ensure(v)
     if (q.data.shape[-1] != k.data.shape[-1] or k.data.shape[-2] != v.data.shape[-2]
@@ -393,7 +413,16 @@ def attention(q, k, v, scale):
     grid = lead or (1,)  # a leading axis to walk even for plain matrices
     l_q, l_k, d, d_v = q.data.shape[-2], k.data.shape[-2], q.data.shape[-1], v.data.shape[-1]
     out = np.empty(grid + (l_q, d_v))
-    stats = np.empty(grid + (l_q, 2)) if _records((q, k, v)) else None  # row max, row sum
+    # Under the gate every score s has |s| <= 600, so each exp(s) lies in [e^-600, e^600],
+    # inside the normal doubles, and no row sum can reach zero.  A row's sum and each
+    # entry of its [v | 1] product add L_k terms of at most e^|s| * max(1, max|v|), so
+    # they stay within e^600, far below e^709.78, where a double overflows.  A product
+    # exp(s) * v that underflows moves the output by at most 2^-1074 * e^600 < 1e-62.
+    # Above the gate, or with NaN in q or k, each row's max is subtracted first.
+    shift = not _exp_bound(q.data, k.data, v.data, scale) <= _EXP_SAFE
+    stats = np.empty(grid + (l_q, 2)) if _records((q, k, v)) else None  # row shift, row sum
+    if stats is not None and not shift:
+        stats[..., 0] = 0.0
     tiles = _tile_plan(grid, l_q, l_k, d, d_v)
 
     def tile_of(arr, rows):  # an operand without the walked axis is shared by every tile
@@ -413,16 +442,17 @@ def attention(q, k, v, scale):
                          out=np.ndarray(shape + (d,), buffer=work))
         scores = np.ndarray(shape + (l_k,), buffer=score_buf)
         np.matmul(qs, tile_of(kt, rows), out=scores)
-        scores -= scores.max(axis=-1, keepdims=True,
-                             out=np.ndarray(shape + (1,), buffer=work) if stats is None
-                             else stats[rows, ..., q_rows, :1])
+        if shift:
+            scores -= scores.max(axis=-1, keepdims=True,
+                                 out=np.ndarray(shape + (1,), buffer=work) if stats is None
+                                 else stats[rows, ..., q_rows, :1])
         np.exp(scores, out=scores)
         vt = tile_of(v.data, rows)
         if v1 is None or (vt is not v.data and rows != v_rows):  # [v | 1] of a new slice
             v1, v_rows = np.ndarray(vt.shape[:-1] + (d_v + 1,), buffer=v_buf), rows
             v1[..., :d_v], v1[..., d_v] = vt, 1.0
         acc = np.matmul(scores, v1, out=np.ndarray(shape + (d_v + 1,), buffer=work))
-        # each row's max contributes exp(0) = 1, so no row sum is below 1
+        # shifted, each row's max contributes exp(0) = 1, so no row sum is below 1
         np.divide(acc[..., :d_v], acc[..., d_v:], out=out[rows, ..., q_rows, :])
         if stats is not None:
             stats[rows, ..., q_rows, 1:] = acc[..., d_v:]
@@ -453,7 +483,8 @@ def attention(q, k, v, scale):
                 qs = np.multiply(tile_of(q.data, rows)[..., q_rows, :], scale,
                                  out=np.ndarray(y_blk.shape[:-1] + (d,), buffer=work))
                 np.matmul(qs, tile_of(kt, rows), out=y_blk)
-                y_blk -= st[..., :1]
+                if shift:
+                    y_blk -= st[..., :1]
                 np.exp(y_blk, out=y_blk)
                 y_blk /= st[..., 1:]
                 if not need_gs:

@@ -267,6 +267,87 @@ def test_attention_with_large_scores_stays_finite(l_k):
         assert np.array_equal(out.data, np.broadcast_to(v.data, out.data.shape))
 
 
+def _row_stats(out):
+    """Whether a taped attention subtracted its row max, and its per-row
+    (shift, sum) stats, read from the backward's closure."""
+    back = out._backward
+    cells = dict(zip(back.__code__.co_freevars, back.__closure__))
+    return cells["shift"].cell_contents, cells["stats"].cell_contents
+
+
+@pytest.mark.parametrize("l_k", [1, 40])
+def test_attention_with_large_scores_takes_the_shifted_path(l_k):
+    # the inputs of test_attention_with_large_scores_stays_finite
+    rng = Rng(43)
+    q = Parameter(rng.normal((3, 2, 16, 8)), name="q")
+    k = Parameter(300.0 * rng.normal((3, 2, l_k, 8)), name="k")
+    v = Parameter(rng.normal((3, 2, l_k, 8)), name="v")
+    scale = 1.0 / math.sqrt(8)
+    assert numeric_core._exp_bound(q.data, k.data, v.data, scale) > numeric_core._EXP_SAFE
+    shifted, stats = _row_stats(attention(q, k, v, scale))
+    assert shifted
+    assert (stats[..., 1] >= 1.0).all()  # each row's max contributes exp(0)
+
+
+@pytest.mark.parametrize("q_shape,k_shape", _DEFAULT_SHAPES)
+def test_attention_without_the_row_max_matches_the_shifted_path(monkeypatch, q_shape, k_shape):
+    # default shapes and scales sit far under the gate; forcing the row max
+    # moves only last bits, forward and backward
+    rng = Rng(50)
+    arrays = (rng.normal(q_shape), 3.0 * rng.normal(k_shape), rng.normal(k_shape))
+    g = rng.normal(q_shape)
+
+    def run():
+        with no_grad():
+            free = attention(*arrays, 0.35).data
+        q, k, v = (Parameter(a, name=n) for a, n in zip(arrays, "qkv"))
+        out = attention(q, k, v, 0.35)
+        out.backward(g)
+        shifted, stats = _row_stats(out)
+        return shifted, stats[..., 0], (free, out.data, q.grad, k.grad, v.grad)
+
+    shifted, shifts, plain = run()
+    assert not shifted and not shifts.any()
+    monkeypatch.setattr(numeric_core, "_EXP_SAFE", -1.0)
+    shifted, shifts, forced = run()
+    assert shifted and shifts.any()
+    for got, ref in zip(plain, forced):
+        assert np.allclose(got, ref, rtol=1e-12, atol=1e-12)
+
+
+def test_attention_just_under_the_gate_stays_finite():
+    # query rows of -1 and +1 against keys near b * ones: every score of a
+    # negative row sits near -bound, of a positive one near +bound, and the
+    # bound sits just under _EXP_SAFE, so the row max is skipped
+    rng = Rng(51)
+    d, l_q, l_k, scale = 8, 16, 40, 1.0 / math.sqrt(8)
+    sign = np.where(np.arange(l_q) % 2, 1.0, -1.0)[:, None]
+    qa = sign * (1.0 - 0.01 * rng.uniform((3, 2, l_q, d)))
+    ka = 1.0 - 0.01 * rng.uniform((3, 2, l_k, d))
+    qa[..., 0, 0], ka[..., 0, 0] = -1.0, 1.0  # max|q| = max|k| = 1 before scaling
+    va = rng.normal((3, 2, l_k, d))
+    room = numeric_core._EXP_SAFE - 0.5 - math.log(l_k * max(1.0, np.abs(va).max()))
+    ka *= room / (scale * d)
+    bound = numeric_core._exp_bound(qa, ka, va, scale)
+    assert numeric_core._EXP_SAFE - 1.0 < bound <= numeric_core._EXP_SAFE
+    scores = np.matmul(qa, np.swapaxes(ka, -1, -2)) * scale
+    assert scores[..., 0::2, :].max() < -0.95 * room
+    assert scores[..., 1::2, :].min() > 0.95 * room
+    q, k, v = Parameter(qa, name="q"), Parameter(ka, name="k"), Parameter(va, name="v")
+    g = rng.normal((3, 2, l_q, d))
+    out = attention(q, k, v, scale)
+    shifted, stats = _row_stats(out)
+    assert not shifted and not stats[..., 0].any()
+    sums = stats[..., 1]
+    assert np.isfinite(sums).all() and (sums > 0.0).all()
+    assert sums[..., 0::2].max() < 1e-200 and sums[..., 1::2].min() > 1e200
+    out.backward(g)
+    want = _composed_attention(qa, ka, va, scale, g)
+    for got, ref in zip((out.data, q.grad, k.grad, v.grad), want):
+        assert np.isfinite(got).all()
+        assert np.allclose(got, ref, rtol=1e-12, atol=1e-12)
+
+
 def test_attention_rejects_an_empty_key_axis():
     rng = Rng(44)
     q = Tensor(rng.normal((2, 5, 4)))
