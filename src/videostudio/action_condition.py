@@ -102,17 +102,14 @@ def extract_action_phrases(prompt, vocab):
 
 
 class VocabularyEmbedder:
-    """Embeds a phrase as its vocabulary row when the phrase is a category
-    name, and as a deterministic pseudo-random unit vector otherwise."""
+    """Embeds a category name, as ``extract_action_phrases`` returns it, as
+    its vocabulary row."""
 
     def __init__(self, vocab):
         self.vocab = vocab
 
     def __call__(self, phrase):
-        if phrase in self.vocab.names:
-            return self.vocab.embeddings[self.vocab.names.index(phrase)]
-        vec = Rng(hash64("phrase", phrase)).normal(self.vocab.embeddings.shape[1])
-        return vec / np.linalg.norm(vec)
+        return self.vocab.embeddings[self.vocab.names.index(phrase)]
 
 
 def build_indicator(phrases, vocab, embedder):

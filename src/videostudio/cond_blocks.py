@@ -17,6 +17,7 @@ the same call surface makes sampler behavior exactly predictable.
 
 from __future__ import annotations
 
+import hashlib
 import os
 
 import numpy as np
@@ -25,8 +26,7 @@ from .action_condition import ActionEmbedding, embed_indicator
 from .errors import BadTensorFile, DivisionAtTZero, ShapeMismatch
 from .numeric_core import (AttentionParams, Module, Parameter, Rng, Tensor,
                            cross_attention, hash64, layer_norm, load_tensor,
-                           matmul, read_json, save_tensor, stays_inside,
-                           temporal_conv1d, write_json)
+                           matmul, read_json, save_tensor, temporal_conv1d, write_json)
 
 DEFAULT_CONTEXT_CHANNELS = 32
 TEXT_LEN = 77
@@ -456,54 +456,60 @@ def _resize_nearest(image, out_h, out_w):
 
 
 def save_weights(denoiser, dirpath):
-    """Write every parameter as a VSTN tensor plus a JSON manifest."""
-    manifest = {"params": []}
-    for i, (name, p) in enumerate(denoiser.parameters()):
-        fname = f"param_{i:03d}.vstn"
-        save_tensor(os.path.join(dirpath, fname), p.data)
-        manifest["params"].append({"name": name, "file": fname,
-                                   "shape": list(p.data.shape),
-                                   "trainable": bool(p.trainable)})
-    write_json(os.path.join(dirpath, "weights.json"), manifest)
+    """Write ``weights.vstn``, every parameter's values raveled into one
+    float32 tensor in ``parameters()`` order, and ``weights.json``: one
+    name/shape/trainable entry per parameter in that order, and the sha256
+    of the float32 payload."""
+    params = list(denoiser.parameters())
+    flat = np.concatenate([p.data.ravel() for _, p in params], dtype="<f4")
+    save_tensor(os.path.join(dirpath, "weights.vstn"), flat)
+    write_json(os.path.join(dirpath, "weights.json"), {
+        "params": [{"name": name, "shape": list(p.data.shape), "trainable": bool(p.trainable)}
+                   for name, p in params],
+        "sha256": hashlib.sha256(flat).hexdigest()})
 
 
 def load_weights(denoiser, dirpath):
     """Read what ``save_weights`` wrote into ``denoiser``'s parameters.
 
-    A weights.json that cannot be read, is not that structure, names a
-    file outside ``dirpath``, or does not name every parameter exactly once
-    is BadTensorFile; weights that do not fit the denoiser are ShapeMismatch.
-    Every entry is checked and read before any parameter changes.
+    A weights.json that cannot be read or is not that structure, or whose
+    entries do not name every parameter once in the denoiser's order, is
+    BadTensorFile, and so is a weights.vstn that is malformed, is not as
+    long as the parameters, or fails the sha256; a name the denoiser lacks
+    or a shape that does not fit is ShapeMismatch.  Every check runs
+    before any parameter changes.
     """
     path = os.path.join(dirpath, "weights.json")
     manifest = read_json(path, BadTensorFile)
     entries = manifest.get("params") if isinstance(manifest, dict) else None
-    if not isinstance(entries, list):
-        raise BadTensorFile(f"{path}: needs a 'params' list")
+    if not (isinstance(entries, list) and isinstance(manifest.get("sha256"), str)):
+        raise BadTensorFile(f"{path}: needs a 'params' list and a 'sha256' string")
     for entry in entries:
         if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
                 and isinstance(entry.get("shape"), list)
                 and isinstance(entry.get("trainable"), bool)):
             raise BadTensorFile(f"{path}: a params entry needs a string name, a shape "
                                 "list and a boolean trainable")
-        if not stays_inside(entry.get("file")):
-            raise BadTensorFile(f"{path}: file {entry.get('file')!r} is not inside {dirpath}")
-    by_name = dict(denoiser.parameters())
-    names = [entry["name"] for entry in entries]
-    if len(set(names)) != len(names) or set(names) != by_name.keys():
-        unknown = sorted(set(names) - by_name.keys())
+    params = list(denoiser.parameters())
+    names, expected = [entry["name"] for entry in entries], [name for name, _ in params]
+    if names != expected:
+        unknown = sorted(set(names) - set(expected))
         if unknown:
             raise ShapeMismatch(f"weights names {unknown} not in this denoiser")
-        raise BadTensorFile(f"{path}: must name every parameter once; missing "
-                            f"{sorted(by_name.keys() - set(names))}, repeated "
-                            f"{sorted({n for n in names if names.count(n) > 1})}")
-    loaded = []
-    for entry in entries:
-        p = by_name[entry["name"]]
-        arr = load_tensor(os.path.join(dirpath, entry["file"]))
-        if list(arr.shape) != entry["shape"] or arr.shape != p.data.shape:
-            raise ShapeMismatch(f"weights shape {arr.shape} vs {p.data.shape} for {entry['name']}")
-        loaded.append((p, arr.astype(np.float64), entry["trainable"]))
-    for p, data, trainable in loaded:
-        p.data = data
-        p.trainable = trainable
+        got, want = names + [None], expected + [None]
+        at = next(i for i, (a, b) in enumerate(zip(got, want)) if a != b)
+        raise BadTensorFile(f"{path}: must name every parameter once, in the denoiser's order; "
+                            f"entry {at} is {got[at]!r} where the denoiser has {want[at]!r}")
+    for entry, (name, p) in zip(entries, params):
+        if entry["shape"] != list(p.data.shape):
+            raise ShapeMismatch(f"weights shape {entry['shape']} vs {p.data.shape} for {name}")
+    path = os.path.join(dirpath, "weights.vstn")
+    loaded = load_tensor(path)
+    sizes = [p.data.size for _, p in params]
+    if loaded.shape != (sum(sizes),):
+        raise BadTensorFile(f"{path}: holds shape {loaded.shape}, expected ({sum(sizes)},)")
+    if hashlib.sha256(loaded).hexdigest() != manifest["sha256"]:
+        raise BadTensorFile(f"{path}: sha256 does not match weights.json")
+    for entry, (_, p), values in zip(entries, params, np.split(loaded, np.cumsum(sizes)[:-1])):
+        p.data = values.reshape(p.data.shape).astype(np.float64)
+        p.trainable = entry["trainable"]

@@ -31,8 +31,7 @@ __all__ = [
     "matmul", "layer_norm", "temporal_conv1d",
     "attention", "cross_attention", "no_grad",
     "finite_diff_check", "hash64", "derive_seed",
-    "save_tensor", "load_tensor", "stays_inside",
-    "write_bytes", "write_json",
+    "save_tensor", "load_tensor", "write_bytes", "write_json",
 ]
 
 
@@ -59,14 +58,6 @@ class Tensor:
         self._prev = ()
 
     # -- bookkeeping -------------------------------------------------
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def ndim(self):
-        return self.data.ndim
 
     def item(self):
         return self.data.item()
@@ -137,9 +128,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, key):
         def back(g):
             if self.requires_grad:
@@ -178,9 +166,6 @@ class Tensor:
 
     def mean(self):
         return self.sum() * (1.0 / self.data.size)
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, grad={'yes' if self.requires_grad else 'no'})"
 
 
 def _ensure(value):
@@ -233,8 +218,8 @@ class Module:
 
     ``parameters()`` lists them as ``(name, Parameter)`` pairs in the order
     the attributes were assigned, walking into sub-modules and into lists of
-    parameters or modules.  AdamW's moment slots and ``save_weights``' file
-    numbers follow that order.
+    parameters or modules.  AdamW's moment slots and ``save_weights``' layout
+    follow that order.
     """
 
     def parameters(self):
@@ -628,14 +613,6 @@ class Rng:
 
 _MAGIC = b"VSTN"
 _VERSION = 1
-
-
-def stays_inside(rel):
-    """True when a path read from a manifest is relative and does not
-    leave the directory the manifest sits in."""
-    return (isinstance(rel, str) and bool(rel) and "\0" not in rel
-            and not os.path.isabs(rel)
-            and os.path.normpath(rel).split(os.sep)[0] != os.pardir)
 
 
 def read_bytes(path, error):

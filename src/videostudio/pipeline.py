@@ -561,6 +561,7 @@ def _generate_scene(spec, config, references, t2i_backend,
         oracle = _oracle_denoiser(config, encode_image(composite, c))
         scene_latent = sample_image(oracle, (), schedule, img_cfg)
         clip_latent = _sample_clip(config, scene_latent, camera, video_seed)
+        scene_image = latent_to_image(scene_latent)
     else:
         ex = config.feature_extractor()
         fg = [ex.image_features(references[name].image.data)
@@ -571,14 +572,15 @@ def _generate_scene(spec, config, references, t2i_backend,
                                concat_foreground_features(fg, ex.channels), y_b)
         scene_latent = sample_image(image_denoiser, (bundle,), schedule, img_cfg)
         # the video stage reads the decoded scene latent's features and the action indicator
-        y_s = ex.image_features(np.clip(decode_latent(scene_latent), 0.0, 1.0))
+        scene_image = latent_to_image(scene_latent)
+        y_s = ex.image_features(scene_image.data)
         vocab = config.action_vocabulary()
         y_a = build_indicator(extract_action_phrases(spec.prompt, vocab), vocab,
                               VocabularyEmbedder(vocab))
         clip_latent = sample_video(video_denoiser, (VidContext(y_s, y_a), scene_latent[:, None]),
                                    camera, schedule, config.video_sampler_config(video_seed))
     decoded = [latent_to_image(clip_latent[:, f]) for f in range(config.frames)]
-    return SceneOutput(spec, scene_latent, latent_to_image(scene_latent), clip_latent, decoded)
+    return SceneOutput(spec, scene_latent, scene_image, clip_latent, decoded)
 
 
 def run_pipeline(prompt, config, backends=None):

@@ -14,7 +14,8 @@ from videostudio.cond_blocks import (AdamW, AnalyticGaussianDenoiser,
                                      save_weights, timestep_embedding,
                                      train_step, tri_context_forward)
 from videostudio.errors import BadTensorFile, DivisionAtTZero, ShapeMismatch
-from videostudio.numeric_core import Rng, Tensor, finite_diff_check, no_grad
+from videostudio.numeric_core import (Rng, Tensor, finite_diff_check, load_tensor, no_grad,
+                                      save_tensor)
 from videostudio.sampler import SamplerConfig, make_schedule, sample_video
 
 
@@ -551,6 +552,13 @@ def test_weight_load_rejects_mismatched_models(tmp_path):
                        heads=2, text_channels=8, fg_channels=8, bg_channels=8)
     with pytest.raises(ShapeMismatch):
         load_weights(wide, tmp_path / "w")
+    # swapped foreground/background widths: same names and the same total size
+    save_weights(ImgDenoiser(Rng(32), latent_shape=(2, 4, 4), channels=8, blocks=1, heads=2,
+                             text_channels=8, fg_channels=8, bg_channels=4), tmp_path / "fb")
+    swapped = ImgDenoiser(Rng(33), latent_shape=(2, 4, 4), channels=8, blocks=1, heads=2,
+                          text_channels=8, fg_channels=4, bg_channels=8)
+    with pytest.raises(ShapeMismatch, match="weights shape"):
+        load_weights(swapped, tmp_path / "fb")
 
 
 def _small_img(seed):
@@ -563,8 +571,8 @@ MALFORMED_WEIGHTS = {
     "empty-object": "{}",
     "params-not-a-list": '{"params": 5}',
     "entry-not-an-object": '{"params": [5]}',
-    "entry-without-name": '{"params": [{"file": "param_000.vstn", "shape": [2, 8], '
-                          '"trainable": false}]}',
+    "entry-without-name": '{"params": [{"shape": [2, 8], "trainable": false}], "sha256": ""}',
+    "sha256-not-a-string": '{"params": [], "sha256": 5}',
     "deep-nesting": _DEEP,
     "not-json": "weights",
 }
@@ -577,20 +585,6 @@ def test_weight_load_refuses_a_malformed_manifest(tmp_path, text):
     (ckpt / "weights.json").write_text(text)
     with pytest.raises(BadTensorFile, match="weights.json"):
         load_weights(_small_img(36), ckpt)
-
-
-@pytest.mark.parametrize("file", ["../outside.vstn", "sub/../../outside.vstn", "ABSOLUTE"],
-                         ids=["parent", "climbs-out", "absolute"])
-def test_weight_load_refuses_files_outside_the_checkpoint(tmp_path, file):
-    ckpt = tmp_path / "w"
-    save_weights(_small_img(37), ckpt)
-    manifest = json.loads((ckpt / "weights.json").read_text())
-    outside = tmp_path / "outside.vstn"
-    outside.write_bytes((ckpt / manifest["params"][0]["file"]).read_bytes())
-    manifest["params"][0]["file"] = str(outside) if file == "ABSOLUTE" else file
-    (ckpt / "weights.json").write_text(json.dumps(manifest))
-    with pytest.raises(BadTensorFile, match="not inside"):
-        load_weights(_small_img(38), ckpt)
 
 
 def test_weight_load_of_a_missing_manifest_is_a_bad_tensor_file(tmp_path):
@@ -611,17 +605,51 @@ def _misshape_last(params):
     return params, params[-1]["name"], ShapeMismatch
 
 
-@pytest.mark.parametrize("edit", [_truncate, _repeat, _misshape_last],
-                         ids=["truncated", "repeated-entry", "last-entry-misshaped"])
+def _swap_first_two(params):
+    return [params[1], params[0]] + params[2:], params[1]["name"], BadTensorFile
+
+
+@pytest.mark.parametrize("edit", [_truncate, _repeat, _misshape_last, _swap_first_two],
+                         ids=["truncated", "repeated-entry", "last-entry-misshaped", "reordered"])
 def test_a_refused_checkpoint_changes_no_parameter(tmp_path, edit):
     ckpt = tmp_path / "w"
     save_weights(_small_img(40), ckpt)
     manifest = json.loads((ckpt / "weights.json").read_text())
     manifest["params"], name, error = edit(manifest["params"])
     (ckpt / "weights.json").write_text(json.dumps(manifest))
+    _refused_and_unchanged(ckpt, error, name.replace(".", r"\."))
+
+
+def _refused_and_unchanged(ckpt, error, match):
     fresh = _small_img(41)
     before = [(p.data.copy(), p.trainable) for _, p in fresh.parameters()]
-    with pytest.raises(error, match=name.replace(".", r"\.")):
+    with pytest.raises(error, match=match):
         load_weights(fresh, ckpt)
     for (data, trainable), (_, p) in zip(before, fresh.parameters()):
         assert np.array_equal(p.data, data) and p.trainable == trainable
+
+
+def test_saving_a_model_twice_writes_the_same_two_files(tmp_path):
+    den = _small_img(42)
+    for name in ("a", "b"):
+        save_weights(den, tmp_path / name)
+    for name in ("a", "b"):
+        assert sorted(p.name for p in (tmp_path / name).iterdir()) == ["weights.json",
+                                                                      "weights.vstn"]
+    for fname in ("weights.json", "weights.vstn"):
+        assert (tmp_path / "a" / fname).read_bytes() == (tmp_path / "b" / fname).read_bytes()
+
+
+def _change_one_value(values):
+    values[5] += 1.0  # still finite, so only the sha256 can tell
+    return values
+
+
+@pytest.mark.parametrize("edit, match", [(_change_one_value, "sha256"),
+                                         (lambda values: values[:-1], "expected")],
+                         ids=["one-value-changed", "one-value-short"])
+def test_a_refused_payload_changes_no_parameter(tmp_path, edit, match):
+    ckpt = tmp_path / "w"
+    save_weights(_small_img(43), ckpt)
+    save_tensor(ckpt / "weights.vstn", edit(load_tensor(ckpt / "weights.vstn")))
+    _refused_and_unchanged(ckpt, BadTensorFile, match)

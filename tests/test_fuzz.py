@@ -412,17 +412,23 @@ def _checkpoint_model(seed):
 
 
 def checkpoint_edits(files):
-    """{relative path: new bytes}: one file of a checkpoint edited as bytes,
-    or its weights.json edited as JSON."""
-    edits = {rel: byte_edits(raw) for rel, raw in files.items()}
-    edits["weights.json"] = st.one_of(edits["weights.json"],
-                                      json_edits(json.loads(files["weights.json"])))
-    which = st.sampled_from(sorted(files) + ["weights.json"] * 4)
+    """{relative path: new bytes}: weights.json edited as JSON or as bytes,
+    or weights.vstn edited as bytes, half the time with the sha256 in
+    weights.json re-signed over what follows its 20-byte rank-1 header so
+    the edit reaches the assignment."""
+    manifest = json.loads(files["weights.json"])
+    json_edit = st.one_of(byte_edits(files["weights.json"]), json_edits(manifest))
+    payload_edit = byte_edits(files["weights.vstn"])
 
     @st.composite
     def edited(draw):
-        rel = draw(which)
-        return {rel: draw(edits[rel])}
+        if draw(st.booleans()):
+            return {"weights.json": draw(json_edit)}
+        raw = draw(payload_edit)
+        if not draw(st.booleans()):
+            return {"weights.vstn": raw}
+        signed = {**manifest, "sha256": hashlib.sha256(raw[20:]).hexdigest()}
+        return {"weights.vstn": raw, "weights.json": json.dumps(signed).encode()}
 
     return edited()
 

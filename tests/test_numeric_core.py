@@ -15,7 +15,7 @@ from videostudio.errors import BadTensorFile, ShapeMismatch
 from videostudio.numeric_core import (AttentionParams, Parameter, Rng, Tensor,
                                       attention, cross_attention, derive_seed,
                                       finite_diff_check, hash64,
-                                      layer_norm, load_tensor, no_grad,
+                                      layer_norm, load_tensor, matmul, no_grad,
                                       save_tensor, temporal_conv1d, write_bytes,
                                       write_json)
 
@@ -46,7 +46,7 @@ def test_finite_diff_on_composite_expression():
     x = Tensor(rng.normal((3, 5)))
 
     def fn():
-        h = x @ w
+        h = matmul(x, w)
         return (attention(h, h, h, 0.5) * h).sum()
 
     assert finite_diff_check(fn, [w]) < 1e-6
@@ -561,7 +561,7 @@ def test_frozen_parameters_still_get_gradients():
     rng = Rng(12)
     p = Parameter(rng.normal((3, 3)), trainable=False, name="w")
     x = Tensor(rng.normal((2, 3)))
-    (x @ p).sum().backward()
+    matmul(x, p).sum().backward()
     assert p.grad is not None
 
 
