@@ -45,65 +45,45 @@ def synthesize_flow(direction, speed, frames, height, width):
     field = np.zeros((frames, height, width, 2), dtype=np.float64)
     if direction == "static":
         return field
+    f = np.arange(frames, dtype=np.float64)[:, None, None]
     if direction in _UNIT:
-        v = TRANSLATION_PX[speed]
-        ux, uy = _UNIT[direction]
-        for f in range(frames):
-            field[f, :, :, 0] = f * v * ux
-            field[f, :, :, 1] = f * v * uy
+        field[:] = (f * TRANSLATION_PX[speed])[..., None] * np.array(_UNIT[direction])
         return field
     # zoom: source = center + r*scale, so displacement = r*(scale - 1)
     rho = ZOOM_RATE[speed]
+    scale = 1.0 / (1.0 + f * rho) if direction == "forward" else 1.0 + f * rho
     cy, cx = (height - 1) / 2.0, (width - 1) / 2.0
     ys, xs = np.mgrid[0:height, 0:width].astype(np.float64)
-    rx, ry = xs - cx, ys - cy
-    for f in range(frames):
-        if direction == "forward":
-            scale = 1.0 / (1.0 + f * rho)
-        else:
-            scale = 1.0 + f * rho
-        field[f, :, :, 0] = rx * (scale - 1.0)
-        field[f, :, :, 1] = ry * (scale - 1.0)
+    field[..., 0] = (xs - cx) * (scale - 1.0)
+    field[..., 1] = (ys - cy) * (scale - 1.0)
     return field
 
 
-def warp_frame(frame, field):
-    """Bilinear warp of one frame by one displacement field.
+def warp_clip(clip, field):
+    """Bilinear warp of a [C, F, H, W] clip by its [F, H, W, 2] flow field.
 
-    frame: [C, H, W]; field: [H, W, 2].  Samples outside the frame clamp
-    to the edge.
+    Frame f samples at pixel + field[f]; samples outside the frame clamp to
+    the edge.  Every frame is gathered in one pass along a frame axis.
     """
-    frame = np.asarray(frame, dtype=np.float64)
+    clip = np.asarray(clip, dtype=np.float64)
     field = np.asarray(field, dtype=np.float64)
-    if frame.ndim != 3:
-        raise DimensionMismatch(f"warp_frame wants [C,H,W], got {frame.shape}")
-    if field.shape != frame.shape[1:] + (2,):
-        raise DimensionMismatch(f"field {field.shape} does not match frame {frame.shape}")
+    if clip.ndim != 4:
+        raise DimensionMismatch(f"warp_clip wants [C,F,H,W], got {clip.shape}")
+    if field.shape != clip.shape[1:] + (2,):
+        raise DimensionMismatch(f"field {field.shape} does not match clip {clip.shape}")
     if not np.isfinite(field).all():
         raise NonFiniteField("flow field contains NaN or Inf")
-    c, h, w = frame.shape
+    _, frames, h, w = clip.shape
     ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
-    sx = np.clip(xs + field[:, :, 0], 0.0, w - 1.0)
-    sy = np.clip(ys + field[:, :, 1], 0.0, h - 1.0)
+    sx = np.clip(xs + field[..., 0], 0.0, w - 1.0)
+    sy = np.clip(ys + field[..., 1], 0.0, h - 1.0)
     x0 = np.floor(sx).astype(np.intp)
     y0 = np.floor(sy).astype(np.intp)
     x1 = np.minimum(x0 + 1, w - 1)
     y1 = np.minimum(y0 + 1, h - 1)
     wx = sx - x0
     wy = sy - y0
-    top = frame[:, y0, x0] * (1.0 - wx) + frame[:, y0, x1] * wx
-    bottom = frame[:, y1, x0] * (1.0 - wx) + frame[:, y1, x1] * wx
+    f = np.arange(frames)[:, None, None]
+    top = clip[:, f, y0, x0] * (1.0 - wx) + clip[:, f, y0, x1] * wx
+    bottom = clip[:, f, y1, x0] * (1.0 - wx) + clip[:, f, y1, x1] * wx
     return top * (1.0 - wy) + bottom * wy
-
-
-def warp_clip(clip, field):
-    """Warp frame f of [C, F, H, W] by field[f]; frame 0 must be static."""
-    clip = np.asarray(clip, dtype=np.float64)
-    if clip.ndim != 4:
-        raise DimensionMismatch(f"warp_clip wants [C,F,H,W], got {clip.shape}")
-    if field.shape != (clip.shape[1],) + clip.shape[2:] + (2,):
-        raise DimensionMismatch(f"field {field.shape} does not match clip {clip.shape}")
-    out = np.empty_like(clip)
-    for f in range(clip.shape[1]):
-        out[:, f] = warp_frame(clip[:, f], field[f])
-    return out

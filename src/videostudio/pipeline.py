@@ -32,14 +32,14 @@ from .action_condition import (ActionEmbedding, VocabularyEmbedder,
                                build_indicator, default_vocabulary,
                                embed_indicator, extract_action_phrases,
                                load_vocabulary)
-from .camera_motion import TRANSLATION_PX, _UNIT, synthesize_flow, warp_clip
+from .camera_motion import synthesize_flow, warp_clip
 from .cond_blocks import (AnalyticGaussianDenoiser, ContextBundle, GaussianPrior,
                           ImgDenoiser, SpatioTemporalBlock, TriContextBlock,
                           VidContext, VidDenoiser, ToyFeatureExtractor,
                           _resize_nearest, concat_foreground_features,
                           tri_context_forward)
 from .errors import (BadConfig, ChecksumMismatch, ShapeMismatch, StageError,
-                     TooFewFrames, UnknownDirection, UnknownSpeed, ValidationError)
+                     TooFewFrames, UnknownDirection, ValidationError)
 from .numeric_core import (AttentionParams, Parameter, Rng, Tensor,
                            cross_attention, derive_seed,
                            finite_diff_check, hash64, layer_norm, load_tensor,
@@ -49,7 +49,7 @@ from .ref_images import (MIN_SIDE, EntityReference, RgbImage, RemoteTextToImageB
                          ToyTextToImageBackend, build_entity_references, decode_pgm,
                          decode_ppm, encode_pgm, encode_ppm)
 from .sampler import SamplerConfig, make_schedule, sample_image, sample_video
-from .script_engine import (HttpChatBackend, MockChatBackend, build_aspect_query,
+from .script_engine import (CHAT_MODEL, HttpChatBackend, MockChatBackend, build_aspect_query,
                             build_chat_request, build_description_query,
                             build_script_query, find_common_entities,
                             generate_entity_description, generate_script,
@@ -77,7 +77,7 @@ _DEFAULT_CONFIG = {
     "model": {"channels": 32, "blocks": 2, "heads": 4, "latent": [4, 16, 16], "frames": 8},
     "image_sampler": {"steps": 50},
     "video_sampler": {"steps": 70, "t_m": 5},
-    "chat": {"kind": "mock", "path": None, "url": None, "model": "local-chat"},
+    "chat": {"kind": "mock", "path": None, "url": None, "model": CHAT_MODEL},
     "text_to_image": {"kind": "toy", "url": None},
 }
 
@@ -866,18 +866,15 @@ def estimate_translation(frame_a, frame_b):
 def expected_translation(direction, speed, frame_index):
     """Content translation (dx, dy) of frame f against frame 0 for a pan.
 
-    The warp samples source = destination + f*v*unit, so content drifts
-    the opposite way.  Zooms have no single translation.
+    A pan displaces frame f by f times frame 1's step, and the warp samples
+    source = destination + displacement, so content drifts the opposite
+    way.  A zoom's step varies across pixels: it has no single translation.
     """
-    if direction == "static":
-        return (0.0, 0.0)
-    if direction not in _UNIT:
+    step = synthesize_flow(direction, speed, 2, 2, 2)[1]
+    if not (step == step[0, 0]).all():
         raise UnknownDirection(f"{direction!r} has no single translation")
-    if speed not in TRANSLATION_PX:
-        raise UnknownSpeed(f"unknown camera speed {speed!r}")
-    v = TRANSLATION_PX[speed]
-    ux, uy = _UNIT[direction]
-    return (-frame_index * v * ux, -frame_index * v * uy)
+    dx, dy = step[0, 0].tolist()
+    return (-frame_index * dx, -frame_index * dy)
 
 
 _SWEEP_PROMPT = "a bright marble rolling over a dark desk"
@@ -934,7 +931,6 @@ def tm_sweep(config, camera=("right", "medium"), tms=(1, 5, 20)):
 # --- gradient audit ---------------------------------------------------------------
 
 _GRADCHECK_TRIALS = 4
-_GRADCHECK_EPS = 1e-5
 
 
 def run_gradient_suite(seed=0):
@@ -951,7 +947,7 @@ def run_gradient_suite(seed=0):
     cases = []
 
     def audit(label, params, fn):
-        err = finite_diff_check(fn, params, _GRADCHECK_EPS)
+        err = finite_diff_check(fn, params)
         cases.append({"case": label, "rel_err": err})
 
     for i in range(_GRADCHECK_TRIALS):
@@ -1034,7 +1030,7 @@ def run_gradient_suite(seed=0):
 
 # --- mock fixtures -----------------------------------------------------------------
 
-def build_mock_llm_fixture(prompt, script_text, descriptions=None, model="local-chat"):
+def build_mock_llm_fixture(prompt, script_text, descriptions=None, model=CHAT_MODEL):
     """Request-hash table covering one full run against a MockChatBackend.
 
     Maps the script query plus, per entity, the aspect and description

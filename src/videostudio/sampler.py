@@ -17,8 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .camera_motion import synthesize_flow, warp_clip
-from .errors import (BadRange, BadTimestepOrder, NonFiniteField, NonFiniteLatent,
-                     ShapeMismatch)
+from .errors import BadRange, BadTimestepOrder, NonFiniteLatent, ShapeMismatch
 from .numeric_core import Rng, no_grad
 
 __all__ = [
@@ -165,6 +164,7 @@ def apply_camera_intervention(x_t, eps_hat, t, schedule, field):
 
     x_t: [C, F, H, W]; field: [F, H, W, 2].  The eps_hat that produced the
     current state is reused unchanged, so a zero field is an exact no-op.
+    A NaN or Inf field raises NonFiniteField from ``warp_clip``.
     """
     x_t = np.asarray(x_t, dtype=np.float64)
     eps_hat = np.asarray(eps_hat, dtype=np.float64)
@@ -172,8 +172,6 @@ def apply_camera_intervention(x_t, eps_hat, t, schedule, field):
         raise ShapeMismatch(f"latent {x_t.shape} vs eps {eps_hat.shape}")
     if x_t.ndim != 4:
         raise ShapeMismatch(f"intervention wants [C,F,H,W], got {x_t.shape}")
-    if not np.isfinite(np.asarray(field)).all():
-        raise NonFiniteField("camera field contains NaN or Inf")
     t = int(t)
     if not 1 <= t <= schedule.T:
         raise BadTimestepOrder(f"intervention timestep {t} outside [1, T]")

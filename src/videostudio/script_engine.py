@@ -19,6 +19,7 @@ from __future__ import annotations
 import http.client
 import json
 import re
+import time
 import urllib.request
 from dataclasses import dataclass
 from importlib import resources
@@ -33,6 +34,10 @@ MAX_SCENES = 12
 MAX_FOREGROUNDS = 4
 MAX_ATTEMPTS = 3
 CHAT_TIMEOUT = 60.0  # seconds an HTTP chat request may take
+CHAT_MODEL = "local-chat"  # model name sent in, and hashed into, every chat request
+# Largest reply body an HTTP backend may send.  The largest legitimate one is
+# a 64x64 base64 PPM from text-to-image, about 16.4 KB: 4x headroom.
+MAX_REPLY_BYTES = 1 << 16
 
 
 # --- domain types -----------------------------------------------------------
@@ -192,7 +197,7 @@ def find_common_entities(script):
 # --- chat wire format -----------------------------------------------------------
 
 
-def build_chat_request(messages, model="local-chat"):
+def build_chat_request(messages, model=CHAT_MODEL):
     return {"model": model,
             "messages": [{"role": m.role, "content": m.content} for m in messages]}
 
@@ -217,13 +222,26 @@ def post_json(url, doc, timeout):
 
     Any failure to reach the service, read its reply or parse it is
     BackendError: a refused connection or HTTP error status, a timeout, a
-    dropped or truncated reply, bad UTF-8 or JSON, or deep nesting.
+    body still arriving ``timeout`` s after the call or over
+    MAX_REPLY_BYTES, a dropped or truncated reply, bad UTF-8 or JSON, or
+    deep nesting.
     """
+    deadline = time.monotonic() + timeout
     req = urllib.request.Request(url, data=json.dumps(doc).encode("utf-8"),
                                  headers={"Content-Type": "application/json"})
     try:
         with urllib.request.urlopen(req, timeout=timeout) as resp:
-            return json.loads(resp.read().decode("utf-8"))
+            # read1 makes at most one socket read; a stand-in with only read() is read whole
+            chunks = (iter(lambda: resp.read1(1 << 14), b"") if hasattr(resp, "read1")
+                      else [resp.read()])
+            body = bytearray()
+            for chunk in chunks:
+                body += chunk
+                if len(body) > MAX_REPLY_BYTES:
+                    raise BackendError(f"backend at {url} sent over {MAX_REPLY_BYTES} bytes")
+                if time.monotonic() > deadline:
+                    raise BackendError(f"backend at {url} took over {timeout} s to reply")
+            return json.loads(body.decode("utf-8"))
     except (OSError, http.client.HTTPException, ValueError, RecursionError) as exc:
         raise BackendError(f"backend at {url} failed: {type(exc).__name__}: {exc}") from exc
 
@@ -231,7 +249,7 @@ def post_json(url, doc, timeout):
 class HttpChatBackend:
     """POSTs the chat-completion request shape to a local endpoint."""
 
-    def __init__(self, url, model="local-chat"):
+    def __init__(self, url, model=CHAT_MODEL):
         self.url = url
         self.model = model
 
@@ -253,7 +271,7 @@ class MockChatBackend:
     or is not such a table raises BackendError.
     """
 
-    def __init__(self, table, model="local-chat"):
+    def __init__(self, table, model=CHAT_MODEL):
         if not isinstance(table, dict):
             table = read_json(table, lambda message: BackendError(f"mock fixture {message}"))
         if not isinstance(table, dict) or not all(map(_is_reply, table.values())):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from videostudio.camera_motion import (DIRECTIONS, SPEEDS, ZOOM_RATE,
-                                       synthesize_flow, warp_clip, warp_frame)
+                                       synthesize_flow, warp_clip)
 from videostudio.errors import (DimensionMismatch, NonFiniteField,
                                 UnknownDirection, UnknownSpeed)
 from videostudio.numeric_core import Rng
@@ -80,10 +80,15 @@ def test_direction_and_speed_vocabulary():
 
 # --- warping -----------------------------------------------------------------
 
+def warp_one(frame, field):
+    """Warp a [C, H, W] frame by an [H, W, 2] field as a one-frame clip."""
+    return warp_clip(frame[:, None], field[None])[:, 0]
+
+
 def test_zero_field_warp_is_identity():
     rng = Rng(0)
     frame = rng.normal((3, 5, 7))
-    out = warp_frame(frame, np.zeros((5, 7, 2)))
+    out = warp_one(frame, np.zeros((5, 7, 2)))
     assert np.allclose(out, frame, atol=1e-15)
 
 
@@ -92,7 +97,7 @@ def test_integer_shift_matches_roll_in_the_interior():
     frame = rng.normal((1, 6, 8))
     field = np.zeros((6, 8, 2))
     field[:, :, 0] = 2.0  # sample two pixels to the right
-    out = warp_frame(frame, field)
+    out = warp_one(frame, field)
     assert np.allclose(out[:, :, :6], frame[:, :, 2:], atol=1e-12)
 
 
@@ -101,7 +106,7 @@ def test_half_pixel_shift_averages_neighbours():
     frame[0, 0] = [0.0, 1.0, 2.0, 3.0]
     field = np.zeros((1, 4, 2))
     field[:, :, 0] = 0.5
-    out = warp_frame(frame, field)
+    out = warp_one(frame, field)
     assert np.allclose(out[0, 0, :3], [0.5, 1.5, 2.5])
 
 
@@ -110,7 +115,7 @@ def test_bilinear_hand_case_interior_point():
     frame[0] = [[1.0, 2.0], [3.0, 4.0]]
     field = np.zeros((2, 2, 2))
     field[0, 0] = [0.25, 0.75]  # sample at (x=0.25, y=0.75)
-    out = warp_frame(frame, field)
+    out = warp_one(frame, field)
     want = (1.0 * 0.75 + 2.0 * 0.25) * 0.25 + (3.0 * 0.75 + 4.0 * 0.25) * 0.75
     assert np.isclose(out[0, 0, 0], want)
 
@@ -119,36 +124,38 @@ def test_out_of_range_samples_clamp_to_edge():
     frame = np.arange(4.0).reshape(1, 1, 4)
     field = np.zeros((1, 4, 2))
     field[:, :, 0] = 100.0
-    out = warp_frame(frame, field)
+    out = warp_one(frame, field)
     assert np.allclose(out, 3.0)
     field[:, :, 0] = -100.0
-    out = warp_frame(frame, field)
+    out = warp_one(frame, field)
     assert np.allclose(out, 0.0)
 
 
 def test_warp_clip_equals_per_frame_warp():
-    rng = Rng(2)
-    clip = rng.normal((2, 4, 5, 5))
-    field = synthesize_flow("right", "fast", 4, 5, 5)
-    whole = warp_clip(clip, field)
-    for f in range(4):
-        assert np.array_equal(whole[:, f], warp_frame(clip[:, f], field[f]))
+    # the one-pass gather is bit for bit the warp of each frame on its own,
+    # for every camera move, at the default latent shape and an odd one
+    for shape in [(4, 8, 16, 16), (3, 5, 7, 9)]:
+        clip = Rng(2).normal(shape)
+        for direction in DIRECTIONS:
+            for speed in SPEEDS:
+                field = synthesize_flow(direction, speed, *shape[1:])
+                whole = warp_clip(clip, field)
+                for f in range(shape[1]):
+                    assert np.array_equal(whole[:, f], warp_one(clip[:, f], field[f]))
 
 
 def test_warp_validation_errors():
     rng = Rng(3)
     with pytest.raises(DimensionMismatch):
-        warp_frame(rng.normal((5, 5)), np.zeros((5, 5, 2)))
-    with pytest.raises(DimensionMismatch):
-        warp_frame(rng.normal((1, 5, 5)), np.zeros((4, 5, 2)))
-    with pytest.raises(DimensionMismatch):
         warp_clip(rng.normal((1, 5, 5)), np.zeros((5, 5, 2)))
     with pytest.raises(DimensionMismatch):
+        warp_clip(rng.normal((1, 1, 5, 5)), np.zeros((1, 4, 5, 2)))
+    with pytest.raises(DimensionMismatch):
         warp_clip(rng.normal((1, 2, 5, 5)), np.zeros((3, 5, 5, 2)))
-    bad = np.zeros((5, 5, 2))
-    bad[0, 0, 0] = np.nan
+    bad = np.zeros((1, 5, 5, 2))
+    bad[0, 0, 0, 0] = np.nan
     with pytest.raises(NonFiniteField):
-        warp_frame(rng.normal((1, 5, 5)), bad)
+        warp_clip(rng.normal((1, 1, 5, 5)), bad)
 
 
 def test_pan_moves_content_opposite_to_camera():

@@ -1003,6 +1003,21 @@ def test_expected_translation_directions():
         expected_translation("forward", "slow", 1)
 
 
+def test_expected_translation_pins_the_pan_formula():
+    # content moves by -f * v * unit: the camera's step, reversed, per frame
+    units = {"static": (0.0, 0.0), "left": (-1.0, 0.0), "right": (1.0, 0.0),
+             "up": (0.0, -1.0), "down": (0.0, 1.0)}
+    speeds = {"slow": 0.5, "medium": 1.0, "fast": 2.0}
+    for direction, (ux, uy) in units.items():
+        for speed, v in speeds.items():
+            for f in range(8):
+                assert expected_translation(direction, speed, f) == (-f * v * ux, -f * v * uy)
+    for direction in ("forward", "backward"):
+        for f in (0, 1):
+            with pytest.raises(UnknownDirection):
+                expected_translation(direction, "medium", f)
+
+
 # --- fixture builder ---------------------------------------------------------------------------------
 
 def test_build_mock_llm_fixture_covers_the_whole_dialogue():

@@ -1,4 +1,8 @@
+import contextlib
+import http.server
 import json
+import threading
+import time
 
 import pytest
 
@@ -7,7 +11,7 @@ from videostudio.errors import (BackendError, EmptyDescription, EmptyPrompt,
                                 NonContiguousIndices,
                                 ScriptGenerationExhausted, UnknownCameraToken)
 from videostudio.numeric_core import Rng
-from videostudio.script_engine import (MAX_FOREGROUNDS, MAX_SCENES,
+from videostudio.script_engine import (MAX_FOREGROUNDS, MAX_REPLY_BYTES, MAX_SCENES,
                                        CameraMove, ChatMessage,
                                        EntityRecord, MockChatBackend,
                                        SceneSpec, VideoScript,
@@ -19,7 +23,7 @@ from videostudio.script_engine import (MAX_FOREGROUNDS, MAX_SCENES,
                                        generate_entity_description,
                                        generate_script, normalize_entity_name,
                                        parse_chat_response, parse_script,
-                                       request_hash, serialize_script)
+                                       post_json, request_hash, serialize_script)
 
 GOOD = """[Scene 1: prompt: a fox trots through snow | foreground: red fox | background: snowy forest | camera: right, slow]
 [Scene 2: prompt: the fox digs for mice | foreground: red fox | background: snowy forest | camera: static, medium]"""
@@ -343,3 +347,66 @@ def test_generate_script_best_effort_last():
     strict = _script_backend([dirty, dirty])
     with pytest.raises(ScriptGenerationExhausted):
         generate_script("fox documentary", strict, 2)
+
+
+# --- HTTP reply limits ----------------------------------------------------------------
+
+@contextlib.contextmanager
+def _http_server(body, step, interval):
+    """A local server answering every POST with ``body``, written ``step``
+    bytes at a time with ``interval`` seconds between writes."""
+    stop = threading.Event()
+
+    class Handler(http.server.BaseHTTPRequestHandler):
+        def do_POST(self):
+            self.rfile.read(int(self.headers["Content-Length"]))
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            try:
+                for i in range(0, len(body), step):
+                    self.wfile.write(body[i:i + step])
+                    self.wfile.flush()
+                    if stop.wait(interval):
+                        return
+            except OSError:  # the client hung up
+                pass
+
+        def log_message(self, *args):
+            pass
+
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,))
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_port}/"
+    finally:
+        stop.set()
+        server.shutdown()
+        server.server_close()
+        thread.join()
+
+
+def test_post_json_reads_a_reply_over_http():
+    with _http_server(b'{"ok": true}', 1 << 16, 0.0) as url:
+        assert post_json(url, {}, 1.0) == {"ok": True}
+
+
+def test_post_json_refuses_a_dripping_reply():
+    # each byte comes well inside the socket timeout, but the whole body
+    # (17 bytes, 0.2 s apart) would take 3.4 s against a 0.5 s deadline
+    timeout = 0.5
+    with _http_server(b'{"slow": "reply"}', 1, 0.2) as url:
+        t0 = time.monotonic()
+        with pytest.raises(BackendError, match="to reply"):
+            post_json(url, {}, timeout)
+        # at most one socket timeout past the deadline
+        assert time.monotonic() - t0 < 2 * timeout + 0.25
+
+
+def test_post_json_refuses_an_oversized_reply():
+    body = json.dumps({"pad": "x" * MAX_REPLY_BYTES}).encode("utf-8")
+    with _http_server(body, 1 << 14, 0.0) as url:
+        with pytest.raises(BackendError, match="bytes"):
+            post_json(url, {}, 5.0)
