@@ -14,8 +14,8 @@ import sys
 
 from .errors import BadConfig, StageError, VideoStudioError
 from .numeric_core import derive_seed, save_tensor, write_bytes, write_json
-from .pipeline import (_build_references, _oracle_denoiser, _sample_clip,
-                       _scene_canvas_latent, _write_references,
+from .pipeline import (_SWEEP_CAMERA, _SWEEP_TMS, _build_references, _oracle_denoiser,
+                       _sample_clip, _scene_canvas_latent, _write_references,
                        compute_metrics, export_video, load_config, load_video,
                        resolve_backends, run_gradient_suite, run_pipeline,
                        tm_sweep)
@@ -106,9 +106,9 @@ def cmd_gradcheck(args):
 
 def cmd_tm_sweep(args):
     config = _load(args)
-    camera = _camera(args, ("right", "medium"))
+    camera = _camera(args, _SWEEP_CAMERA)
     try:
-        tms = tuple(int(x) for x in args.tms.split(",")) if args.tms else (1, 5, 20)
+        tms = tuple(int(x) for x in args.tms.split(",")) if args.tms else _SWEEP_TMS
     except ValueError:
         raise BadConfig(f"--tms wants comma-separated integers, got {args.tms!r}") from None
     rows = tm_sweep(config, camera, tms)

@@ -72,18 +72,6 @@ class VidContext:
         return VidContext(np.zeros_like(self.y_s), np.zeros_like(self.y_a))
 
 
-def concat_foreground_features(feature_blocks, channels=DEFAULT_CONTEXT_CHANNELS):
-    """Stack per-entity [L, C] feature blocks along the length axis."""
-    if not feature_blocks:
-        return np.zeros((0, channels))
-    blocks = [np.asarray(b, dtype=np.float64) for b in feature_blocks]
-    width = blocks[0].shape[1]
-    for b in blocks:
-        if b.ndim != 2 or b.shape[1] != width:
-            raise ShapeMismatch(f"feature block {b.shape} does not match width {width}")
-    return np.concatenate(blocks, axis=0)
-
-
 # --- blocks ----------------------------------------------------------------
 
 

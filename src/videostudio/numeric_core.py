@@ -251,13 +251,16 @@ def matmul(a, b):
     return _node(np.matmul(a.data, b.data), (a, b), back)
 
 
-def layer_norm(t, gain, bias, eps=1e-5):
+_LAYER_NORM_EPS = 1e-5  # added to the variance before its square root
+
+
+def layer_norm(t, gain, bias):
     """Normalize the last dim to zero mean / unit variance, then affine."""
     t, gain, bias = _ensure(t), _ensure(gain), _ensure(bias)
     x = t.data
     mu = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _LAYER_NORM_EPS)
     xhat = (x - mu) * inv
 
     def back(g):
@@ -542,7 +545,10 @@ def cross_attention(x, ctx, params):
 # --- gradient checking ---------------------------------------------------
 
 
-def finite_diff_check(fn, params, eps=1e-5):
+_FINITE_DIFF_STEP = 1e-5  # central-difference step in each parameter coordinate
+
+
+def finite_diff_check(fn, params):
     """Max relative error between analytic and central-difference grads.
 
     ``fn`` rebuilds the forward pass and returns a scalar Tensor; it must
@@ -562,12 +568,12 @@ def finite_diff_check(fn, params, eps=1e-5):
         aflat = a.reshape(-1)
         for i in range(flat.size):
             keep = flat[i]
-            flat[i] = keep + eps
+            flat[i] = keep + _FINITE_DIFF_STEP
             up = fn().item()
-            flat[i] = keep - eps
+            flat[i] = keep - _FINITE_DIFF_STEP
             down = fn().item()
             flat[i] = keep
-            numeric = (up - down) / (2 * eps)
+            numeric = (up - down) / (2 * _FINITE_DIFF_STEP)
             err = abs(aflat[i] - numeric) / max(1.0, abs(aflat[i]), abs(numeric))
             worst = max(worst, err)
     return worst

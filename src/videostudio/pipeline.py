@@ -36,8 +36,7 @@ from .camera_motion import synthesize_flow, warp_clip
 from .cond_blocks import (AnalyticGaussianDenoiser, ContextBundle, GaussianPrior,
                           ImgDenoiser, SpatioTemporalBlock, TriContextBlock,
                           VidContext, VidDenoiser, ToyFeatureExtractor,
-                          _resize_nearest, concat_foreground_features,
-                          tri_context_forward)
+                          _resize_nearest, tri_context_forward)
 from .errors import (BadConfig, ChecksumMismatch, ShapeMismatch, StageError,
                      TooFewFrames, UnknownDirection, ValidationError)
 from .numeric_core import (AttentionParams, Parameter, Rng, Tensor,
@@ -334,6 +333,12 @@ def _slot_boxes(spec, height, width):
     return boxes
 
 
+def _prompt_canvas(t2i_backend, prompt, seed, height, width):
+    """[H, W, 3] render of ``prompt`` alone, the canvas of a scene without references."""
+    img = t2i_backend.generate(prompt, derive_seed(seed, "scene-canvas"))
+    return _resize_nearest(img.data, height, width)
+
+
 def compose_scene(spec, references, height, width, t2i_backend, scene_seed):
     """Deterministic [H, W, 3] scene target.
 
@@ -347,8 +352,7 @@ def compose_scene(spec, references, height, width, t2i_backend, scene_seed):
     if bg_ref is not None:
         canvas = _resize_nearest(bg_ref.image.data, height, width).copy()
     else:
-        img = t2i_backend.generate(spec.prompt, derive_seed(scene_seed, "scene-canvas"))
-        canvas = _resize_nearest(img.data, height, width).copy()
+        canvas = _prompt_canvas(t2i_backend, spec.prompt, scene_seed, height, width)
     boxes = _slot_boxes(spec, height, width)
     for name in spec.foreground:
         ref = references.get(name) if references else None
@@ -508,8 +512,7 @@ def compute_metrics(video):
 def _scene_canvas_latent(config, prompt, seed):
     """Latent of the toy text-to-image render of ``prompt`` at the latent size."""
     c, h, w = config.latent_shape
-    img = ToyTextToImageBackend().generate(prompt, derive_seed(seed, "scene-canvas"))
-    return encode_image(_resize_nearest(img.data, h, w), c)
+    return encode_image(_prompt_canvas(ToyTextToImageBackend(), prompt, seed, h, w), c)
 
 
 def _camera_anchor(scene_latent, camera, frames):
@@ -548,28 +551,45 @@ def _build_references(config, script, prompt, backends):
     return references, descriptions
 
 
-def _generate_scene(spec, config, references, t2i_backend,
-                    image_denoiser=None, video_denoiser=None):
+def _network_denoisers(config):
+    """The untrained (image, video) denoiser pair of ``config``, seeded by its seed."""
+    c, h, w = config.latent_shape
+    image_denoiser = ImgDenoiser(
+        Rng(derive_seed(config.seed, "model", "image")), (c, h, w),
+        config.channels, config.blocks, config.heads,
+        text_channels=config.channels, fg_channels=config.channels,
+        bg_channels=config.channels)
+    video_denoiser = VidDenoiser(
+        Rng(derive_seed(config.seed, "model", "video")),
+        (c, config.frames, h, w), config.channels, config.blocks,
+        config.heads, vocab_size=config.vocab_size,
+        scene_channels=config.channels)
+    return image_denoiser, video_denoiser
+
+
+def _generate_scene(spec, config, references, t2i_backend, denoisers=None):
+    """One scene, sampled by the oracles or by the network ``denoisers`` pair if given."""
     c, h, w = config.latent_shape
     scene_seed = derive_seed(config.seed, "scene", spec.index)
     schedule = config.noise_schedule()
     img_cfg = config.image_sampler_config(derive_seed(scene_seed, "image"))
     video_seed = derive_seed(scene_seed, "video")
     camera = (spec.camera.direction, spec.camera.speed)
-    if image_denoiser is None:  # the oracles read no conditioning
+    if denoisers is None:  # the oracles read no conditioning
         composite = compose_scene(spec, references, h, w, t2i_backend, scene_seed)
         oracle = _oracle_denoiser(config, encode_image(composite, c))
         scene_latent = sample_image(oracle, (), schedule, img_cfg)
         clip_latent = _sample_clip(config, scene_latent, camera, video_seed)
         scene_image = latent_to_image(scene_latent)
     else:
+        image_denoiser, video_denoiser = denoisers
         ex = config.feature_extractor()
         fg = [ex.image_features(references[name].image.data)
               for name in spec.foreground if name in references]
         bg_ref = references.get(spec.background)
         y_b = np.zeros((0, ex.channels)) if bg_ref is None else ex.image_features(bg_ref.image.data)
-        bundle = ContextBundle(ex.text_features(spec.prompt),
-                               concat_foreground_features(fg, ex.channels), y_b)
+        y_f = np.concatenate(fg) if fg else np.zeros((0, ex.channels))
+        bundle = ContextBundle(ex.text_features(spec.prompt), y_f, y_b)
         scene_latent = sample_image(image_denoiser, (bundle,), schedule, img_cfg)
         # the video stage reads the decoded scene latent's features and the action indicator
         scene_image = latent_to_image(scene_latent)
@@ -601,22 +621,10 @@ def run_pipeline(prompt, config, backends=None):
             references, _ = _build_references(config, script, prompt, backends)
 
         stage = "scenes"
-        image_denoiser = video_denoiser = None
-        if config.denoiser == "network":
-            c, h, w = config.latent_shape
-            image_denoiser = ImgDenoiser(
-                Rng(derive_seed(config.seed, "model", "image")), (c, h, w),
-                config.channels, config.blocks, config.heads,
-                text_channels=config.channels, fg_channels=config.channels,
-                bg_channels=config.channels)
-            video_denoiser = VidDenoiser(
-                Rng(derive_seed(config.seed, "model", "video")),
-                (c, config.frames, h, w), config.channels, config.blocks,
-                config.heads, vocab_size=config.vocab_size,
-                scene_channels=config.channels)
+        denoisers = _network_denoisers(config) if config.denoiser == "network" else None
         for spec in script.scenes:
             scenes.append(_generate_scene(spec, config, references, backends.text_to_image,
-                                          image_denoiser, video_denoiser))
+                                          denoisers))
 
         stage = "metrics"
         video = MultiSceneVideo(prompt, script, scenes, references, None, config.seed)
@@ -878,10 +886,12 @@ def expected_translation(direction, speed, frame_index):
 
 
 _SWEEP_PROMPT = "a bright marble rolling over a dark desk"
+_SWEEP_CAMERA = ("right", "medium")
+_SWEEP_TMS = (1, 5, 20)
 _SWEEP_MAX_PROBE = 6
 
 
-def tm_sweep(config, camera=("right", "medium"), tms=(1, 5, 20)):
+def tm_sweep(config, camera=_SWEEP_CAMERA, tms=_SWEEP_TMS):
     """Displacement error and anchor fit across intervention depths.
 
     One anchored-oracle clip of ``_SWEEP_PROMPT`` per T_m, all else
@@ -1030,26 +1040,23 @@ def run_gradient_suite(seed=0):
 
 # --- mock fixtures -----------------------------------------------------------------
 
-def build_mock_llm_fixture(prompt, script_text, descriptions=None, model=CHAT_MODEL):
+def build_mock_llm_fixture(prompt, script_text):
     """Request-hash table covering one full run against a MockChatBackend.
 
     Maps the script query plus, per entity, the aspect and description
-    queries, so `generate` runs offline.  ``descriptions`` overrides the
-    canned per-entity description text.
+    queries, so `generate` runs offline.
     """
     table = {}
 
     def put(messages, answer):
-        table[request_hash(build_chat_request(messages, model))] = answer
+        table[request_hash(build_chat_request(messages))] = answer
 
     put(build_script_query(prompt), script_text)
     script = parse_script(script_text)
-    descriptions = descriptions or {}
     for rec in find_common_entities(script):
         aspects = f"Nail down the shape, base colors, texture and scale of {rec.name}."
         put(build_aspect_query(rec), aspects)
         put(build_description_query(rec, aspects, prompt),
-            descriptions.get(rec.name,
-                             f"A {rec.name} rendered with one fixed palette and "
-                             f"simple geometry, identical in every scene."))
+            f"A {rec.name} rendered with one fixed palette and simple geometry, "
+            f"identical in every scene.")
     return table

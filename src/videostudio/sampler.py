@@ -225,7 +225,7 @@ def _sample(denoiser, shape, cond, schedule, config, intervene_after=0, field=No
 
 
 def sample_image(denoiser, cond, schedule, config):
-    """Run the image-stage DDIM loop and return the final [4, H, W] latent.
+    """Run the image-stage DDIM loop and return the final [C, H, W] latent.
 
     ``cond`` is the tuple ``denoiser.predict(x, t, *cond)`` takes; it must
     return an eps estimate of the latent's shape.  Guidance contrasts

@@ -231,11 +231,8 @@ def post_json(url, doc, timeout):
                                  headers={"Content-Type": "application/json"})
     try:
         with urllib.request.urlopen(req, timeout=timeout) as resp:
-            # read1 makes at most one socket read; a stand-in with only read() is read whole
-            chunks = (iter(lambda: resp.read1(1 << 14), b"") if hasattr(resp, "read1")
-                      else [resp.read()])
             body = bytearray()
-            for chunk in chunks:
+            for chunk in iter(lambda: resp.read1(1 << 14), b""):  # one socket read each
                 body += chunk
                 if len(body) > MAX_REPLY_BYTES:
                     raise BackendError(f"backend at {url} sent over {MAX_REPLY_BYTES} bytes")

@@ -9,8 +9,7 @@ from videostudio.cond_blocks import (AdamW, AnalyticGaussianDenoiser,
                                      ImgDenoiser, SpatioTemporalBlock,
                                      ToyFeatureExtractor, TriContextBlock,
                                      VidContext, VidDenoiser,
-                                     analytic_gaussian_epsilon,
-                                     concat_foreground_features, load_weights,
+                                     analytic_gaussian_epsilon, load_weights,
                                      save_weights, timestep_embedding,
                                      train_step, tri_context_forward)
 from videostudio.errors import BadTensorFile, DivisionAtTZero, ShapeMismatch
@@ -45,17 +44,6 @@ def test_vid_context_null_zeroes_in_place():
         VidContext(np.ones(8), np.ones(16))
     with pytest.raises(ShapeMismatch):
         VidContext(np.ones((4, 8)), np.ones((2, 16)))
-
-
-def test_concat_foreground_features():
-    rng = Rng(1)
-    a, b = rng.normal((3, 8)), rng.normal((2, 8))
-    out = concat_foreground_features([a, b])
-    assert out.shape == (5, 8)
-    assert np.array_equal(out[:3], a) and np.array_equal(out[3:], b)
-    assert concat_foreground_features([], channels=8).shape == (0, 8)
-    with pytest.raises(ShapeMismatch):
-        concat_foreground_features([a, rng.normal((2, 4))])
 
 
 # --- tri-context block -------------------------------------------------------------

@@ -3,6 +3,7 @@ import contextlib
 import hashlib
 import json
 import os
+import pickle
 import shutil
 
 import numpy as np
@@ -18,7 +19,8 @@ from videostudio.action_condition import default_vocabulary
 from videostudio.numeric_core import Rng
 from videostudio.pipeline import (MetricsReport, MultiSceneVideo,
                                   PipelineConfig, SceneOutput, _cosine,
-                                  _embed, _entity_crop,
+                                  _embed, _entity_crop, _generate_scene,
+                                  _network_denoisers,
                                   build_mock_llm_fixture, compose_scene,
                                   compute_metrics, decode_latent,
                                   default_config, encode_image,
@@ -531,6 +533,41 @@ def test_run_pipeline_network_denoisers():
     assert np.array_equal(video_a.scenes[0].clip_latent, video_b.scenes[0].clip_latent)
 
 
+def test_network_run_without_references(monkeypatch):
+    # every image condition is the prompt alone: no foreground and no background rows
+    real, bundles = pipeline.ContextBundle, []
+
+    def recorded(*args):
+        bundles.append(real(*args))
+        return bundles[-1]
+    monkeypatch.setattr(pipeline, "ContextBundle", recorded)
+    video_a, report = _run(SCRIPT2, no_refs=True, **TINY_NETWORK)
+    assert video_a.references == {} and len(video_a.scenes) == 2
+    assert len(bundles) == 2
+    assert all(b.y_f.shape[0] == 0 and b.y_b.shape[0] == 0 for b in bundles)
+    for scene in video_a.scenes:
+        assert np.all(np.isfinite(scene.scene_latent)) and np.all(np.isfinite(scene.clip_latent))
+    assert report.frame_consistency_mean is not None
+    video_b, _ = _run(SCRIPT2, no_refs=True, **TINY_NETWORK)
+    for sa, sb in zip(video_a.scenes, video_b.scenes):
+        assert np.array_equal(sa.scene_latent, sb.scene_latent)
+        assert np.array_equal(sa.clip_latent, sb.clip_latent)
+
+
+def test_a_network_scene_is_its_own_job():
+    # a scene samples from plain data alone: its spec, the config and the references
+    config = _config(**TINY_NETWORK)
+    backends = resolve_backends(config, mock_llm=build_mock_llm_fixture(PROMPT, SCRIPT2))
+    video, _ = run_pipeline(PROMPT, config, backends)
+    spec, config, references = pickle.loads(pickle.dumps(
+        (video.script.scenes[1], config, video.references)))
+    scene = _generate_scene(spec, config, references, ToyTextToImageBackend(),
+                            _network_denoisers(config))
+    assert spec.index == 2
+    assert np.array_equal(scene.scene_latent, video.scenes[1].scene_latent)
+    assert np.array_equal(scene.clip_latent, video.scenes[1].clip_latent)
+
+
 def _refuse(*_args, **_kwargs):
     raise AssertionError("built conditioning that no denoiser reads")
 
@@ -1025,6 +1062,3 @@ def test_build_mock_llm_fixture_covers_the_whole_dialogue():
     assert len(table) == 1 + 2 * 2  # script + (aspects, description) per entity
     backend = MockChatBackend(table)
     assert backend.complete(build_script_query(PROMPT)) == SCRIPT2
-    custom = build_mock_llm_fixture(PROMPT, SCRIPT2,
-                                    descriptions={"workshop": "a cluttered workshop"})
-    assert any(v == "a cluttered workshop" for v in custom.values())

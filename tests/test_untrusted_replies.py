@@ -36,10 +36,12 @@ class _Reply:
     def __exit__(self, *exc):
         return False
 
-    def read(self):
+    def read1(self, n):
+        """The whole body on the first call, then ``b""``; a stored error is raised."""
         if isinstance(self.body, Exception):
             raise self.body
-        return self.body
+        body, self.body = self.body, b""
+        return body
 
 
 def _serve(monkeypatch, body):
@@ -51,7 +53,7 @@ def _serve(monkeypatch, body):
 
 def _fail(monkeypatch, make_error, stage):
     """Every urlopen call raises a fresh ``make_error()`` itself (stage
-    "urlopen") or answers a reply whose ``read()`` raises it (stage "read")."""
+    "urlopen") or answers a reply whose ``read1()`` raises it (stage "read")."""
     def urlopen(req, timeout=None):
         if stage == "urlopen":
             raise make_error()
