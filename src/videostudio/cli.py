@@ -16,8 +16,8 @@ from .errors import BadConfig, StageError, VideoStudioError
 from .numeric_core import derive_seed, save_tensor, write_bytes, write_json
 from .pipeline import (_SWEEP_CAMERA, _SWEEP_TMS, _build_references, _oracle_denoiser,
                        _sample_clip, _scene_canvas_latent, _write_references,
-                       compute_metrics, export_video, load_config, load_video,
-                       resolve_backends, run_gradient_suite, run_pipeline,
+                       compute_metrics, export_failure, export_video, load_config,
+                       load_video, resolve_backends, run_gradient_suite, run_pipeline,
                        tm_sweep)
 from .sampler import sample_image
 from .script_engine import generate_script, parse_camera, serialize_script
@@ -29,8 +29,6 @@ def _load(args):
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if getattr(args, "out_dir", None):
-        overrides["output_dir"] = args.out_dir
     if getattr(args, "no_refs", False):
         overrides["no_refs"] = True
     return load_config(args.config, overrides)
@@ -75,7 +73,11 @@ def cmd_refs(args):
 def cmd_generate(args):
     config = _load(args)
     backends = resolve_backends(config, args.mock_llm)
-    video, report = run_pipeline(args.prompt, config, backends)
+    try:
+        video, report = run_pipeline(args.prompt, config, backends)
+    except StageError as exc:
+        export_failure(exc, args.out_dir)
+        raise
     manifest_path = export_video(video, args.out_dir)
     write_json(os.path.join(args.out_dir, "metrics.json"), report.to_dict())
     print(f"scenes: {len(video.scenes)}")

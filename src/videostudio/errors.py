@@ -113,9 +113,11 @@ class ChecksumMismatch(VideoStudioError):
 # --- wrapper: the CLI reports the exit code of ``cause`` ---
 
 class StageError(VideoStudioError):
-    """Wraps a failure with the pipeline stage it happened in."""
+    """Wraps a failure with the pipeline stage it happened in and ``video``, what
+    finished as a MultiSceneVideo (None when the run failed before its script)."""
 
-    def __init__(self, stage, cause):
+    def __init__(self, stage, cause, video):
         super().__init__(f"stage {stage!r} failed: {cause}")
         self.stage = stage
         self.cause = cause
+        self.video = video

@@ -59,7 +59,7 @@ __all__ = [
     "resolve_backends", "decode_latent", "encode_image", "latent_to_image",
     "compose_scene", "SceneOutput", "MultiSceneVideo", "MetricsReport",
     "run_pipeline", "frame_consistency", "scene_consistency", "fg_bg_similarity",
-    "compute_metrics", "export_video", "load_manifest", "load_video",
+    "compute_metrics", "export_video", "export_failure", "load_manifest", "load_video",
     "estimate_translation", "expected_translation", "tm_sweep",
     "run_gradient_suite", "build_mock_llm_fixture",
 ]
@@ -69,15 +69,14 @@ __all__ = [
 
 _DEFAULT_CONFIG = {
     "seed": 0,
-    "output_dir": None,
     "denoiser": "oracle",
     "no_refs": False,
     "vocabulary_path": None,
     "model": {"channels": 32, "blocks": 2, "heads": 4, "latent": [4, 16, 16], "frames": 8},
     "image_sampler": {"steps": 50},
     "video_sampler": {"steps": 70, "t_m": 5},
-    "chat": {"kind": "mock", "path": None, "url": None, "model": CHAT_MODEL},
-    "text_to_image": {"kind": "toy", "url": None},
+    "chat": {"path": None, "url": None, "model": CHAT_MODEL},
+    "text_to_image": {"url": None},
 }
 
 
@@ -179,7 +178,6 @@ class PipelineConfig:
         if not isinstance(doc["no_refs"], bool):
             raise BadConfig(f"no_refs must be true or false, got {_shown(doc['no_refs'])}")
         self.no_refs = doc["no_refs"]
-        self.output_dir = _want_text(doc, "output_dir")
 
         self.channels = _want_int(doc, "model.channels", 1)
         self.blocks = _want_int(doc, "model.blocks", 1)
@@ -200,8 +198,6 @@ class PipelineConfig:
             _want_int(doc, f"{key}.steps", 1, self._schedule.T)
         _want_int(doc, "video_sampler.t_m", 0, doc["video_sampler"]["steps"] - 1)
 
-        _want_choice(doc, "chat.kind", ("mock", "http"))
-        _want_choice(doc, "text_to_image.kind", ("toy", "http"))
         for dotted in ("chat.url", "chat.model", "text_to_image.url"):
             _want_text(doc, dotted)
         for dotted in ("chat.path", "vocabulary_path"):
@@ -258,25 +254,19 @@ class PipelineBackends:
 
 
 def resolve_backends(config, mock_llm=None):
-    """Instantiate backends from the config; ``mock_llm`` forces a fixture."""
-    chat_cfg = config.doc["chat"]
+    """Chat is the mock over ``chat.path`` or HTTP at ``chat.url``, whichever one
+    is set, unless ``mock_llm`` forces a fixture; text-to-image is HTTP at
+    ``text_to_image.url`` if set, else the toy.  An empty url counts as unset."""
+    chat_cfg, t2i_url = config.doc["chat"], config.doc["text_to_image"]["url"]
     if mock_llm is not None:
         chat = MockChatBackend(mock_llm, chat_cfg["model"])
-    elif chat_cfg["kind"] == "mock":
-        if not chat_cfg["path"]:
-            raise BadConfig("chat.kind is 'mock' but chat.path is not set")
+    elif bool(chat_cfg["path"]) == bool(chat_cfg["url"]):
+        raise BadConfig("exactly one of chat.path and chat.url must be set")
+    elif chat_cfg["path"]:
         chat = MockChatBackend(chat_cfg["path"], chat_cfg["model"])
     else:
-        if not chat_cfg["url"]:
-            raise BadConfig("chat.kind is 'http' but chat.url is not set")
         chat = HttpChatBackend(chat_cfg["url"], chat_cfg["model"])
-    t2i_cfg = config.doc["text_to_image"]
-    if t2i_cfg["kind"] == "toy":
-        t2i = ToyTextToImageBackend()
-    else:
-        if not t2i_cfg["url"]:
-            raise BadConfig("text_to_image.kind is 'http' but text_to_image.url is not set")
-        t2i = RemoteTextToImageBackend(t2i_cfg["url"])
+    t2i = RemoteTextToImageBackend(t2i_url) if t2i_url else ToyTextToImageBackend()
     return PipelineBackends(chat, t2i)
 
 
@@ -604,11 +594,10 @@ def _generate_scene(spec, config, references, t2i_backend, denoisers=None):
 
 
 def run_pipeline(prompt, config, backends=None):
-    """Script -> references -> per-scene generation -> metrics.
+    """Script -> references -> per-scene generation -> metrics.  Writes no file.
 
     Stage barriers are hard; a failure raises StageError tagged with the
-    stage, and if the config names an output directory whatever finished
-    is exported there next to a failure_manifest.json.
+    stage and holding whatever finished, which ``export_failure`` writes.
     """
     backends = backends or resolve_backends(config)
     script, references, scenes = None, {}, []
@@ -631,24 +620,23 @@ def run_pipeline(prompt, config, backends=None):
         report = compute_metrics(video)
         return video, report
     except Exception as exc:
-        _persist_partial(config, prompt, script, references, scenes, stage, exc)
-        raise StageError(stage, exc) from exc
+        partial = None if script is None else MultiSceneVideo(
+            prompt, script, scenes, references, None, config.seed)
+        raise StageError(stage, exc, partial) from exc
 
 
-def _persist_partial(config, prompt, script, references, scenes, stage, exc):
-    out_dir = config.output_dir
-    if not out_dir:
-        return
-    try:
-        if script is not None:
-            partial = MultiSceneVideo(prompt, script, scenes, references, None, config.seed)
-            export_video(partial, out_dir)
-        doc = {"failed_stage": stage,
-               "error": f"{type(exc).__name__}: {exc}",
-               "completed_scenes": [scene.spec.index for scene in scenes]}
-        write_json(os.path.join(out_dir, "failure_manifest.json"), doc)
-    except Exception:
-        pass  # persistence must never shadow the primary failure
+def export_failure(error, out_dir):
+    """Export StageError ``error``'s partial video, if any, to ``out_dir`` with a
+    failure_manifest.json; errors here never shadow ``error``."""
+    video = error.video
+    done = [] if video is None else [scene.spec.index for scene in video.scenes]
+    with contextlib.suppress(Exception):
+        if video is not None:
+            export_video(video, out_dir)
+        write_json(os.path.join(out_dir, "failure_manifest.json"),
+                   {"failed_stage": error.stage,
+                    "error": f"{type(error.cause).__name__}: {error.cause}",
+                    "completed_scenes": done})
 
 
 # --- export / load ---------------------------------------------------------------

@@ -1,3 +1,4 @@
+import builtins
 import collections
 import contextlib
 import hashlib
@@ -25,13 +26,14 @@ from videostudio.pipeline import (MetricsReport, MultiSceneVideo,
                                   compute_metrics, decode_latent,
                                   default_config, encode_image,
                                   estimate_translation, expected_translation,
-                                  export_video, fg_bg_similarity,
+                                  export_failure, export_video, fg_bg_similarity,
                                   frame_consistency, latent_to_image,
                                   load_config, load_manifest, load_video,
                                   resolve_backends, run_pipeline,
                                   scene_consistency, tm_sweep)
-from videostudio.ref_images import RgbImage, ToyTextToImageBackend
-from videostudio.script_engine import (MAX_FOREGROUNDS, CameraMove, MockChatBackend,
+from videostudio.ref_images import RemoteTextToImageBackend, RgbImage, ToyTextToImageBackend
+from videostudio.script_engine import (MAX_FOREGROUNDS, CameraMove, HttpChatBackend,
+                                       MockChatBackend,
                                        SceneSpec, build_chat_request, build_script_query,
                                        parse_script, request_hash)
 
@@ -42,16 +44,12 @@ SCRIPT3 = """[Scene 1: prompt: a silver robot kneading dough in the workshop | f
 SCRIPT2 = "\n".join(SCRIPT3.splitlines()[:2])
 
 
-def _config(tmp_path=None, seed=7, **extra):
-    overrides = {"seed": seed}
-    if tmp_path is not None:
-        overrides["output_dir"] = str(tmp_path)
-    overrides.update(extra)
-    return load_config(overrides=overrides)
+def _config(seed=7, **extra):
+    return load_config(overrides={"seed": seed, **extra})
 
 
-def _run(script_text=SCRIPT2, tmp_path=None, seed=7, **extra):
-    config = _config(tmp_path, seed=seed, **extra)
+def _run(script_text=SCRIPT2, seed=7, **extra):
+    config = _config(seed=seed, **extra)
     backends = resolve_backends(config, mock_llm=build_mock_llm_fixture(PROMPT, script_text))
     return run_pipeline(PROMPT, config, backends)
 
@@ -79,16 +77,16 @@ def _leaf_keys(doc, prefix=""):
 def test_default_config_holds_only_what_callers_vary():
     # a new setting has to show up here, in the diff that adds it
     assert sorted(_leaf_keys(default_config())) == sorted([
-        "seed", "output_dir", "denoiser", "no_refs", "vocabulary_path",
+        "seed", "denoiser", "no_refs", "vocabulary_path",
         "model.channels", "model.blocks", "model.heads", "model.latent", "model.frames",
         "image_sampler.steps", "video_sampler.steps", "video_sampler.t_m",
-        "chat.kind", "chat.path", "chat.url", "chat.model",
-        "text_to_image.kind", "text_to_image.url",
+        "chat.path", "chat.url", "chat.model", "text_to_image.url",
     ])
 
 
 # Keys that once held a fixed setting, with the value they held; that value
-# is now the default of the module that uses it.
+# is now the default of the module that uses it.  The last three restated
+# what the program knows: the command's --out-dir and which locator is set.
 _DELETED_KEYS = {
     "model.vocab_size": 16, "model.text_len": 77, "model.image_tokens": 256,
     "schedule.steps": 1000, "schedule.beta_start": 0.00085, "schedule.beta_end": 0.0120,
@@ -99,6 +97,7 @@ _DELETED_KEYS = {
     "speeds.translation.slow": 0.5, "speeds.translation.medium": 1.0,
     "speeds.translation.fast": 2.0, "speeds.zoom.slow": 0.01,
     "speeds.zoom.medium": 0.02, "speeds.zoom.fast": 0.04,
+    "output_dir": None, "chat.kind": "mock", "text_to_image.kind": "toy",
 }
 
 
@@ -146,7 +145,7 @@ def test_config_type_and_range_validation():
     with pytest.raises(BadConfig):
         load_config(overrides={"video_sampler": {"t_m": 70}})  # >= video steps
     with pytest.raises(BadConfig):
-        load_config(overrides={"chat": {"kind": "telepathy"}})
+        load_config(overrides={"chat": {"url": 5}})
 
 
 @pytest.mark.parametrize("dotted,value", [
@@ -298,15 +297,29 @@ def test_default_config_returns_fresh_copies():
     assert default_config()["model"]["frames"] == 8
 
 
-def test_resolve_backends_validation():
+def test_resolve_backends_validation(tmp_path):
+    fixture = tmp_path / "fixture.json"
+    fixture.write_text("{}")
+    url = "http://127.0.0.1:9/"
     config = _config()
-    with pytest.raises(BadConfig):
-        resolve_backends(config)  # chat.kind mock without a path
+    with pytest.raises(BadConfig, match="exactly one"):
+        resolve_backends(config)  # no chat locator
     backends = resolve_backends(config, mock_llm={"00": "x"})
     assert isinstance(backends.chat, MockChatBackend)
     assert isinstance(backends.text_to_image, ToyTextToImageBackend)
-    with pytest.raises(BadConfig):
-        resolve_backends(_config(chat={"kind": "http"}))  # no url
+    # each backend follows the one locator that is set; an empty url is unset
+    for chat, t2i, chat_cls, t2i_cls in [
+            ({"path": str(fixture)}, {}, MockChatBackend, ToyTextToImageBackend),
+            ({"path": str(fixture), "url": ""}, {"url": ""}, MockChatBackend,
+             ToyTextToImageBackend),
+            ({"url": url}, {"url": url}, HttpChatBackend, RemoteTextToImageBackend)]:
+        backends = resolve_backends(_config(chat=chat, text_to_image=t2i))
+        assert isinstance(backends.chat, chat_cls)
+        assert isinstance(backends.text_to_image, t2i_cls)
+    with pytest.raises(BadConfig, match="exactly one"):  # both chat locators
+        resolve_backends(_config(chat={"path": str(fixture), "url": url}))
+    with pytest.raises(BadConfig, match="exactly one"):
+        resolve_backends(_config(chat={"url": ""}))
 
 
 # --- latent codec ----------------------------------------------------------------------
@@ -638,12 +651,14 @@ def test_scene_outputs_do_not_depend_on_later_scenes(tmp_path):
 
 
 def test_run_pipeline_wraps_failures_with_stage(tmp_path):
-    config = _config(tmp_path)
+    config = _config()
     backends = resolve_backends(config, mock_llm={"deadbeef": "nothing"})
     with pytest.raises(StageError) as err:
         run_pipeline(PROMPT, config, backends)
     assert err.value.stage == "script"
     assert isinstance(err.value.cause, BackendError)
+    assert err.value.video is None
+    export_failure(err.value, str(tmp_path))
     failure = json.loads((tmp_path / "failure_manifest.json").read_text())
     assert failure["failed_stage"] == "script"
     assert failure["completed_scenes"] == []
@@ -652,18 +667,19 @@ def test_run_pipeline_wraps_failures_with_stage(tmp_path):
 def test_partial_persistence_after_reference_failure(tmp_path):
     # fixture knows the script but no entity dialogue -> references stage dies
     table = {request_hash(build_chat_request(build_script_query(PROMPT))): SCRIPT2}
-    config = _config(tmp_path)
+    config = _config()
     backends = resolve_backends(config, mock_llm=table)
     with pytest.raises(StageError) as err:
         run_pipeline(PROMPT, config, backends)
     assert err.value.stage == "references"
+    export_failure(err.value, str(tmp_path))
     failure = json.loads((tmp_path / "failure_manifest.json").read_text())
     assert failure["failed_stage"] == "references"
     assert (tmp_path / "script.txt").exists()  # what finished was exported
 
 
-def _fail_scene_2(tmp_path, monkeypatch):
-    """Run SCRIPT3 into ``tmp_path`` with scene 2's sampler down; return the StageError."""
+def _fail_scene_2(monkeypatch):
+    """Run SCRIPT3 with scene 2's sampler down; return the StageError."""
     real, calls = pipeline.sample_video, []
 
     def fail_on_scene_2(*args, **kwargs):  # the oracle samples one clip per scene
@@ -673,12 +689,55 @@ def _fail_scene_2(tmp_path, monkeypatch):
         return real(*args, **kwargs)
     monkeypatch.setattr(pipeline, "sample_video", fail_on_scene_2)
     with pytest.raises(StageError) as err:
-        _run(SCRIPT3, tmp_path)
+        _run(SCRIPT3)
     return err.value
 
 
+def _refuse_writes(monkeypatch):
+    """Replace every file writer ``pipeline`` reaches with one that records
+    its name and fails; return the record."""
+    calls, real_open = [], builtins.open
+
+    def refuse(name):
+        def writer(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} called")
+        return writer
+
+    def open_to_read(file, mode="r", *args, **kwargs):
+        if set(mode) & set("wax+"):
+            return refuse(f"open(mode={mode!r})")()
+        return real_open(file, mode, *args, **kwargs)
+    for owner in (pipeline, numeric_core):
+        for name in ("write_bytes", "write_json", "save_tensor"):
+            monkeypatch.setattr(owner, name, refuse(name))
+    for name in ("remove", "unlink", "rename", "replace", "makedirs", "mkdir"):
+        monkeypatch.setattr(os, name, refuse(f"os.{name}"))
+    monkeypatch.setattr(builtins, "open", open_to_read)
+    return calls
+
+
+def test_run_pipeline_writes_no_file(monkeypatch):
+    good, _ = _run(SCRIPT3)
+    calls = _refuse_writes(monkeypatch)
+    video, _ = _run(SCRIPT3)
+    assert [scene.spec.index for scene in video.scenes] == [1, 2, 3]
+    error = _fail_scene_2(monkeypatch)
+    assert calls == []
+    # the error holds the script, the references and exactly the completed scene
+    assert error.stage == "scenes"
+    assert error.video.script.scenes == good.script.scenes
+    assert sorted(error.video.references) == sorted(good.references)
+    assert [scene.spec.index for scene in error.video.scenes] == [1]
+    for name in ("scene_latent", "clip_latent"):
+        assert np.array_equal(getattr(error.video.scenes[0], name),
+                              getattr(good.scenes[0], name))
+
+
 def test_partial_tree_after_a_scene_failure_loads_what_finished(tmp_path, monkeypatch):
-    assert _fail_scene_2(tmp_path, monkeypatch).stage == "scenes"
+    error = _fail_scene_2(monkeypatch)
+    assert error.stage == "scenes"
+    export_failure(error, str(tmp_path))
     failure = json.loads((tmp_path / "failure_manifest.json").read_text())
     assert failure["completed_scenes"] == [1]
     assert load_manifest(str(tmp_path))["scenes"] == [1]
@@ -692,7 +751,7 @@ def test_partial_tree_after_a_scene_failure_loads_what_finished(tmp_path, monkey
 def test_metrics_on_a_partial_tree_report_null_scene_consistency(tmp_path, monkeypatch, capsys):
     # every entity of SCRIPT3 is in all three scenes, so with scene 2 failed
     # and scene 3 never run none has two loaded scenes to compare
-    _fail_scene_2(tmp_path, monkeypatch)
+    export_failure(_fail_scene_2(monkeypatch), str(tmp_path))
     capsys.readouterr()
     assert main(["metrics", "--out-dir", str(tmp_path)]) == 0
     report = json.loads(capsys.readouterr().out)

@@ -131,7 +131,7 @@ def test_chat_content_must_be_a_string(monkeypatch):
 def test_chat_reply_probe_exits_3(tmp_path, monkeypatch, capsys):
     _serve(monkeypatch, {"choices": [{"message": {"content": 5}}]})
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"chat": {"kind": "http", "url": URL}}))
+    config.write_text(json.dumps({"chat": {"url": URL}}))
     assert main(["script", "--prompt", PROMPT, "--config", str(config)]) == 3
     capsys.readouterr()
 
@@ -162,10 +162,10 @@ def test_http_transport_failure_is_a_backend_error(monkeypatch, make_error, stag
 def test_http_transport_failure_probe_exits_3(tmp_path, monkeypatch, capsys, make_error, stage):
     _fail(monkeypatch, make_error, stage)
     chat = tmp_path / "chat.json"
-    chat.write_text(json.dumps({"chat": {"kind": "http", "url": URL}}))
+    chat.write_text(json.dumps({"chat": {"url": URL}}))
     assert main(["script", "--prompt", PROMPT, "--config", str(chat)]) == 3
     t2i = tmp_path / "t2i.json"
-    t2i.write_text(json.dumps({"text_to_image": {"kind": "http", "url": URL}}))
+    t2i.write_text(json.dumps({"text_to_image": {"url": URL}}))
     fixture = tmp_path / "fixture.json"
     fixture.write_text(json.dumps(build_mock_llm_fixture(PROMPT, SCRIPT2)))
     assert main(["refs", "--prompt", PROMPT, "--config", str(t2i),
@@ -201,7 +201,7 @@ def test_text_to_image_reply_is_a_backend_error(monkeypatch, reply):
 def test_text_to_image_reply_probe_exits_3(tmp_path, monkeypatch, capsys, reply):
     _serve(monkeypatch, reply)
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"text_to_image": {"kind": "http", "url": URL}}))
+    config.write_text(json.dumps({"text_to_image": {"url": URL}}))
     fixture = tmp_path / "fixture.json"
     fixture.write_text(json.dumps(build_mock_llm_fixture(PROMPT, SCRIPT2)))
     assert main(["refs", "--prompt", PROMPT, "--config", str(config),
