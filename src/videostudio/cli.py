@@ -15,7 +15,7 @@ import sys
 from .errors import BadConfig, StageError, VideoStudioError
 from .numeric_core import derive_seed, save_tensor, write_bytes, write_json
 from .pipeline import (_SWEEP_CAMERA, _SWEEP_TMS, _build_references, _oracle_denoiser,
-                       _sample_clip, _scene_canvas_latent, _write_references,
+                       _sample_clip, _scene_canvas_latent, _write_references, _write_script,
                        compute_metrics, export_failure, export_video, load_config,
                        load_video, resolve_backends, run_gradient_suite, run_pipeline,
                        tm_sweep)
@@ -34,6 +34,11 @@ def _load(args):
     return load_config(args.config, overrides)
 
 
+def _put_bytes(out_dir):
+    """``put_bytes(rel, payload)`` writing under ``out_dir``."""
+    return lambda rel, payload: write_bytes(os.path.join(out_dir, rel), payload)
+
+
 def _camera(args, default):
     return dataclasses.astuple(parse_camera(args.camera, "--camera")) if args.camera else default
 
@@ -44,10 +49,9 @@ def cmd_script(args):
     config = _load(args)
     backends = resolve_backends(config, args.mock_llm)
     script = generate_script(args.prompt, backends.chat)
-    text = serialize_script(script)
-    print(text)
+    print(serialize_script(script))
     if args.out_dir:
-        write_bytes(os.path.join(args.out_dir, "script.txt"), (text + "\n").encode("utf-8"))
+        _write_script(script, _put_bytes(args.out_dir))
     return 0
 
 
@@ -57,10 +61,9 @@ def cmd_refs(args):
     script = generate_script(args.prompt, backends.chat)
     references, descriptions = _build_references(config, script, args.prompt, backends)
     if args.out_dir:
-        write_bytes(os.path.join(args.out_dir, "script.txt"),
-                    (serialize_script(script) + "\n").encode("utf-8"))
-        index = _write_references(references, lambda rel, payload: write_bytes(
-            os.path.join(args.out_dir, rel), payload))
+        put_bytes = _put_bytes(args.out_dir)
+        _write_script(script, put_bytes)
+        index = _write_references(references, put_bytes)
         for name, entry in index.items():
             entry["description"] = descriptions[name]
         write_json(os.path.join(args.out_dir, "refs.json"), index)

@@ -90,6 +90,10 @@ class TooFewFrames(ValidationError):
     pass
 
 
+class UnwritablePath(ValidationError):
+    pass
+
+
 # --- backend / file-integrity problems (CLI exit code 3) ---
 
 class BackendError(VideoStudioError):

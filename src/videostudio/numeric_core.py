@@ -24,7 +24,7 @@ import struct
 
 import numpy as np
 
-from .errors import BadTensorFile, ShapeMismatch
+from .errors import BadTensorFile, ShapeMismatch, UnwritablePath
 
 __all__ = [
     "Tensor", "Parameter", "Module", "AttentionParams", "Rng",
@@ -642,10 +642,14 @@ def read_json(path, error):
 
 
 def write_bytes(path, payload):
-    """Write ``payload`` to ``path``, making its parent directory first."""
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(payload)
+    """Write ``payload`` to ``path``, making its parent directory first;
+    UnwritablePath naming ``path`` if either fails."""
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with open(path, "wb") as fh:
+            fh.write(payload)
+    except OSError as exc:
+        raise UnwritablePath(f"{path}: cannot write: {exc}") from exc
 
 
 def write_json(path, doc):

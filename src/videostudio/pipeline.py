@@ -38,7 +38,8 @@ from .cond_blocks import (AnalyticGaussianDenoiser, ContextBundle, GaussianPrior
                           VidContext, VidDenoiser, ToyFeatureExtractor,
                           _resize_nearest, tri_context_forward)
 from .errors import (BadConfig, ChecksumMismatch, ShapeMismatch, StageError,
-                     TooFewFrames, UnknownDirection, ValidationError)
+                     TooFewFrames, UnknownDirection, UnwritablePath,
+                     ValidationError)
 from .numeric_core import (AttentionParams, Parameter, Rng, Tensor,
                            cross_attention, derive_seed,
                            finite_diff_check, hash64, layer_norm, load_tensor,
@@ -627,11 +628,14 @@ def run_pipeline(prompt, config, backends=None):
 
 def export_failure(error, out_dir):
     """Export StageError ``error``'s partial video, if any, to ``out_dir`` with a
-    failure_manifest.json; errors here never shadow ``error``."""
+    failure_manifest.json, removing an earlier run's metrics.json whatever the
+    stage; errors here never shadow ``error``."""
     video = error.video
     done = [] if video is None else [scene.spec.index for scene in video.scenes]
     with contextlib.suppress(Exception):
-        if video is not None:
+        if video is None:
+            _remove_run_records(out_dir)  # export_video removes them otherwise
+        else:
             export_video(video, out_dir)
         write_json(os.path.join(out_dir, "failure_manifest.json"),
                    {"failed_stage": error.stage,
@@ -640,6 +644,18 @@ def export_failure(error, out_dir):
 
 
 # --- export / load ---------------------------------------------------------------
+
+def _remove_run_records(out_dir):
+    """Remove an earlier run's failure_manifest.json and metrics.json."""
+    for stale in ("failure_manifest.json", "metrics.json"):
+        path = os.path.join(out_dir, stale)
+        try:
+            os.remove(path)
+        except FileNotFoundError:
+            pass
+        except OSError as exc:
+            raise UnwritablePath(f"{path}: cannot remove: {exc}") from exc
+
 
 def _slug(index, name):
     keep = "".join(ch if ch.isalnum() else "_" for ch in name)
@@ -657,6 +673,11 @@ def _scene_files(index, frames):
     base = f"scene_{index}"
     return [f"{base}/frame_{f}.ppm" for f in range(frames)] + [
         f"{base}/scene_image.ppm", f"{base}/scene_latent.vstn", f"{base}/clip_latent.vstn"]
+
+
+def _write_script(script, put_bytes):
+    """Write script.txt, the one copy of the script in a tree."""
+    put_bytes("script.txt", (serialize_script(script) + "\n").encode("utf-8"))
 
 
 def _write_references(references, put_bytes):
@@ -685,9 +706,7 @@ def export_video(video, out_dir):
     earlier run's failure_manifest.json and metrics.json, which no checksum
     covers, are removed first.
     """
-    for stale in ("failure_manifest.json", "metrics.json"):
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(os.path.join(out_dir, stale))
+    _remove_run_records(out_dir)
     checksums = {}
 
     def put_bytes(rel, payload):
@@ -698,7 +717,7 @@ def export_video(video, out_dir):
         payload = save_tensor(os.path.join(out_dir, rel), array)
         checksums[rel] = hashlib.sha256(payload).hexdigest()
 
-    put_bytes("script.txt", (serialize_script(video.script) + "\n").encode("utf-8"))
+    _write_script(video.script, put_bytes)
     _write_references(video.references, put_bytes)
     for scene in video.scenes:
         *frame_rels, image_rel, scene_rel, clip_rel = _scene_files(scene.spec.index,

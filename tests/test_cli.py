@@ -138,6 +138,45 @@ def test_failed_rerun_removes_the_earlier_metrics(fixture_path, tmp_path, capsys
     capsys.readouterr()
 
 
+def test_failed_script_stage_removes_the_earlier_metrics(fixture_path, tmp_path, capsys):
+    out, bad = tmp_path / "out", tmp_path / "bad.json"
+    bad.write_text(json.dumps({"deadbeef": "useless"}))
+    assert main(["generate", "--prompt", PROMPT, "--mock-llm", fixture_path,
+                 "--out-dir", str(out)]) == 0
+    assert (out / "metrics.json").exists()
+    assert main(["generate", "--prompt", PROMPT, "--mock-llm", str(bad),
+                 "--out-dir", str(out)]) == 3
+    assert json.loads((out / "failure_manifest.json").read_text())["failed_stage"] == "script"
+    assert not (out / "metrics.json").exists()
+    capsys.readouterr()
+
+
+# {dir} is an existing directory, {file} an existing file
+UNWRITABLE = {
+    "sample-image-out-is-a-directory": ["sample-image", "--prompt", PROMPT, "--out", "{dir}"],
+    "generate-out-dir-is-a-file": ["generate", "--prompt", PROMPT, "--mock-llm", "{fixture}",
+                                   "--out-dir", "{file}"],
+    "script-out-dir-is-a-file": ["script", "--prompt", PROMPT, "--mock-llm", "{fixture}",
+                                 "--out-dir", "{file}"],
+    "refs-out-dir-is-a-file": ["refs", "--prompt", PROMPT, "--mock-llm", "{fixture}",
+                               "--out-dir", "{file}"],
+    "tm-sweep-out-dir-is-a-file": ["tm-sweep", "--out-dir", "{file}"],
+    "refs-out-dir-under-a-file": ["refs", "--prompt", PROMPT, "--mock-llm", "{fixture}",
+                                  "--out-dir", "{file}/sub"],
+}
+
+
+@pytest.mark.parametrize("argv", UNWRITABLE.values(), ids=UNWRITABLE.keys())
+def test_unwritable_output_path_exits_2(fixture_path, tmp_path, capsys, argv):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    values = {"dir": str(tmp_path), "file": str(taken), "fixture": fixture_path}
+    assert main([arg.format(**values) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"error: {tmp_path}" in err and "cannot" in err  # names the path
+
+
 @pytest.mark.parametrize("content", [
     "{not json",
     None,  # no file at all

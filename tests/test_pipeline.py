@@ -1090,6 +1090,32 @@ def test_tm_sweep_refuses_a_zoom_before_sampling(monkeypatch, capsys):
     assert calls == []
 
 
+def _oracle_pan(config, anchor_camera, t_m):
+    """Estimated (dx, dy) of frames 1.. against frame 0 of an oracle clip whose
+    anchor is moved by ``anchor_camera`` and whose sampler intervenes as a
+    medium pan right after ``t_m`` updates (none at 0)."""
+    scene_latent = pipeline._scene_canvas_latent(config, pipeline._SWEEP_PROMPT, 3)
+    anchor = pipeline._camera_anchor(scene_latent, anchor_camera, config.frames)
+    clip = pipeline.sample_video(pipeline._oracle_denoiser(config, anchor), (),
+                                 ("right", "medium"), config.noise_schedule(),
+                                 config.video_sampler_config(11, t_m))
+    base = decode_latent(clip[:, 0])
+    return [estimate_translation(base, decode_latent(clip[:, f]))
+            for f in range(1, config.frames)]
+
+
+@pytest.mark.parametrize("anchor_camera", [("right", "medium"), ("static", "medium")],
+                         ids=["moved-anchor", "still-anchor"])
+def test_oracle_camera_motion_comes_from_the_anchor(anchor_camera):
+    # the intervention adds no motion: every depth moves the clip as t_m = 0 does
+    config = _config()
+    at_zero = _oracle_pan(config, anchor_camera, 0)
+    for t_m in (5, 20):
+        assert _oracle_pan(config, anchor_camera, t_m) == at_zero, t_m
+    assert at_zero == [expected_translation(*anchor_camera, f)
+                       for f in range(1, config.frames)]
+
+
 def test_expected_translation_directions():
     assert expected_translation("static", "fast", 5) == (0.0, 0.0)
     assert expected_translation("right", "medium", 3) == (-3.0, 0.0)
