@@ -145,7 +145,7 @@ def test_config_type_and_range_validation():
     with pytest.raises(BadConfig):
         load_config(overrides={"video_sampler": {"t_m": 70}})  # >= video steps
     with pytest.raises(BadConfig):
-        load_config(overrides={"chat": {"url": 5}})
+        load_config(overrides={"chat": {"kind": "telepathy"}})
 
 
 @pytest.mark.parametrize("dotted,value", [
