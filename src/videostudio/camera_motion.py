@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteField, UnknownDirection, UnknownSpeed
+from .errors import NonFiniteField, ShapeMismatch, UnknownCameraToken
 
 DIRECTIONS = ("static", "left", "right", "up", "down", "forward", "backward")
 SPEEDS = ("slow", "medium", "fast")
@@ -37,11 +37,11 @@ def synthesize_flow(direction, speed, frames, height, width):
     radially around the image center, leaving the exact center fixed.
     """
     if direction not in DIRECTIONS:
-        raise UnknownDirection(f"unknown camera direction {direction!r}")
+        raise UnknownCameraToken(f"unknown camera direction {direction!r}")
     if speed not in SPEEDS:
-        raise UnknownSpeed(f"unknown camera speed {speed!r}")
+        raise UnknownCameraToken(f"unknown camera speed {speed!r}")
     if frames < 1 or height < 1 or width < 1:
-        raise DimensionMismatch("flow field needs positive dims")
+        raise ShapeMismatch("flow field needs positive dims")
     field = np.zeros((frames, height, width, 2), dtype=np.float64)
     if direction == "static":
         return field
@@ -68,9 +68,9 @@ def warp_clip(clip, field):
     clip = np.asarray(clip, dtype=np.float64)
     field = np.asarray(field, dtype=np.float64)
     if clip.ndim != 4:
-        raise DimensionMismatch(f"warp_clip wants [C,F,H,W], got {clip.shape}")
+        raise ShapeMismatch(f"warp_clip wants [C,F,H,W], got {clip.shape}")
     if field.shape != clip.shape[1:] + (2,):
-        raise DimensionMismatch(f"field {field.shape} does not match clip {clip.shape}")
+        raise ShapeMismatch(f"field {field.shape} does not match clip {clip.shape}")
     if not np.isfinite(field).all():
         raise NonFiniteField("flow field contains NaN or Inf")
     _, frames, h, w = clip.shape

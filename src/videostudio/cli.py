@@ -7,7 +7,6 @@ or file-integrity failure, 4 anything unexpected.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -15,10 +14,10 @@ import sys
 from .errors import BadConfig, StageError, VideoStudioError
 from .numeric_core import derive_seed, save_tensor, write_bytes, write_json
 from .pipeline import (_SWEEP_CAMERA, _SWEEP_TMS, _build_references, _oracle_denoiser,
-                       _sample_clip, _scene_canvas_latent, _write_references, _write_script,
-                       compute_metrics, export_failure, export_video, load_config,
-                       load_video, resolve_backends, run_gradient_suite, run_pipeline,
-                       tm_sweep)
+                       _remove_run_records, _sample_clip, _scene_canvas_latent,
+                       _write_references, _write_script, compute_metrics, export_failure,
+                       export_video, load_config, load_video, resolve_backends,
+                       run_gradient_suite, run_pipeline, tm_sweep)
 from .sampler import sample_image
 from .script_engine import generate_script, parse_camera, serialize_script
 
@@ -31,7 +30,7 @@ def _load(args):
         overrides["seed"] = args.seed
     if getattr(args, "no_refs", False):
         overrides["no_refs"] = True
-    return load_config(args.config, overrides)
+    return load_config(getattr(args, "config", None), overrides)
 
 
 def _put_bytes(out_dir):
@@ -40,7 +39,7 @@ def _put_bytes(out_dir):
 
 
 def _camera(args, default):
-    return dataclasses.astuple(parse_camera(args.camera, "--camera")) if args.camera else default
+    return parse_camera(args.camera, "--camera") if args.camera else default
 
 
 # --- subcommands -------------------------------------------------------------
@@ -76,6 +75,7 @@ def cmd_refs(args):
 def cmd_generate(args):
     config = _load(args)
     backends = resolve_backends(config, args.mock_llm)
+    _remove_run_records(args.out_dir)
     try:
         video, report = run_pipeline(args.prompt, config, backends)
     except StageError as exc:
@@ -100,7 +100,7 @@ def cmd_metrics(args):
 
 
 def cmd_gradcheck(args):
-    report = run_gradient_suite(seed=args.seed if args.seed is not None else 0)
+    report = run_gradient_suite(seed=_load(args).seed)
     for case in report["cases"]:
         print(f"{case['case']:<22} rel_err {case['rel_err']:.3e}")
     print(f"cases: {len(report['cases'])}  max rel err: {report['max_rel_err']:.3e}"

@@ -23,7 +23,7 @@ import os
 import numpy as np
 
 from .action_condition import ActionEmbedding, embed_indicator
-from .errors import BadTensorFile, DivisionAtTZero, ShapeMismatch
+from .errors import BadRange, BadTensorFile, ShapeMismatch
 from .numeric_core import (AttentionParams, Module, Parameter, Rng, Tensor,
                            cross_attention, hash64, layer_norm, load_tensor,
                            matmul, read_json, save_tensor, temporal_conv1d, write_json)
@@ -360,7 +360,7 @@ def analytic_gaussian_epsilon(x_t, t, prior, schedule):
     """
     t = int(t)
     if t == 0:
-        raise DivisionAtTZero("sigma(0) = 0: eps is undefined on clean data")
+        raise BadRange("sigma(0) = 0: eps is undefined on clean data")
     x_t = np.asarray(x_t, dtype=np.float64)
     alpha = schedule.alpha_at(t)
     sigma = schedule.sigma_at(t)

@@ -1,8 +1,9 @@
 """Error types shared across the package.
 
-Each stage raises a dedicated subclass so callers (and the CLI) can map
-failures to exit codes without string matching.  ``exit_code`` is the
-code the CLI returns for the class; subclasses inherit it.
+One subclass per kind of failure, whichever module checks it, so callers
+(and the CLI) can map failures to exit codes without string matching.
+``exit_code`` is the code the CLI returns for the class; subclasses
+inherit it.
 """
 
 
@@ -38,15 +39,7 @@ class EmptyPrompt(ValidationError):
     pass
 
 
-class EmptyDescription(ValidationError):
-    pass
-
-
 class BadRange(ValidationError):
-    pass
-
-
-class BadTimestepOrder(ValidationError):
     pass
 
 
@@ -54,27 +47,11 @@ class ShapeMismatch(ValidationError):
     pass
 
 
-class DimensionMismatch(ValidationError):
-    pass
-
-
 class BadConfig(ValidationError):
     pass
 
 
-class DivisionAtTZero(ValidationError):
-    pass
-
-
 class EmptyVocabulary(ValidationError):
-    pass
-
-
-class UnknownDirection(ValidationError):
-    pass
-
-
-class UnknownSpeed(ValidationError):
     pass
 
 

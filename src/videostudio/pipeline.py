@@ -37,9 +37,8 @@ from .cond_blocks import (AnalyticGaussianDenoiser, ContextBundle, GaussianPrior
                           ImgDenoiser, SpatioTemporalBlock, TriContextBlock,
                           VidContext, VidDenoiser, ToyFeatureExtractor,
                           _resize_nearest, tri_context_forward)
-from .errors import (BadConfig, ChecksumMismatch, ShapeMismatch, StageError,
-                     TooFewFrames, UnknownDirection, UnwritablePath,
-                     ValidationError)
+from .errors import (BadConfig, BadRange, ChecksumMismatch, ShapeMismatch, StageError,
+                     TooFewFrames, UnwritablePath, ValidationError)
 from .numeric_core import (AttentionParams, Parameter, Rng, Tensor,
                            cross_attention, derive_seed,
                            finite_diff_check, hash64, layer_norm, load_tensor,
@@ -501,7 +500,13 @@ def compute_metrics(video):
 # --- the three stages -----------------------------------------------------------
 
 def _scene_canvas_latent(config, prompt, seed):
-    """Latent of the toy text-to-image render of ``prompt`` at the latent size."""
+    """Latent of the toy text-to-image render of ``prompt`` at the latent size.
+
+    Only the oracle commands sample this canvas, so a network config is BadConfig.
+    """
+    if config.denoiser == "network":
+        raise BadConfig('"denoiser": "network" has no effect here: this command '
+                        'samples the analytic oracle on the toy canvas')
     c, h, w = config.latent_shape
     return encode_image(_prompt_canvas(ToyTextToImageBackend(), prompt, seed, h, w), c)
 
@@ -565,12 +570,11 @@ def _generate_scene(spec, config, references, t2i_backend, denoisers=None):
     schedule = config.noise_schedule()
     img_cfg = config.image_sampler_config(derive_seed(scene_seed, "image"))
     video_seed = derive_seed(scene_seed, "video")
-    camera = (spec.camera.direction, spec.camera.speed)
     if denoisers is None:  # the oracles read no conditioning
         composite = compose_scene(spec, references, h, w, t2i_backend, scene_seed)
         oracle = _oracle_denoiser(config, encode_image(composite, c))
         scene_latent = sample_image(oracle, (), schedule, img_cfg)
-        clip_latent = _sample_clip(config, scene_latent, camera, video_seed)
+        clip_latent = _sample_clip(config, scene_latent, spec.camera, video_seed)
         scene_image = latent_to_image(scene_latent)
     else:
         image_denoiser, video_denoiser = denoisers
@@ -589,7 +593,8 @@ def _generate_scene(spec, config, references, t2i_backend, denoisers=None):
         y_a = build_indicator(extract_action_phrases(spec.prompt, vocab), vocab,
                               VocabularyEmbedder(vocab))
         clip_latent = sample_video(video_denoiser, (VidContext(y_s, y_a), scene_latent[:, None]),
-                                   camera, schedule, config.video_sampler_config(video_seed))
+                                   spec.camera, schedule,
+                                   config.video_sampler_config(video_seed))
     decoded = [latent_to_image(clip_latent[:, f]) for f in range(config.frames)]
     return SceneOutput(spec, scene_latent, scene_image, clip_latent, decoded)
 
@@ -628,7 +633,7 @@ def run_pipeline(prompt, config, backends=None):
 
 def export_failure(error, out_dir):
     """Export StageError ``error``'s partial video, if any, to ``out_dir`` with a
-    failure_manifest.json, removing an earlier run's metrics.json whatever the
+    failure_manifest.json, removing an earlier run's records whatever the
     stage; errors here never shadow ``error``."""
     video = error.video
     done = [] if video is None else [scene.spec.index for scene in video.scenes]
@@ -646,8 +651,9 @@ def export_failure(error, out_dir):
 # --- export / load ---------------------------------------------------------------
 
 def _remove_run_records(out_dir):
-    """Remove an earlier run's failure_manifest.json and metrics.json."""
-    for stale in ("failure_manifest.json", "metrics.json"):
+    """Remove an earlier run's failure_manifest.json, metrics.json and manifest.json,
+    so no record of it stays loadable; UnwritablePath if ``out_dir`` is unusable."""
+    for stale in ("failure_manifest.json", "metrics.json", "manifest.json"):
         path = os.path.join(out_dir, stale)
         try:
             os.remove(path)
@@ -703,8 +709,7 @@ def export_video(video, out_dir):
     The file layout (``_reference_files``, ``_scene_files``), the entity boxes
     and the reference kinds follow from script.txt, the one copy of the
     script, so the manifest holds only what the script does not fix.  An
-    earlier run's failure_manifest.json and metrics.json, which no checksum
-    covers, are removed first.
+    earlier run's records (``_remove_run_records``) are removed first.
     """
     _remove_run_records(out_dir)
     checksums = {}
@@ -887,7 +892,7 @@ def expected_translation(direction, speed, frame_index):
     """
     step = synthesize_flow(direction, speed, 2, 2, 2)[1]
     if not (step == step[0, 0]).all():
-        raise UnknownDirection(f"{direction!r} has no single translation")
+        raise BadRange(f"{direction!r} has no single translation")
     dx, dy = step[0, 0].tolist()
     return (-frame_index * dx, -frame_index * dy)
 
@@ -908,7 +913,7 @@ def tm_sweep(config, camera=_SWEEP_CAMERA, tms=_SWEEP_TMS):
     pixel (the estimator returns integer shifts, so a slow pan probes every
     other frame) and lies within its ``_MAX_SHIFT`` search, plus the MSE
     between the final clip latent and the camera-consistent anchor.  A zoom
-    (no single translation) raises UnknownDirection, and a pan with no such
+    (no single translation) raises BadRange, and a pan with no such
     frame TooFewFrames, before anything is sampled.  Documented behavior
     under the tight oracle prior: the anchor already carries the camera
     motion, so displacement error is non-increasing in T_m (zero throughout,

@@ -15,7 +15,7 @@ import colorsys
 
 import numpy as np
 
-from .errors import BackendError, DimensionMismatch
+from .errors import BackendError, ShapeMismatch
 from .numeric_core import Rng, derive_seed, hash64
 from .script_engine import find_common_entities, post_json
 
@@ -31,11 +31,11 @@ class RgbImage:
     def __init__(self, data):
         data = np.asarray(data, dtype=np.float64)
         if data.ndim != 3 or data.shape[2] != 3:
-            raise DimensionMismatch(f"image must be [H, W, 3], got {data.shape}")
+            raise ShapeMismatch(f"image must be [H, W, 3], got {data.shape}")
         if data.shape[0] < MIN_SIDE or data.shape[1] < MIN_SIDE:
-            raise DimensionMismatch(f"image sides must be >= {MIN_SIDE}, got {data.shape[:2]}")
+            raise ShapeMismatch(f"image sides must be >= {MIN_SIDE}, got {data.shape[:2]}")
         if not (data.min() >= 0.0 and data.max() <= 1.0):  # NaN fails too
-            raise DimensionMismatch("image values must lie in [0, 1]")
+            raise ShapeMismatch("image values must lie in [0, 1]")
         self.data = data
 
 
@@ -45,9 +45,9 @@ class Mask:
     def __init__(self, data):
         data = np.asarray(data, dtype=np.float64)
         if data.ndim != 2:
-            raise DimensionMismatch(f"mask must be [H, W], got {data.shape}")
+            raise ShapeMismatch(f"mask must be [H, W], got {data.shape}")
         if not (data.min() >= 0.0 and data.max() <= 1.0):  # NaN fails too
-            raise DimensionMismatch("mask values must lie in [0, 1]")
+            raise ShapeMismatch("mask values must lie in [0, 1]")
         self.data = data
 
 
@@ -66,7 +66,7 @@ class ToyTextToImageBackend:
 
     def __init__(self, size=IMAGE_SIZE):
         if size < MIN_SIDE:
-            raise DimensionMismatch(f"size must be >= {MIN_SIDE}")
+            raise ShapeMismatch(f"size must be >= {MIN_SIDE}")
         self.size = size
 
     def generate(self, description, seed):
@@ -109,7 +109,7 @@ class RemoteTextToImageBackend:
                                f"image_ppm_b64 string")
         try:
             return decode_ppm(base64.b64decode(encoded))
-        except (ValueError, DimensionMismatch) as exc:  # bad base64 or PPM bytes
+        except (ValueError, ShapeMismatch) as exc:  # bad base64 or PPM bytes
             raise BackendError(f"text-to-image reply from {self.url} is not a PPM: {exc}") from exc
 
 
@@ -126,9 +126,9 @@ class LuminanceSegmenter:
 def apply_mask(image, mask, keep):
     """keep='fg' multiplies by the mask; keep='bg' by its complement."""
     if keep not in ("fg", "bg"):
-        raise DimensionMismatch(f"keep must be 'fg' or 'bg', got {keep!r}")
+        raise ShapeMismatch(f"keep must be 'fg' or 'bg', got {keep!r}")
     if mask.data.shape != image.data.shape[:2]:
-        raise DimensionMismatch(f"mask {mask.data.shape} vs image {image.data.shape[:2]}")
+        raise ShapeMismatch(f"mask {mask.data.shape} vs image {image.data.shape[:2]}")
     weights = mask.data if keep == "fg" else 1.0 - mask.data
     return RgbImage(image.data * weights[:, :, None])
 
@@ -167,13 +167,13 @@ def _decode_netpbm(raw, magic, channels):
     """[H, W, channels] floats in [0, 1] from binary 8-bit Netpbm bytes."""
     (w, h, maxval), offset = _read_header(raw, magic)
     if w < 1 or h < 1:
-        raise DimensionMismatch(f"{magic.decode()} sides must be positive, got {w}x{h}")
+        raise ShapeMismatch(f"{magic.decode()} sides must be positive, got {w}x{h}")
     if not 1 <= maxval <= 255:  # 2-byte samples (maxval > 255) are not supported
-        raise DimensionMismatch(f"{magic.decode()} maxval must lie in 1..255, got {maxval}")
+        raise ShapeMismatch(f"{magic.decode()} maxval must lie in 1..255, got {maxval}")
     size = w * h * channels
     body = raw[offset:offset + size]
     if len(body) != size:
-        raise DimensionMismatch(f"{magic.decode()} payload truncated")
+        raise ShapeMismatch(f"{magic.decode()} payload truncated")
     arr = np.frombuffer(body, dtype=np.uint8).reshape(h, w, channels)
     return arr.astype(np.float64) / maxval
 
@@ -198,7 +198,7 @@ def decode_pgm(raw):
 
 def _read_header(raw, magic):
     if not raw.startswith(magic):
-        raise DimensionMismatch(f"bad magic, expected {magic!r}")
+        raise ShapeMismatch(f"bad magic, expected {magic!r}")
     fields = []
     offset = len(magic)
     while len(fields) < 3:
@@ -214,6 +214,6 @@ def _read_header(raw, magic):
         try:
             fields.append(int(raw[start:offset]))
         except ValueError:
-            raise DimensionMismatch(f"malformed header field {raw[start:offset]!r}") from None
+            raise ShapeMismatch(f"malformed header field {raw[start:offset]!r}") from None
     offset += 1  # single whitespace after maxval
     return fields, offset

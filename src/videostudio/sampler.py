@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .camera_motion import synthesize_flow, warp_clip
-from .errors import BadRange, BadTimestepOrder, NonFiniteLatent, ShapeMismatch
+from .errors import BadRange, NonFiniteLatent, ShapeMismatch
 from .numeric_core import Rng, no_grad
 
 __all__ = [
@@ -105,7 +105,7 @@ def respaced_timesteps(total_steps, inference_steps):
         raise BadRange("respacing endpoints broke")
     for a, b in zip(taus, taus[1:]):
         if a <= b:
-            raise BadTimestepOrder(f"respaced grid is not strictly decreasing: {a} -> {b}")
+            raise BadRange(f"respaced grid is not strictly decreasing: {a} -> {b}")
     return taus
 
 
@@ -133,7 +133,7 @@ def ddim_step(x_t, eps_hat, t, t_prev, schedule, eta=0.0, rng=None):
         raise ShapeMismatch(f"latent {x_t.shape} vs eps {eps_hat.shape}")
     t, t_prev = int(t), int(t_prev)
     if not (schedule.T >= t > t_prev >= 0):
-        raise BadTimestepOrder(f"need T >= t > t_prev >= 0, got t={t}, t_prev={t_prev}")
+        raise BadRange(f"need T >= t > t_prev >= 0, got t={t}, t_prev={t_prev}")
     abar_t = schedule.alpha_bar_at(t)
     x0_hat = (x_t - np.sqrt(1.0 - abar_t) * eps_hat) / np.sqrt(abar_t)
     return _ddim_update(x0_hat, eps_hat, abar_t, t_prev, schedule, eta, rng)
@@ -174,7 +174,7 @@ def apply_camera_intervention(x_t, eps_hat, t, schedule, field):
         raise ShapeMismatch(f"intervention wants [C,F,H,W], got {x_t.shape}")
     t = int(t)
     if not 1 <= t <= schedule.T:
-        raise BadTimestepOrder(f"intervention timestep {t} outside [1, T]")
+        raise BadRange(f"intervention timestep {t} outside [1, T]")
     alpha_t = schedule.alpha_at(t)
     sigma_t = schedule.sigma_at(t)
     x0_hat = (x_t - sigma_t * eps_hat) / alpha_t

@@ -23,11 +23,12 @@ import time
 import urllib.request
 from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 from .camera_motion import DIRECTIONS, SPEEDS
-from .errors import (BackendError, EmptyDescription, EmptyPrompt, EmptyScript,
-                     MalformedScene, NonContiguousIndices,
-                     ScriptGenerationExhausted, UnknownCameraToken)
+from .errors import (BackendError, EmptyPrompt, EmptyScript, MalformedScene,
+                     NonContiguousIndices, ScriptGenerationExhausted,
+                     UnknownCameraToken)
 from .numeric_core import hash64, read_json
 
 MAX_SCENES = 12
@@ -43,8 +44,7 @@ MAX_REPLY_BYTES = 1 << 16
 # --- domain types -----------------------------------------------------------
 
 
-@dataclass
-class CameraMove:
+class CameraMove(NamedTuple):
     direction: str
     speed: str
 
@@ -335,7 +335,7 @@ def generate_entity_description(entity, source_prompt, backend):
     aspects = backend.complete(build_aspect_query(entity))
     description = backend.complete(build_description_query(entity, aspects, source_prompt))
     if not description or not description.strip():
-        raise EmptyDescription(f"backend returned an empty description for {entity.name!r}")
+        raise BackendError(f"backend returned an empty description for {entity.name!r}")
     return description.strip()
 
 

@@ -3,8 +3,7 @@ import pytest
 
 from videostudio.camera_motion import (DIRECTIONS, SPEEDS, ZOOM_RATE,
                                        synthesize_flow, warp_clip)
-from videostudio.errors import (DimensionMismatch, NonFiniteField,
-                                UnknownDirection, UnknownSpeed)
+from videostudio.errors import NonFiniteField, ShapeMismatch, UnknownCameraToken
 from videostudio.numeric_core import Rng
 
 
@@ -62,13 +61,13 @@ def test_zoom_forward_contracts_and_backward_expands():
 
 
 def test_flow_rejects_unknown_tokens_and_bad_dims():
-    with pytest.raises(UnknownDirection):
+    with pytest.raises(UnknownCameraToken, match="direction"):
         synthesize_flow("sideways", "slow", 2, 2, 2)
-    with pytest.raises(UnknownSpeed):
+    with pytest.raises(UnknownCameraToken, match="speed"):
         synthesize_flow("left", "ludicrous", 2, 2, 2)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ShapeMismatch):
         synthesize_flow("left", "slow", 0, 2, 2)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ShapeMismatch):
         synthesize_flow("left", "slow", 2, 2, 0)
 
 
@@ -146,11 +145,11 @@ def test_warp_clip_equals_per_frame_warp():
 
 def test_warp_validation_errors():
     rng = Rng(3)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ShapeMismatch):
         warp_clip(rng.normal((1, 5, 5)), np.zeros((5, 5, 2)))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ShapeMismatch):
         warp_clip(rng.normal((1, 1, 5, 5)), np.zeros((1, 4, 5, 2)))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ShapeMismatch):
         warp_clip(rng.normal((1, 2, 5, 5)), np.zeros((3, 5, 5, 2)))
     bad = np.zeros((1, 5, 5, 2))
     bad[0, 0, 0, 0] = np.nan

@@ -151,6 +151,32 @@ def test_failed_script_stage_removes_the_earlier_metrics(fixture_path, tmp_path,
     capsys.readouterr()
 
 
+def test_failed_rerun_leaves_no_loadable_tree(fixture_path, tmp_path, capsys):
+    out, bad = tmp_path / "out", tmp_path / "bad.json"
+    bad.write_text(json.dumps({"deadbeef": "useless"}))
+    assert main(["generate", "--prompt", PROMPT, "--mock-llm", fixture_path,
+                 "--out-dir", str(out)]) == 0
+    assert main(["generate", "--prompt", PROMPT, "--mock-llm", str(bad),
+                 "--out-dir", str(out)]) == 3
+    assert not (out / "manifest.json").exists()
+    capsys.readouterr()
+    assert main(["metrics", "--out-dir", str(out)]) == 3
+    assert "manifest.json" in capsys.readouterr().err
+
+
+def test_generate_refuses_an_unusable_out_dir_before_any_stage(fixture_path, tmp_path, capsys,
+                                                               monkeypatch):
+    taken, config = tmp_path / "taken", tmp_path / "config.json"
+    taken.write_text("")
+    config.write_text(json.dumps({"denoiser": "network"}))
+    calls = []
+    monkeypatch.setattr(cli, "run_pipeline", lambda *args: calls.append(args))
+    assert main(["generate", "--prompt", PROMPT, "--mock-llm", fixture_path,
+                 "--config", str(config), "--out-dir", f"{taken}/sub"]) == 2
+    assert calls == []
+    assert f"error: {taken}/sub" in capsys.readouterr().err
+
+
 # {dir} is an existing directory, {file} an existing file
 UNWRITABLE = {
     "sample-image-out-is-a-directory": ["sample-image", "--prompt", PROMPT, "--out", "{dir}"],
@@ -239,6 +265,20 @@ def test_camera_flag_reads_the_script_camera_tokens(tmp_path, capsys):
     assert not (tmp_path / "bad.vstn").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["sample-image", "--prompt", "x", "--out", "{out}"],
+    ["sample-video", "--prompt", "x", "--out", "{out}"],
+    ["tm-sweep", "--out-dir", "{out}"],
+], ids=["sample-image", "sample-video", "tm-sweep"])
+def test_oracle_commands_refuse_a_network_config(tmp_path, capsys, argv):
+    config, out = tmp_path / "config.json", tmp_path / "out"
+    config.write_text(json.dumps({"denoiser": "network"}))
+    assert main([arg.format(out=out) for arg in argv] + ["--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and '"denoiser": "network"' in err
+    assert not out.exists()
+
+
 def test_sample_video_with_unreadable_vocabulary_exits_2(tmp_path, capsys):
     vocab = tmp_path / "vocab.json"
     vocab.write_text("{not json")
@@ -266,6 +306,22 @@ def test_gradcheck_command(capsys):
     printed = capsys.readouterr().out
     assert "PASS" in printed
     assert "max rel err" in printed
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_gradcheck_seed_follows_the_config_seed_rule(capsys, seed):
+    assert main(["gradcheck", f"--seed={seed}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed must be ") and err.count("\n") == 1
+
+
+def test_empty_description_exits_3(tmp_path, capsys):
+    table = build_mock_llm_fixture(PROMPT, SCRIPT2)
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps({key: "   " if reply.startswith("A ") else reply
+                                for key, reply in table.items()}))
+    assert main(["refs", "--prompt", PROMPT, "--mock-llm", str(path)]) == 3
+    assert "empty description" in capsys.readouterr().err
 
 
 def test_tm_sweep_command(tmp_path, capsys):
@@ -330,3 +386,29 @@ def test_every_error_class_is_raised_somewhere():
 @pytest.mark.parametrize("cls", _error_classes(), ids=lambda cls: cls.__name__)
 def test_every_error_class_keeps_its_exit_code(cls):
     assert cli._exit_code(cls.__new__(cls)) == _exit_code_at_seed(cls)
+
+
+def test_one_class_per_failure_whichever_module_checks_it():
+    from videostudio.camera_motion import synthesize_flow
+    from videostudio.cond_blocks import GaussianPrior, ToyFeatureExtractor, analytic_gaussian_epsilon
+    from videostudio.ref_images import RgbImage
+    from videostudio.sampler import apply_camera_intervention, ddim_step, make_schedule
+    from videostudio.script_engine import parse_camera
+    for direction, speed, word in [("sideways", "slow", "direction"), ("left", "ludicrous", "speed")]:
+        with pytest.raises(errors.UnknownCameraToken, match=f"unknown camera {word}"):
+            parse_camera(f"{direction}, {speed}", "camera")
+        with pytest.raises(errors.UnknownCameraToken, match=f"unknown camera {word}"):
+            synthesize_flow(direction, speed, 2, 2, 2)
+    flat = np.zeros((4, 4))
+    for check in (RgbImage, ToyFeatureExtractor(channels=8).image_features):
+        with pytest.raises(errors.ShapeMismatch, match=r"image must be \[H, W, 3\]"):
+            check(flat)
+    sched = make_schedule(10, 0.01, 0.2)
+    x = np.zeros((1, 2, 3, 3))
+    for refuse in (lambda: sched.alpha_bar_at(11),
+                   lambda: ddim_step(np.ones(2), np.zeros(2), 3, 3, sched),
+                   lambda: apply_camera_intervention(x, x, 0, sched, np.zeros((2, 3, 3, 2))),
+                   lambda: analytic_gaussian_epsilon(np.zeros(3), 0,
+                                                     GaussianPrior(np.zeros(3), 1.0), sched)):
+        with pytest.raises(errors.BadRange):
+            refuse()

@@ -12,7 +12,7 @@ from videostudio.cond_blocks import (AdamW, AnalyticGaussianDenoiser,
                                      analytic_gaussian_epsilon, load_weights,
                                      save_weights, timestep_embedding,
                                      train_step, tri_context_forward)
-from videostudio.errors import BadTensorFile, DivisionAtTZero, ShapeMismatch
+from videostudio.errors import BadRange, BadTensorFile, ShapeMismatch
 from videostudio.numeric_core import (Rng, Tensor, finite_diff_check, load_tensor, no_grad,
                                       save_tensor)
 from videostudio.sampler import SamplerConfig, make_schedule, sample_video
@@ -468,7 +468,7 @@ def test_analytic_epsilon_point_mass_recovers_exact_noise():
 
 def test_analytic_epsilon_rejects_t_zero():
     sched = make_schedule(100, 0.001, 0.02)
-    with pytest.raises(DivisionAtTZero):
+    with pytest.raises(BadRange, match=r"sigma\(0\) = 0"):
         analytic_gaussian_epsilon(np.zeros(3), 0, GaussianPrior(np.zeros(3), 1.0), sched)
     with pytest.raises(ShapeMismatch):
         GaussianPrior(np.zeros(3), -1.0)

@@ -14,8 +14,8 @@ from videostudio import numeric_core, pipeline
 from videostudio.cli import main
 from videostudio.cond_blocks import ToyFeatureExtractor
 from videostudio.errors import (BackendError, BadConfig, BadTensorFile,
-                                ChecksumMismatch, MalformedScene, StageError,
-                                TooFewFrames, UnknownDirection)
+                                BadRange, ChecksumMismatch, MalformedScene,
+                                StageError, TooFewFrames)
 from videostudio.action_condition import default_vocabulary
 from videostudio.numeric_core import Rng
 from videostudio.pipeline import (MetricsReport, MultiSceneVideo,
@@ -1083,7 +1083,7 @@ def test_tm_sweep_refuses_a_zoom_before_sampling(monkeypatch, capsys):
         calls.append(1)
         return real(*args, **kwargs)
     monkeypatch.setattr(pipeline, "sample_video", counting)
-    with pytest.raises(UnknownDirection):
+    with pytest.raises(BadRange, match="no single translation"):
         tm_sweep(_config(), ("forward", "slow"))
     assert main(["tm-sweep", "--camera", "forward,slow"]) == 2
     assert "no single translation" in capsys.readouterr().err
@@ -1121,7 +1121,7 @@ def test_expected_translation_directions():
     assert expected_translation("right", "medium", 3) == (-3.0, 0.0)
     assert expected_translation("left", "fast", 2) == (4.0, 0.0)
     assert expected_translation("down", "slow", 4) == (0.0, -2.0)
-    with pytest.raises(UnknownDirection):
+    with pytest.raises(BadRange, match="no single translation"):
         expected_translation("forward", "slow", 1)
 
 
@@ -1136,7 +1136,7 @@ def test_expected_translation_pins_the_pan_formula():
                 assert expected_translation(direction, speed, f) == (-f * v * ux, -f * v * uy)
     for direction in ("forward", "backward"):
         for f in (0, 1):
-            with pytest.raises(UnknownDirection):
+            with pytest.raises(BadRange, match="no single translation"):
                 expected_translation(direction, "medium", f)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from videostudio.errors import BackendError, DimensionMismatch
+from videostudio.errors import BackendError, ShapeMismatch
 from videostudio.numeric_core import Rng
 from videostudio.pipeline import PipelineBackends
 from videostudio.ref_images import (LuminanceSegmenter, Mask, RgbImage,
@@ -19,13 +19,13 @@ SCRIPT = parse_script(
 
 def test_rgb_image_validation():
     RgbImage(np.zeros((8, 8, 3)))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ShapeMismatch):
         RgbImage(np.zeros((8, 8)))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ShapeMismatch):
         RgbImage(np.zeros((4, 8, 3)))  # below minimum side
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ShapeMismatch):
         RgbImage(np.full((8, 8, 3), 1.5))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ShapeMismatch):
         RgbImage(np.full((8, 8, 3), -0.1))
     img = RgbImage(np.zeros((9, 12, 3)))
     assert img.data.shape == (9, 12, 3)
@@ -33,18 +33,18 @@ def test_rgb_image_validation():
 
 def test_mask_validation():
     Mask(np.ones((4, 4)))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ShapeMismatch):
         Mask(np.ones((4, 4, 1)))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ShapeMismatch):
         Mask(np.full((4, 4), 2.0))
 
 
 def test_nan_pixels_are_refused():
     data = np.zeros((8, 8, 3))
     data[2, 3, 1] = np.nan
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ShapeMismatch):
         RgbImage(data)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ShapeMismatch):
         Mask(data[:, :, 1])
 
 
@@ -66,7 +66,7 @@ def test_toy_t2i_rejects_empty_description_and_tiny_size():
     backend = ToyTextToImageBackend(size=16)
     with pytest.raises(BackendError):
         backend.generate("   ", seed=0)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ShapeMismatch):
         ToyTextToImageBackend(size=4)
 
 
@@ -106,9 +106,9 @@ def test_apply_mask_fg_and_bg_partition():
     bg = apply_mask(img, mask, "bg")
     assert np.allclose(fg.data + bg.data, img.data, atol=1e-15)
     assert np.array_equal(fg.data[mask.data == 0], np.zeros_like(fg.data[mask.data == 0]))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ShapeMismatch):
         apply_mask(img, mask, "both")
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ShapeMismatch):
         apply_mask(img, Mask(np.zeros((4, 4))), "fg")
 
 
@@ -183,19 +183,19 @@ def test_ppm_header_structure():
 
 
 def test_decode_rejects_garbage():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ShapeMismatch):
         decode_ppm(b"P3\n2 2\n255\n" + bytes(12))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ShapeMismatch):
         decode_ppm(b"P6\n10 8\n255\n" + bytes(10))  # truncated payload
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ShapeMismatch):
         decode_pgm(b"P5\n2\n255\n" + bytes(4))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ShapeMismatch):
         decode_pgm(b"P5\n0 4\n255\n")  # no pixels
 
 
 @pytest.mark.parametrize("maxval", [0, 256, 65535])
 def test_decode_refuses_maxval_outside_8_bits(maxval):
-    with pytest.raises(DimensionMismatch, match="maxval"):
+    with pytest.raises(ShapeMismatch, match="maxval"):
         decode_ppm(f"P6\n8 8\n{maxval}\n".encode() + bytes(2 * 8 * 8 * 3))
-    with pytest.raises(DimensionMismatch, match="maxval"):
+    with pytest.raises(ShapeMismatch, match="maxval"):
         decode_pgm(f"P5\n8 8\n{maxval}\n".encode() + bytes(2 * 8 * 8))

@@ -4,8 +4,8 @@ import pytest
 from videostudio.camera_motion import synthesize_flow, warp_clip
 from videostudio.cond_blocks import (AnalyticGaussianDenoiser, GaussianPrior,
                                      VidContext, VidDenoiser, train_step)
-from videostudio.errors import (BadRange, BadTimestepOrder, NonFiniteField,
-                                NonFiniteLatent, ShapeMismatch)
+from videostudio.errors import (BadRange, NonFiniteField, NonFiniteLatent,
+                                ShapeMismatch)
 from videostudio.numeric_core import Rng
 from videostudio.pipeline import load_config
 from videostudio.sampler import (NoiseSchedule, SamplerConfig,
@@ -260,7 +260,7 @@ def test_ddim_eta_one_noise_split():
 def test_ddim_rejects_bad_timestep_order():
     sched = make_schedule(10, 0.01, 0.2)
     for t, t_prev in [(3, 3), (3, 5), (0, 0), (11, 5), (5, -1)]:
-        with pytest.raises(BadTimestepOrder):
+        with pytest.raises(BadRange, match="need T >= t > t_prev"):
             ddim_step(np.ones(2), np.zeros(2), t, t_prev, sched)
     with pytest.raises(ShapeMismatch):
         ddim_step(np.ones(2), np.zeros(3), 5, 3, sched)
@@ -301,9 +301,9 @@ def test_intervention_validation():
         apply_camera_intervention(np.zeros((2, 3, 3)), np.zeros((2, 3, 3)), 5, sched, field)
     with pytest.raises(ShapeMismatch):
         apply_camera_intervention(x, np.zeros((1, 2, 3, 4)), 5, sched, field)
-    with pytest.raises(BadTimestepOrder):
+    with pytest.raises(BadRange, match="intervention timestep"):
         apply_camera_intervention(x, eps, 0, sched, field)
-    with pytest.raises(BadTimestepOrder):
+    with pytest.raises(BadRange, match="intervention timestep"):
         apply_camera_intervention(x, eps, 11, sched, field)
     bad = field.copy()
     bad[0, 0, 0, 0] = np.inf

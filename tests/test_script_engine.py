@@ -6,9 +6,8 @@ import time
 
 import pytest
 
-from videostudio.errors import (BackendError, EmptyDescription, EmptyPrompt,
-                                EmptyScript, MalformedScene,
-                                NonContiguousIndices,
+from videostudio.errors import (BackendError, EmptyPrompt, EmptyScript,
+                                MalformedScene, NonContiguousIndices,
                                 ScriptGenerationExhausted, UnknownCameraToken)
 from videostudio.numeric_core import Rng
 from videostudio.script_engine import (MAX_FOREGROUNDS, MAX_REPLY_BYTES, MAX_SCENES,
@@ -309,7 +308,7 @@ def test_generate_entity_description_two_rounds():
     assert backend.call_count == 2
     empty = _replies([(build_aspect_query(fg), "aspects"),
                       (build_description_query(fg, "aspects", "winter tale"), "   ")])
-    with pytest.raises(EmptyDescription):
+    with pytest.raises(BackendError, match="empty description"):
         generate_entity_description(fg, "winter tale", empty)
 
 
