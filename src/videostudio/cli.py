@@ -12,7 +12,7 @@ import os
 import sys
 
 from .errors import BadConfig, StageError, VideoStudioError
-from .numeric_core import derive_seed, save_tensor, write_bytes, write_json
+from .numeric_core import derive_seed, make_dir, save_tensor, write_bytes, write_json
 from .pipeline import (_SWEEP_CAMERA, _SWEEP_TMS, _build_references, _oracle_denoiser,
                        _remove_run_records, _sample_clip, _scene_canvas_latent,
                        _write_references, _write_script, compute_metrics, export_failure,
@@ -33,6 +33,24 @@ def _load(args):
     return load_config(getattr(args, "config", None), overrides)
 
 
+def _oracle_config(args):
+    """``_load(args)`` for the commands that sample only the oracle; BadConfig
+    for a network config, which they would ignore."""
+    config = _load(args)
+    if config.denoiser == "network":
+        raise BadConfig('"denoiser": "network" has no effect here: this command '
+                        'samples the analytic oracle on the toy canvas')
+    return config
+
+
+def _path(text):
+    """argparse type of ``--out-dir`` and ``--out``: any path but the empty one,
+    which would name the current directory."""
+    if not text:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return text
+
+
 def _put_bytes(out_dir):
     """``put_bytes(rel, payload)`` writing under ``out_dir``."""
     return lambda rel, payload: write_bytes(os.path.join(out_dir, rel), payload)
@@ -46,6 +64,8 @@ def _camera(args, default):
 
 def cmd_script(args):
     config = _load(args)
+    if args.out_dir:
+        make_dir(args.out_dir)
     backends = resolve_backends(config, args.mock_llm)
     script = generate_script(args.prompt, backends.chat)
     print(serialize_script(script))
@@ -56,6 +76,8 @@ def cmd_script(args):
 
 def cmd_refs(args):
     config = _load(args)
+    if args.out_dir:
+        make_dir(args.out_dir)
     backends = resolve_backends(config, args.mock_llm)
     script = generate_script(args.prompt, backends.chat)
     references, descriptions = _build_references(config, script, args.prompt, backends)
@@ -110,12 +132,14 @@ def cmd_gradcheck(args):
 
 
 def cmd_tm_sweep(args):
-    config = _load(args)
+    config = _oracle_config(args)
     camera = _camera(args, _SWEEP_CAMERA)
     try:
-        tms = tuple(int(x) for x in args.tms.split(",")) if args.tms else _SWEEP_TMS
+        tms = _SWEEP_TMS if args.tms is None else tuple(int(x) for x in args.tms.split(","))
     except ValueError:
         raise BadConfig(f"--tms wants comma-separated integers, got {args.tms!r}") from None
+    if args.out_dir:
+        make_dir(args.out_dir)
     rows = tm_sweep(config, camera, tms)
     print(f"{'t_m':>5} {'displacement_err':>18} {'anchor_mse':>14}")
     for row in rows:
@@ -127,7 +151,7 @@ def cmd_tm_sweep(args):
 
 
 def cmd_sample_image(args):
-    config = _load(args)
+    config = _oracle_config(args)
     schedule = config.noise_schedule()
     target = _scene_canvas_latent(config, args.prompt, config.seed)
     denoiser = _oracle_denoiser(config, target)
@@ -139,7 +163,7 @@ def cmd_sample_image(args):
 
 
 def cmd_sample_video(args):
-    config = _load(args)
+    config = _oracle_config(args)
     camera = _camera(args, ("static", "medium"))
     scene_latent = _scene_canvas_latent(config, args.prompt, config.seed)
     clip = _sample_clip(config, scene_latent, camera, derive_seed(config.seed, "video"),
@@ -168,7 +192,7 @@ def _build_parser():
         if prompt:
             sub.add_argument("--prompt", required=True, help="video theme")
         if out_dir:
-            sub.add_argument("--out-dir", default=None,
+            sub.add_argument("--out-dir", type=_path, default=None,
                              required=name in ("generate", "metrics"),
                              help="output directory")
         if mock:
@@ -178,7 +202,7 @@ def _build_parser():
             sub.add_argument("--no-refs", action="store_true",
                              help="skip reference images (ablation)")
         if out:
-            sub.add_argument("--out", required=True, help="output .vstn path")
+            sub.add_argument("--out", type=_path, required=True, help="output .vstn path")
         if camera:
             sub.add_argument("--camera", default=None, metavar="DIR,SPEED",
                              help="camera movement in the script's tokens, any case, "

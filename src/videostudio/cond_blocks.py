@@ -26,7 +26,8 @@ from .action_condition import ActionEmbedding, embed_indicator
 from .errors import BadRange, BadTensorFile, ShapeMismatch
 from .numeric_core import (AttentionParams, Module, Parameter, Rng, Tensor,
                            cross_attention, hash64, layer_norm, load_tensor,
-                           matmul, read_json, save_tensor, temporal_conv1d, write_json)
+                           matmul, read_bytes, read_json, save_tensor, temporal_conv1d,
+                           write_json)
 
 DEFAULT_CONTEXT_CHANNELS = 32
 TEXT_LEN = 77
@@ -492,7 +493,7 @@ def load_weights(denoiser, dirpath):
         if entry["shape"] != list(p.data.shape):
             raise ShapeMismatch(f"weights shape {entry['shape']} vs {p.data.shape} for {name}")
     path = os.path.join(dirpath, "weights.vstn")
-    loaded = load_tensor(path)
+    loaded = load_tensor(read_bytes(path, BadTensorFile), path)
     sizes = [p.data.size for _, p in params]
     if loaded.shape != (sum(sizes),):
         raise BadTensorFile(f"{path}: holds shape {loaded.shape}, expected ({sum(sizes)},)")

@@ -31,7 +31,7 @@ __all__ = [
     "matmul", "layer_norm", "temporal_conv1d",
     "attention", "cross_attention", "no_grad",
     "finite_diff_check", "hash64", "derive_seed",
-    "save_tensor", "load_tensor", "write_bytes", "write_json",
+    "save_tensor", "load_tensor", "make_dir", "write_bytes", "write_json",
 ]
 
 
@@ -641,11 +641,20 @@ def read_json(path, error):
         raise error(f"{path}: not valid JSON: {exc}") from exc
 
 
+def make_dir(path, named=None):
+    """Make directory ``path`` and its parents; UnwritablePath naming ``named``
+    (``path`` by default) if that fails."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise UnwritablePath(f"{named or path}: cannot write: {exc}") from exc
+
+
 def write_bytes(path, payload):
     """Write ``payload`` to ``path``, making its parent directory first;
     UnwritablePath naming ``path`` if either fails."""
+    make_dir(os.path.dirname(path) or ".", path)
     try:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         with open(path, "wb") as fh:
             fh.write(payload)
     except OSError as exc:
@@ -671,10 +680,9 @@ def save_tensor(path, array):
     return payload
 
 
-def load_tensor(path):
-    """Read a file written by ``save_tensor``; BadTensorFile unless it is
-    well formed and every value is finite."""
-    raw = read_bytes(path, BadTensorFile)
+def load_tensor(raw, path):
+    """Decode ``raw``, bytes that ``save_tensor`` wrote; BadTensorFile naming
+    ``path`` unless they are well formed and every value is finite."""
     if raw[:4] != _MAGIC:
         raise BadTensorFile(f"{path}: bad magic {raw[:4]!r}")
     if len(raw) < 12:

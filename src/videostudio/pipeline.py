@@ -59,7 +59,7 @@ __all__ = [
     "resolve_backends", "decode_latent", "encode_image", "latent_to_image",
     "compose_scene", "SceneOutput", "MultiSceneVideo", "MetricsReport",
     "run_pipeline", "frame_consistency", "scene_consistency", "fg_bg_similarity",
-    "compute_metrics", "export_video", "export_failure", "load_manifest", "load_video",
+    "compute_metrics", "export_video", "export_failure", "load_video",
     "estimate_translation", "expected_translation", "tm_sweep",
     "run_gradient_suite", "build_mock_llm_fixture",
 ]
@@ -500,13 +500,7 @@ def compute_metrics(video):
 # --- the three stages -----------------------------------------------------------
 
 def _scene_canvas_latent(config, prompt, seed):
-    """Latent of the toy text-to-image render of ``prompt`` at the latent size.
-
-    Only the oracle commands sample this canvas, so a network config is BadConfig.
-    """
-    if config.denoiser == "network":
-        raise BadConfig('"denoiser": "network" has no effect here: this command '
-                        'samples the analytic oracle on the toy canvas')
+    """Latent of the toy text-to-image render of ``prompt`` at the latent size."""
     c, h, w = config.latent_shape
     return encode_image(_prompt_canvas(ToyTextToImageBackend(), prompt, seed, h, w), c)
 
@@ -770,13 +764,14 @@ def _reference_kinds(manifest, script):
     return {rec.name: rec.kind for rec in records}
 
 
-def _read_tree(out_dir, verify):
-    """The checked manifest and the parsed script of an exported tree.
+def load_video(out_dir, verify=True):
+    """Rebuild a MultiSceneVideo from an exported tree, reading each file once.
 
     The tree's file list derives from script.txt; no path is taken from the
     manifest.  With ``verify``, script.txt must match its checksum before it
-    is parsed, the checksum keys must be exactly that list, and every file
-    must match its checksum.  Any failure is ChecksumMismatch.
+    is parsed, the checksum keys must be exactly that list, and every file's
+    bytes must match their checksum before they are decoded.  A bad manifest,
+    a checksum failure or a file that cannot be read is ChecksumMismatch.
     """
     manifest = read_json(os.path.join(out_dir, "manifest.json"), ChecksumMismatch)
     if not isinstance(manifest, dict) or manifest.get("version") != _MANIFEST_VERSION:
@@ -789,56 +784,40 @@ def _read_tree(out_dir, verify):
     if not 0 <= frames <= len(checksums):  # a frame has a checksum entry
         raise ChecksumMismatch(f"manifest frames_per_scene {frames} exceeds its checksums")
 
-    raw = read_bytes(os.path.join(out_dir, "script.txt"), ChecksumMismatch)
-    if verify:
-        _verify("script.txt", raw, checksums)
+    def read_file(rel):
+        raw = read_bytes(os.path.join(out_dir, rel), ChecksumMismatch)
+        if verify:
+            _verify(rel, raw, checksums)
+        return raw
+
     # verified bytes are what export wrote; unverified ones decode lossily for the parser
-    script = parse_script(raw.decode("utf-8", "replace"))
-    scenes = [_typed(index, int, "scene index") for index in manifest["scenes"]]
-    if scenes != sorted(set(scenes) & set(range(1, len(script.scenes) + 1))):
-        raise ChecksumMismatch(f"manifest scenes {scenes} are not increasing indices of "
+    script = parse_script(read_file("script.txt").decode("utf-8", "replace"))
+    indices = [_typed(index, int, "scene index") for index in manifest["scenes"]]
+    if indices != sorted(set(indices) & set(range(1, len(script.scenes) + 1))):
+        raise ChecksumMismatch(f"manifest scenes {indices} are not increasing indices of "
                                f"its {len(script.scenes)}-scene script")
+    kinds = _reference_kinds(manifest, script)
+    ref_files = _reference_files(kinds)
+    scene_files = {index: _scene_files(index, frames) for index in indices}
     if verify:
-        files = [rel for _, *rels in _reference_files(_reference_kinds(manifest, script))
-                 for rel in rels]
-        for index in scenes:
-            files += _scene_files(index, frames)
-        extra = sorted(set(checksums) - set(files) - {"script.txt"})
+        layout = {rel for _, *rels in ref_files for rel in rels}.union(*scene_files.values())
+        extra = sorted(set(checksums) - layout - {"script.txt"})
         if extra:
             raise ChecksumMismatch(f"manifest checksum {extra[0]!r} is not in the tree's layout")
-        for rel in files:
-            _verify(rel, read_bytes(os.path.join(out_dir, rel), ChecksumMismatch), checksums)
-    return manifest, script
 
+    def read_tensor(rel):
+        return load_tensor(read_file(rel), os.path.join(out_dir, rel))
 
-def load_manifest(out_dir, verify=True):
-    """Read manifest.json and check it against its tree; see ``_read_tree``."""
-    return _read_tree(out_dir, verify)[0]
-
-
-def load_video(out_dir, verify=True):
-    """Rebuild a MultiSceneVideo from an exported tree (checksum-verified).
-
-    File paths and reference kinds come from script.txt.
-    """
-    manifest, script = _read_tree(out_dir, verify)
-
-    def read_file(rel):
-        return read_bytes(os.path.join(out_dir, rel), ChecksumMismatch)
-
-    kinds = _reference_kinds(manifest, script)
     references = {name: EntityReference(decode_ppm(read_file(image_rel)), kinds[name],
                                          decode_pgm(read_file(mask_rel)))
-                  for name, image_rel, mask_rel in _reference_files(kinds)}
+                  for name, image_rel, mask_rel in ref_files}
     specs = {spec.index: spec for spec in script.scenes}
     scenes = []
-    for index in manifest["scenes"]:
-        *frame_rels, image_rel, scene_rel, clip_rel = _scene_files(
-            index, manifest["frames_per_scene"])
-        frames = [decode_ppm(read_file(rel)) for rel in frame_rels]
-        scenes.append(SceneOutput(specs[index], load_tensor(os.path.join(out_dir, scene_rel)),
-                                  decode_ppm(read_file(image_rel)),
-                                  load_tensor(os.path.join(out_dir, clip_rel)), frames))
+    for index, (*frame_rels, image_rel, scene_rel, clip_rel) in scene_files.items():
+        images = [decode_ppm(read_file(rel)) for rel in frame_rels]
+        scenes.append(SceneOutput(specs[index], read_tensor(scene_rel),
+                                  decode_ppm(read_file(image_rel)), read_tensor(clip_rel),
+                                  images))
     return MultiSceneVideo(manifest["prompt"], script, scenes, references,
                            manifest, manifest["seed"])
 
@@ -912,16 +891,22 @@ def tm_sweep(config, camera=_SWEEP_CAMERA, tms=_SWEEP_TMS):
     those of frames 1.._SWEEP_MAX_PROBE whose implied shift is a whole
     pixel (the estimator returns integer shifts, so a slow pan probes every
     other frame) and lies within its ``_MAX_SHIFT`` search, plus the MSE
-    between the final clip latent and the camera-consistent anchor.  A zoom
-    (no single translation) raises BadRange, and a pan with no such
-    frame TooFewFrames, before anything is sampled.  Documented behavior
-    under the tight oracle prior: the anchor already carries the camera
-    motion, so displacement error is non-increasing in T_m (zero throughout,
-    at every pan speed), and the denoiser re-absorbs the intervention's
-    blend echo on later steps, so anchor MSE stays at the eta=1 sampling
-    floor (~sigma0 * posterior gain, well under 1e-5 at the default prior
-    variance) at every depth -- the quality bound the sweep checks.
+    between the final clip latent and the camera-consistent anchor.  A t_m
+    outside the config's [0, steps - 1] or a zoom (no single translation)
+    raises BadRange, and a pan with no such frame TooFewFrames, before
+    anything is sampled.  Documented behavior under the tight oracle prior:
+    the anchor already carries the camera motion, so displacement error is
+    non-increasing in T_m (zero throughout, at every pan speed), and the
+    denoiser re-absorbs the intervention's blend echo on later steps, so
+    anchor MSE stays at the eta=1 sampling floor (~sigma0 * posterior gain,
+    well under 1e-5 at the default prior variance) at every depth -- the
+    quality bound the sweep checks.
     """
+    steps = config.doc["video_sampler"]["steps"]
+    for tm in tms:
+        if not 0 <= tm < steps:
+            raise BadRange(f"t_m {tm} is outside [0, {steps - 1}] for {steps} video "
+                           "sampler steps")
     probes = [(f, expected_translation(*camera, f))
               for f in range(1, min(_SWEEP_MAX_PROBE, config.frames - 1) + 1)]
     probes = [(f, exp) for f, exp in probes

@@ -34,6 +34,9 @@ from .numeric_core import hash64, read_json
 MAX_SCENES = 12
 MAX_FOREGROUNDS = 4
 MAX_ATTEMPTS = 3
+# Characters of the last refusal that ScriptGenerationExhausted quotes; a reply
+# line can be 64 KiB, and the CLI prints the error on one line.
+_REFUSAL_CHARS = 200
 CHAT_TIMEOUT = 60.0  # seconds an HTTP chat request may take
 CHAT_MODEL = "local-chat"  # model name sent in, and hashed into, every chat request
 # Largest reply body an HTTP backend may send.  The largest legitimate one is
@@ -341,17 +344,21 @@ def generate_entity_description(entity, source_prompt, backend):
 
 def generate_script(prompt, backend, max_attempts=MAX_ATTEMPTS):
     """Query the backend until a reply parses, at most ``max_attempts``
-    times; then raise ScriptGenerationExhausted."""
+    times; then raise ScriptGenerationExhausted, which says why the last
+    reply was refused."""
     messages = build_script_query(prompt)
-    transcripts = []
+    transcripts, refusal = [], ""
     for _attempt in range(max_attempts):
         reply = backend.complete(messages)
         transcripts.append(messages + [ChatMessage("assistant", reply)])
         try:
             script = parse_script(reply)
-        except (MalformedScene, EmptyScript, NonContiguousIndices, UnknownCameraToken):
+        except (MalformedScene, EmptyScript, NonContiguousIndices,
+                UnknownCameraToken) as exc:
+            refusal = f"; the last reply was refused: {type(exc).__name__}: {exc}"
             continue
         script.source_prompt = prompt
         return script
     raise ScriptGenerationExhausted(
-        f"no valid script after {max_attempts} attempts", transcripts)
+        f"no valid script after {max_attempts} attempts{refusal[:_REFUSAL_CHARS]}",
+        transcripts)

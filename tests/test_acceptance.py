@@ -23,7 +23,7 @@ from videostudio.pipeline import (_resize_nearest, build_mock_llm_fixture,
                                   decode_latent, encode_image,
                                   estimate_translation, expected_translation,
                                   fg_bg_similarity, load_config,
-                                  load_manifest, resolve_backends,
+                                  load_video, resolve_backends,
                                   run_gradient_suite, run_pipeline,
                                   scene_consistency, tm_sweep)
 from videostudio.ref_images import ToyTextToImageBackend
@@ -286,7 +286,7 @@ def test_criterion_11_cli_generate_is_deterministic(tmp_path):
         code = main(["generate", "--prompt", PROMPT, "--mock-llm", str(fixture),
                      "--out-dir", str(out), "--seed", "7"])
         assert code == 0
-        manifest = load_manifest(str(out))  # verifies every file hash
+        manifest = load_video(str(out)).manifest  # verifies every file hash
         assert len(manifest["scenes"]) == 2
         assert manifest["frames_per_scene"] == 8
         assert (out / "metrics.json").exists()

@@ -8,7 +8,7 @@ import pytest
 from videostudio import cli, errors, pipeline
 from videostudio.cli import main
 from videostudio.numeric_core import load_tensor
-from videostudio.pipeline import build_mock_llm_fixture, load_manifest
+from videostudio.pipeline import build_mock_llm_fixture, load_video
 
 PROMPT = "a silver robot spends a day in its workshop"
 SCRIPT2 = """[Scene 1: prompt: a silver robot kneading dough in the workshop | foreground: silver robot | background: workshop | camera: right, medium]
@@ -54,7 +54,7 @@ def test_generate_is_reproducible(fixture_path, tmp_path, capsys):
         assert main(["generate", "--prompt", PROMPT, "--mock-llm", fixture_path,
                      "--out-dir", str(out), "--seed", "7"]) == 0
         assert (out / "metrics.json").exists()
-        trees.append(load_manifest(str(out))["checksums"])
+        trees.append(load_video(str(out)).manifest["checksums"])
     capsys.readouterr()
     assert trees[0] == trees[1]
 
@@ -203,6 +203,52 @@ def test_unwritable_output_path_exits_2(fixture_path, tmp_path, capsys, argv):
     assert f"error: {tmp_path}" in err and "cannot" in err  # names the path
 
 
+# every flag that names an output path, set to the empty string
+EMPTY_OUTPUT_PATH = {
+    "generate": ["generate", "--prompt", PROMPT, "--mock-llm", "{fixture}", "--out-dir", ""],
+    "script": ["script", "--prompt", PROMPT, "--mock-llm", "{fixture}", "--out-dir", ""],
+    "refs": ["refs", "--prompt", PROMPT, "--mock-llm", "{fixture}", "--out-dir", ""],
+    "tm-sweep": ["tm-sweep", "--tms", "1", "--out-dir", ""],
+    "metrics": ["metrics", "--out-dir", ""],
+    "sample-image": ["sample-image", "--prompt", PROMPT, "--out", ""],
+    "sample-video": ["sample-video", "--prompt", PROMPT, "--out", ""],
+}
+
+
+@pytest.mark.parametrize("argv", EMPTY_OUTPUT_PATH.values(), ids=EMPTY_OUTPUT_PATH.keys())
+def test_an_empty_output_path_is_refused(fixture_path, tmp_path, capsys, monkeypatch, argv):
+    # "" would name the current directory: generate would write its tree there
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    (cwd / "failure_manifest.json").write_text("{}")
+    monkeypatch.chdir(cwd)
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(fixture=fixture_path) for arg in argv])
+    assert exc.value.code == 2
+    assert "must not be empty" in capsys.readouterr().err
+    assert [p.name for p in cwd.iterdir()] == ["failure_manifest.json"]
+
+
+@pytest.mark.parametrize("argv, stage", [
+    (["script", "--prompt", PROMPT, "--mock-llm", "{fixture}"], "generate_script"),
+    (["refs", "--prompt", PROMPT, "--mock-llm", "{fixture}"], "generate_script"),
+    (["tm-sweep"], "tm_sweep"),
+], ids=["script", "refs", "tm-sweep"])
+@pytest.mark.parametrize("out_dir", ["{file}", "{file}/sub"], ids=["a-file", "under-a-file"])
+def test_out_dir_is_made_before_any_stage(fixture_path, tmp_path, capsys, monkeypatch, argv,
+                                         stage, out_dir):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    calls = []
+    monkeypatch.setattr(cli, stage, lambda *args: calls.append(args))
+    values = {"file": str(taken), "fixture": fixture_path}
+    assert main([arg.format(**values) for arg in argv + ["--out-dir", out_dir]]) == 2
+    assert calls == []
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out_dir.format(**values)}: cannot write")
+    assert taken.read_text() == ""
+
+
 @pytest.mark.parametrize("content", [
     "{not json",
     None,  # no file at all
@@ -233,7 +279,7 @@ def test_sample_image_writes_tensor(tmp_path, capsys):
     out = tmp_path / "scene.vstn"
     assert main(["sample-image", "--prompt", "a checkered marble on a dark desk",
                  "--out", str(out), "--seed", "11"]) == 0
-    latent = load_tensor(str(out))
+    latent = load_tensor(out.read_bytes(), out)
     assert latent.shape == (4, 16, 16)
     assert np.all(np.isfinite(latent))
     capsys.readouterr()
@@ -243,7 +289,7 @@ def test_sample_video_honours_camera_flag(tmp_path, capsys):
     out = tmp_path / "clip.vstn"
     assert main(["sample-video", "--prompt", "a checkered marble on a dark desk",
                  "--out", str(out), "--camera", "right,medium", "--tm", "5"]) == 0
-    clip = load_tensor(str(out))
+    clip = load_tensor(out.read_bytes(), out)
     assert clip.shape == (4, 8, 16, 16)
     capsys.readouterr()
     assert main(["sample-video", "--prompt", "x", "--out", str(out),

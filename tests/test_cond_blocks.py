@@ -580,6 +580,17 @@ def test_weight_load_of_a_missing_manifest_is_a_bad_tensor_file(tmp_path):
         load_weights(_small_img(39), tmp_path)
 
 
+def test_vstn_that_cannot_be_opened_is_a_bad_tensor_file(tmp_path):
+    ckpt = tmp_path / "w"
+    save_weights(_small_img(39), ckpt)
+    (ckpt / "weights.vstn").unlink()
+    with pytest.raises(BadTensorFile, match="weights.vstn: cannot read"):
+        load_weights(_small_img(39), ckpt)
+    (ckpt / "weights.vstn").mkdir()  # a directory in its place
+    with pytest.raises(BadTensorFile, match="weights.vstn: cannot read"):
+        load_weights(_small_img(39), ckpt)
+
+
 def _truncate(params):
     return params[:3], params[3]["name"], BadTensorFile
 
@@ -639,5 +650,6 @@ def _change_one_value(values):
 def test_a_refused_payload_changes_no_parameter(tmp_path, edit, match):
     ckpt = tmp_path / "w"
     save_weights(_small_img(43), ckpt)
-    save_tensor(ckpt / "weights.vstn", edit(load_tensor(ckpt / "weights.vstn")))
+    path = ckpt / "weights.vstn"
+    save_tensor(path, edit(load_tensor(path.read_bytes(), path)))
     _refused_and_unchanged(ckpt, BadTensorFile, match)

@@ -100,19 +100,13 @@ def vstn_files(draw):
     return raw + draw(st.binary(max_size=64))
 
 
-def test_load_tensor_raises_only_typed_errors(tmp_path):
-    path = tmp_path / "t.vstn"
-
-    @FUZZ
-    @given(st.one_of(st.binary(max_size=96),
-                     st.binary(max_size=64).map(lambda tail: b"VSTN" + tail),
-                     vstn_files()))
-    def check(raw):
-        _put(path, raw)
-        arr = _typed(load_tensor, path)
-        assert arr is None or (arr.dtype == np.dtype("<f4") and np.isfinite(arr).all())
-
-    check()
+@FUZZ
+@given(st.one_of(st.binary(max_size=96),
+                 st.binary(max_size=64).map(lambda tail: b"VSTN" + tail),
+                 vstn_files()))
+def test_load_tensor_raises_only_typed_errors(raw):
+    arr = _typed(load_tensor, raw, "t.vstn")
+    assert arr is None or (arr.dtype == np.dtype("<f4") and np.isfinite(arr).all())
 
 
 def test_tensor_files_round_trip_finite_float32(tmp_path):
@@ -124,8 +118,7 @@ def test_tensor_files_round_trip_finite_float32(tmp_path):
                                                    max_side=5), elements=finite))
     def check(arr):
         path.unlink(missing_ok=True)  # see _put
-        save_tensor(path, arr)
-        back = load_tensor(path)
+        back = load_tensor(save_tensor(path, arr), path)
         assert back.shape == arr.shape
         assert back.tobytes() == arr.astype("<f4").tobytes()  # bitwise, -0.0 included
 

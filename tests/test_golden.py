@@ -30,7 +30,7 @@ import numpy as np
 
 from videostudio.cli import main
 from videostudio.pipeline import (build_mock_llm_fixture, load_config,
-                                  load_manifest, resolve_backends,
+                                  load_video, resolve_backends,
                                   run_pipeline, tm_sweep)
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -80,7 +80,7 @@ def observe(workdir):
         _run(["generate", *common, "--mock-llm", fixture, "--out-dir", out, *extra])
         with open(os.path.join(out, "metrics.json"), encoding="utf-8") as fh:
             metrics = json.load(fh)
-        doc[key] = {"checksums": load_manifest(out)["checksums"], "metrics": metrics}
+        doc[key] = {"checksums": load_video(out).manifest["checksums"], "metrics": metrics}
     refs = os.path.join(workdir, "refs")
     _run(["refs", *common, "--mock-llm", fixture, "--out-dir", refs])
     doc["refs"] = _tree_digests(refs)

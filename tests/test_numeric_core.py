@@ -599,8 +599,7 @@ def test_vstn_round_trip_bitwise(tmp_path):
     for shape in [(3,), (2, 5), (4, 8, 16, 16), ()]:
         arr = rng.normal(shape)
         path = tmp_path / "t.vstn"
-        save_tensor(path, arr)
-        back = load_tensor(path)
+        back = load_tensor(save_tensor(path, arr), path)
         assert back.shape == np.asarray(arr, dtype=np.float32).shape
         assert np.array_equal(back, np.asarray(arr, dtype=np.float32))
 
@@ -638,60 +637,41 @@ def test_module_walks_parameters_in_assignment_order():
         "first", "x.b", "x.a", "loose", "y.b", "y.a", "z.b", "z.a"]
 
 
+def _vstn_bytes(tmp_path, array):
+    """The bytes ``save_tensor`` writes for ``array``."""
+    return save_tensor(tmp_path / "t.vstn", array)
+
+
 def test_vstn_rejects_corruption(tmp_path):
-    path = tmp_path / "t.vstn"
-    save_tensor(path, np.arange(12.0).reshape(3, 4))
-    raw = bytearray(path.read_bytes())
-
-    bad_magic = tmp_path / "magic.vstn"
-    bad_magic.write_bytes(b"NOPE" + bytes(raw[4:]))
-    with pytest.raises(BadTensorFile):
-        load_tensor(bad_magic)
-
-    bad_version = tmp_path / "version.vstn"
+    raw = _vstn_bytes(tmp_path, np.arange(12.0).reshape(3, 4))
+    with pytest.raises(BadTensorFile, match="magic.vstn: bad magic"):
+        load_tensor(b"NOPE" + raw[4:], "magic.vstn")
     corrupt = bytearray(raw)
     corrupt[4] = 99
-    bad_version.write_bytes(bytes(corrupt))
     with pytest.raises(BadTensorFile):
-        load_tensor(bad_version)
-
-    extra = tmp_path / "extra.vstn"
-    extra.write_bytes(bytes(raw) + b"\x00\x00\x00\x00")
+        load_tensor(bytes(corrupt), "version.vstn")
     with pytest.raises(BadTensorFile):
-        load_tensor(extra)
-
-
-def test_vstn_that_cannot_be_opened_is_a_bad_tensor_file(tmp_path):
-    with pytest.raises(BadTensorFile, match="cannot read"):
-        load_tensor(tmp_path / "missing.vstn")
-    with pytest.raises(BadTensorFile, match="cannot read"):
-        load_tensor(tmp_path)  # a directory
+        load_tensor(raw + b"\x00\x00\x00\x00", "extra.vstn")
 
 
 def test_vstn_truncation_detected(tmp_path):
-    path = tmp_path / "t.vstn"
-    save_tensor(path, np.arange(10.0))
-    raw = path.read_bytes()
-    path.write_bytes(raw[:len(raw) // 2])
+    raw = _vstn_bytes(tmp_path, np.arange(10.0))
     with pytest.raises(BadTensorFile):
-        load_tensor(path)
+        load_tensor(raw[:len(raw) // 2], "t.vstn")
 
 
 @pytest.mark.parametrize("cut", [6, 12, 19], ids=["in-version", "before-dims", "in-dims"])
 def test_vstn_truncated_header_is_a_bad_tensor_file(tmp_path, cut):
-    path = tmp_path / "t.vstn"
-    save_tensor(path, np.arange(6.0).reshape(2, 3))
-    path.write_bytes(path.read_bytes()[:cut])
+    raw = _vstn_bytes(tmp_path, np.arange(6.0).reshape(2, 3))
     with pytest.raises(BadTensorFile, match="header"):
-        load_tensor(path)
+        load_tensor(raw[:cut], "t.vstn")
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_vstn_non_finite_payload_is_refused(tmp_path, bad):
-    path = tmp_path / "t.vstn"
-    save_tensor(path, np.array([1.0, bad]))
+    raw = _vstn_bytes(tmp_path, np.array([1.0, bad]))
     with pytest.raises(BadTensorFile, match="NaN or Inf"):
-        load_tensor(path)
+        load_tensor(raw, "t.vstn")
 
 
 def _vstn(dims, payload=b""):
@@ -705,12 +685,10 @@ def _vstn(dims, payload=b""):
     ((0, 2 ** 63), b""),
     ((0, 2 ** 40, 2 ** 40, 2 ** 40), b""),
 ], ids=["rank-65", "dim-past-intp", "4d-array-too-big"])
-def test_vstn_dims_numpy_cannot_shape_are_refused(tmp_path, dims, payload):
+def test_vstn_dims_numpy_cannot_shape_are_refused(dims, payload):
     # each header's payload length matches its dims, so only reshape can object
-    path = tmp_path / "t.vstn"
-    path.write_bytes(_vstn(dims, payload))
     with pytest.raises(BadTensorFile, match="cannot shape"):
-        load_tensor(path)
+        load_tensor(_vstn(dims, payload), "t.vstn")
 
 
 # --- finite_diff_check plumbing -----------------------------------------------------

@@ -13,9 +13,8 @@ import pytest
 from videostudio import numeric_core, pipeline
 from videostudio.cli import main
 from videostudio.cond_blocks import ToyFeatureExtractor
-from videostudio.errors import (BackendError, BadConfig, BadTensorFile,
-                                BadRange, ChecksumMismatch, MalformedScene,
-                                StageError, TooFewFrames)
+from videostudio.errors import (BackendError, BadConfig, BadRange, ChecksumMismatch,
+                                MalformedScene, StageError, TooFewFrames)
 from videostudio.action_condition import default_vocabulary
 from videostudio.numeric_core import Rng
 from videostudio.pipeline import (MetricsReport, MultiSceneVideo,
@@ -28,7 +27,7 @@ from videostudio.pipeline import (MetricsReport, MultiSceneVideo,
                                   estimate_translation, expected_translation,
                                   export_failure, export_video, fg_bg_similarity,
                                   frame_consistency, latent_to_image,
-                                  load_config, load_manifest, load_video,
+                                  load_config, load_video,
                                   resolve_backends, run_pipeline,
                                   scene_consistency, tm_sweep)
 from videostudio.ref_images import RemoteTextToImageBackend, RgbImage, ToyTextToImageBackend
@@ -212,7 +211,7 @@ def test_overlong_int_literals_are_typed_errors(tmp_path):
         load_config(str(tmp_path / "config.json"))
     (tmp_path / "manifest.json").write_text('{"version": %s}' % literal)
     with pytest.raises(ChecksumMismatch, match="not valid JSON"):
-        load_manifest(str(tmp_path))
+        load_video(str(tmp_path))
 
 
 @pytest.mark.parametrize("key,value", [
@@ -641,8 +640,8 @@ def test_scene_outputs_do_not_depend_on_later_scenes(tmp_path):
     video2, _ = _run(SCRIPT2)
     export_video(video3, str(out_a))
     export_video(video2, str(out_b))
-    sums_a = load_manifest(str(out_a), verify=False)["checksums"]
-    sums_b = load_manifest(str(out_b), verify=False)["checksums"]
+    sums_a = load_video(str(out_a), verify=False).manifest["checksums"]
+    sums_b = load_video(str(out_b), verify=False).manifest["checksums"]
     shared = [rel for rel in sums_b
               if rel.startswith(("scene_1/", "scene_2/", "refs/"))]
     assert shared
@@ -740,7 +739,7 @@ def test_partial_tree_after_a_scene_failure_loads_what_finished(tmp_path, monkey
     export_failure(error, str(tmp_path))
     failure = json.loads((tmp_path / "failure_manifest.json").read_text())
     assert failure["completed_scenes"] == [1]
-    assert load_manifest(str(tmp_path))["scenes"] == [1]
+    assert load_video(str(tmp_path)).manifest["scenes"] == [1]
     back = load_video(str(tmp_path), verify=True)
     assert [scene.spec.index for scene in back.scenes] == [1]
     assert len(back.script.scenes) == 3
@@ -767,7 +766,7 @@ def test_export_manifest_inventory(tmp_path):
     video, _ = _run(SCRIPT2)
     manifest_path = export_video(video, str(tmp_path))
     assert os.path.basename(manifest_path) == "manifest.json"
-    manifest = load_manifest(str(tmp_path))  # checksums verify clean
+    manifest = load_video(str(tmp_path)).manifest  # checksums verify clean
     # the layout, boxes and reference kinds follow from script.txt, so the
     # manifest holds only what the script does not fix
     assert manifest == {"version": 2, "prompt": PROMPT, "seed": 7, "frames_per_scene": 8,
@@ -815,13 +814,13 @@ def test_checksum_fault_injection(tmp_path):
     raw[-1] ^= 0x01
     victim.write_bytes(bytes(raw))
     with pytest.raises(ChecksumMismatch):
-        load_manifest(str(tmp_path))
-    assert load_manifest(str(tmp_path), verify=False)["version"] == 2
+        load_video(str(tmp_path))
+    assert load_video(str(tmp_path), verify=False).manifest["version"] == 2
     victim.unlink()
     with pytest.raises(ChecksumMismatch):
-        load_manifest(str(tmp_path))
+        load_video(str(tmp_path))
     with pytest.raises(ChecksumMismatch):
-        load_manifest(str(tmp_path / "not_there"))
+        load_video(str(tmp_path / "not_there"))
 
 
 @pytest.fixture(scope="module")
@@ -830,6 +829,21 @@ def _exported(tmp_path_factory):
     video, _ = _run(SCRIPT2)
     export_video(video, str(out))
     return out
+
+
+def test_a_verified_load_reads_every_tree_file_once(_exported, monkeypatch):
+    opened, real_open = collections.Counter(), builtins.open
+
+    def counted(file, *args, **kwargs):
+        opened[os.path.relpath(file, _exported)] += 1
+        return real_open(file, *args, **kwargs)
+    monkeypatch.setattr(builtins, "open", counted)
+    video = load_video(str(_exported), verify=True)
+    monkeypatch.undo()
+    tree = collections.Counter(os.path.relpath(os.path.join(root, name), _exported)
+                               for root, _, names in os.walk(_exported) for name in names)
+    assert len(video.scenes) == 2 and video.references
+    assert opened == tree
 
 
 def _tampered_tree(exported, tmp_path, edit):
@@ -983,7 +997,7 @@ def test_unverified_load_of_a_missing_latent_is_a_typed_error(_exported, tmp_pat
     def drop_latent(manifest, tree):
         (tree / "scene_1" / "clip_latent.vstn").unlink()
     tree = _tampered_tree(_exported, tmp_path, drop_latent)
-    with pytest.raises(BadTensorFile, match="clip_latent.vstn: cannot read"):
+    with pytest.raises(ChecksumMismatch, match="clip_latent.vstn: cannot read"):
         load_video(str(tree), verify=False)
 
 
@@ -1038,8 +1052,8 @@ def test_identical_seeds_export_identical_checksums(tmp_path):
     video_b, _ = _run(SCRIPT2)
     export_video(video_a, str(tmp_path / "a"))
     export_video(video_b, str(tmp_path / "b"))
-    sums_a = load_manifest(str(tmp_path / "a"), verify=False)["checksums"]
-    sums_b = load_manifest(str(tmp_path / "b"), verify=False)["checksums"]
+    sums_a = load_video(str(tmp_path / "a"), verify=False).manifest["checksums"]
+    sums_b = load_video(str(tmp_path / "b"), verify=False).manifest["checksums"]
     assert sums_a == sums_b
 
 
@@ -1087,6 +1101,30 @@ def test_tm_sweep_refuses_a_zoom_before_sampling(monkeypatch, capsys):
         tm_sweep(_config(), ("forward", "slow"))
     assert main(["tm-sweep", "--camera", "forward,slow"]) == 2
     assert "no single translation" in capsys.readouterr().err
+    assert calls == []
+
+
+@pytest.mark.parametrize("tms", [(1, 9), (1, 4), (-1, 1)], ids=["past", "at-steps", "negative"])
+def test_tm_sweep_refuses_a_t_m_outside_the_steps_before_sampling(monkeypatch, capsys,
+                                                                  tmp_path, tms):
+    calls = []
+    real = pipeline.sample_video
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(pipeline, "sample_video", counting)
+    steps = {"video_sampler": {"steps": 4, "t_m": 1}}
+    bad = next(tm for tm in tms if not 0 <= tm <= 3)
+    with pytest.raises(BadRange, match=rf"t_m {bad} is outside \[0, 3\]"):
+        tm_sweep(_config(**steps), tms=tms)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(steps))
+    tms_flag = ",".join(map(str, tms))
+    assert main(["tm-sweep", "--config", str(config), f"--tms={tms_flag}"]) == 2
+    assert f"t_m {bad} is outside" in capsys.readouterr().err
+    assert main(["tm-sweep", "--tms", ""]) == 2  # not the default list
+    assert "--tms" in capsys.readouterr().err
     assert calls == []
 
 

@@ -339,6 +339,16 @@ def test_generate_script_respects_max_attempts():
     assert err.value.transcripts[0][-1] == ChatMessage("assistant", "junk")
 
 
+def test_exhaustion_says_why_the_last_reply_was_refused():
+    backend = _script_backend(["junk", "x" * 65536])  # a reply line can be 64 KiB
+    with pytest.raises(ScriptGenerationExhausted) as err:
+        generate_script("fox documentary", backend, 2)
+    assert str(err.value).startswith("no valid script after 2 attempts; the last reply was "
+                                     "refused: MalformedScene: line 1: not a scene record: 'xxx")
+    assert len(str(err.value)) < 250
+    assert len(err.value.transcripts) == 2
+
+
 def test_generate_script_best_effort_last():
     # a reply that breaks a script rule (its prompt holds a grammar
     # delimiter) is never returned: there is no best-effort fallback

@@ -14,7 +14,7 @@ import pytest
 
 from videostudio.cli import main
 from videostudio.errors import BackendError, BadConfig, ChecksumMismatch
-from videostudio.pipeline import build_mock_llm_fixture, load_config, load_manifest
+from videostudio.pipeline import build_mock_llm_fixture, load_config, load_video
 from videostudio.ref_images import RemoteTextToImageBackend, ToyTextToImageBackend, encode_ppm
 from videostudio.script_engine import (ChatMessage, HttpChatBackend, MockChatBackend,
                                        generate_script, parse_chat_response)
@@ -77,7 +77,7 @@ def _mock_fixture(tmp_path, monkeypatch):
 
 def _manifest(tmp_path, monkeypatch):
     (tmp_path / "deep.json").rename(tmp_path / "manifest.json")
-    load_manifest(str(tmp_path))
+    load_video(str(tmp_path))
 
 
 def _vocabulary(tmp_path, monkeypatch):
