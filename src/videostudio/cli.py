@@ -14,7 +14,7 @@ import sys
 from .errors import BadConfig, StageError, VideoStudioError
 from .numeric_core import derive_seed, make_dir, save_tensor, write_bytes, write_json
 from .pipeline import (_SWEEP_CAMERA, _SWEEP_TMS, _build_references, _oracle_denoiser,
-                       _remove_run_records, _sample_clip, _scene_canvas_latent,
+                       _remove_run_records, _sample_clip, _scene_canvas_latent, _sweep_plan,
                        _write_references, _write_script, compute_metrics, export_failure,
                        export_video, load_config, load_video, resolve_backends,
                        run_gradient_suite, run_pipeline, tm_sweep)
@@ -63,10 +63,9 @@ def _camera(args, default):
 # --- subcommands -------------------------------------------------------------
 
 def cmd_script(args):
-    config = _load(args)
+    backends = resolve_backends(_load(args), args.mock_llm)
     if args.out_dir:
         make_dir(args.out_dir)
-    backends = resolve_backends(config, args.mock_llm)
     script = generate_script(args.prompt, backends.chat)
     print(serialize_script(script))
     if args.out_dir:
@@ -76,9 +75,9 @@ def cmd_script(args):
 
 def cmd_refs(args):
     config = _load(args)
+    backends = resolve_backends(config, args.mock_llm)
     if args.out_dir:
         make_dir(args.out_dir)
-    backends = resolve_backends(config, args.mock_llm)
     script = generate_script(args.prompt, backends.chat)
     references, descriptions = _build_references(config, script, args.prompt, backends)
     if args.out_dir:
@@ -138,6 +137,7 @@ def cmd_tm_sweep(args):
         tms = _SWEEP_TMS if args.tms is None else tuple(int(x) for x in args.tms.split(","))
     except ValueError:
         raise BadConfig(f"--tms wants comma-separated integers, got {args.tms!r}") from None
+    _sweep_plan(config, camera, tms)  # refuse a bad depth, a zoom or no probe frame first
     if args.out_dir:
         make_dir(args.out_dir)
     rows = tm_sweep(config, camera, tms)

@@ -23,14 +23,6 @@ class MalformedScene(ValidationError):
     pass
 
 
-class EmptyScript(ValidationError):
-    pass
-
-
-class NonContiguousIndices(ValidationError):
-    pass
-
-
 class UnknownCameraToken(ValidationError):
     pass
 
@@ -78,9 +70,7 @@ class BackendError(VideoStudioError):
 
 
 class ScriptGenerationExhausted(BackendError):
-    def __init__(self, message, transcripts=None):
-        super().__init__(message)
-        self.transcripts = transcripts or []
+    pass
 
 
 class BadTensorFile(VideoStudioError):

@@ -770,8 +770,9 @@ def load_video(out_dir, verify=True):
     The tree's file list derives from script.txt; no path is taken from the
     manifest.  With ``verify``, script.txt must match its checksum before it
     is parsed, the checksum keys must be exactly that list, and every file's
-    bytes must match their checksum before they are decoded.  A bad manifest,
-    a checksum failure or a file that cannot be read is ChecksumMismatch.
+    bytes must match their checksum before they are decoded.  A bad manifest
+    (one that lists scenes of fewer than two frames included), a checksum
+    failure or a file that cannot be read is ChecksumMismatch.
     """
     manifest = read_json(os.path.join(out_dir, "manifest.json"), ChecksumMismatch)
     if not isinstance(manifest, dict) or manifest.get("version") != _MANIFEST_VERSION:
@@ -783,6 +784,8 @@ def load_video(out_dir, verify=True):
     checksums, frames = manifest["checksums"], manifest["frames_per_scene"]
     if not 0 <= frames <= len(checksums):  # a frame has a checksum entry
         raise ChecksumMismatch(f"manifest frames_per_scene {frames} exceeds its checksums")
+    if manifest["scenes"] and frames < 2:  # a run exports model.frames >= 2 per scene
+        raise ChecksumMismatch(f"manifest frames_per_scene {frames} is under 2 for its scenes")
 
     def read_file(rel):
         raw = read_bytes(os.path.join(out_dir, rel), ChecksumMismatch)
@@ -882,6 +885,21 @@ _SWEEP_TMS = (1, 5, 20)
 _SWEEP_MAX_PROBE = 6
 
 
+def _sweep_plan(config, camera, tms):
+    """Each depth's sampler config and the probed (frame, expected shift) pairs;
+    every refusal of ``tm_sweep``, raised before anything is sampled."""
+    samplers = [config.video_sampler_config(derive_seed(config.seed, "tm-sweep"), tm)
+                for tm in tms]
+    probes = [(f, expected_translation(*camera, f))
+              for f in range(1, min(_SWEEP_MAX_PROBE, config.frames - 1) + 1)]
+    probes = [(f, exp) for f, exp in probes
+              if all(float(v).is_integer() and abs(v) <= _MAX_SHIFT for v in exp)]
+    if not probes:
+        raise TooFewFrames(f"no frame of a {config.frames}-frame {' '.join(camera)} pan "
+                           f"moves a whole pixel")
+    return samplers, probes
+
+
 def tm_sweep(config, camera=_SWEEP_CAMERA, tms=_SWEEP_TMS):
     """Displacement error and anchor fit across intervention depths.
 
@@ -902,26 +920,14 @@ def tm_sweep(config, camera=_SWEEP_CAMERA, tms=_SWEEP_TMS):
     well under 1e-5 at the default prior variance) at every depth -- the
     quality bound the sweep checks.
     """
-    steps = config.doc["video_sampler"]["steps"]
-    for tm in tms:
-        if not 0 <= tm < steps:
-            raise BadRange(f"t_m {tm} is outside [0, {steps - 1}] for {steps} video "
-                           "sampler steps")
-    probes = [(f, expected_translation(*camera, f))
-              for f in range(1, min(_SWEEP_MAX_PROBE, config.frames - 1) + 1)]
-    probes = [(f, exp) for f, exp in probes
-              if all(float(v).is_integer() and abs(v) <= _MAX_SHIFT for v in exp)]
-    if not probes:
-        raise TooFewFrames(f"no frame of a {config.frames}-frame {' '.join(camera)} pan "
-                           f"moves a whole pixel")
-    seed = derive_seed(config.seed, "tm-sweep")
-    scene_latent = _scene_canvas_latent(config, _SWEEP_PROMPT, seed)
+    samplers, probes = _sweep_plan(config, camera, tms)
+    scene_latent = _scene_canvas_latent(config, _SWEEP_PROMPT,
+                                        derive_seed(config.seed, "tm-sweep"))
     anchor = _camera_anchor(scene_latent, camera, config.frames)
     denoiser = _oracle_denoiser(config, anchor)
     rows = []
-    for tm in tms:
-        clip = sample_video(denoiser, (), camera, config.noise_schedule(),
-                            config.video_sampler_config(seed, tm))
+    for tm, sampler in zip(tms, samplers):
+        clip = sample_video(denoiser, (), camera, config.noise_schedule(), sampler)
         base = decode_latent(clip[:, 0])
         errs = []
         for f, exp in probes:

@@ -86,8 +86,8 @@ class SamplerConfig:
             raise BadRange("need at least one sampling step")
         if not 0.0 <= eta <= 1.0:
             raise BadRange(f"eta {eta} outside [0, 1]")
-        if t_m < 0:
-            raise BadRange("t_m must be >= 0")
+        if not 0 <= t_m < steps:
+            raise BadRange(f"t_m {t_m} is outside [0, {steps - 1}] for {steps} sampler steps")
         self.steps = int(steps)
         self.eta = float(eta)
         self.guidance_scale = float(guidance_scale)
@@ -251,8 +251,6 @@ def sample_video(denoiser, cond, camera, schedule, config):
     shape = tuple(denoiser.latent_shape)
     if len(shape) != 4:
         raise ShapeMismatch(f"video latent must be [C,F,H,W], got {shape}")
-    if config.t_m >= config.steps:
-        raise BadRange(f"t_m {config.t_m} must be < inference steps {config.steps}")
     field = synthesize_flow(*camera, *shape[1:])  # direction, speed, F, H, W
     return _sample(denoiser, shape, cond, schedule, config,
                    intervene_after=config.t_m, field=field)

@@ -26,8 +26,7 @@ from importlib import resources
 from typing import NamedTuple
 
 from .camera_motion import DIRECTIONS, SPEEDS
-from .errors import (BackendError, EmptyPrompt, EmptyScript, MalformedScene,
-                     NonContiguousIndices, ScriptGenerationExhausted,
+from .errors import (BackendError, EmptyPrompt, MalformedScene, ScriptGenerationExhausted,
                      UnknownCameraToken)
 from .numeric_core import hash64, read_json
 
@@ -76,12 +75,6 @@ class EntityRecord:
     @property
     def common(self):
         return len(self.occurrences) >= 2
-
-
-@dataclass
-class ChatMessage:
-    role: str
-    content: str
 
 
 def normalize_entity_name(name):
@@ -134,7 +127,7 @@ def _parse_foregrounds(text, line_number):
 def parse_script(text):
     """Parse grammar text into a VideoScript; the one place script rules live."""
     if text is None or not text.strip():
-        raise EmptyScript("script text is empty")
+        raise MalformedScene("script text is empty")
     scenes = []
     kinds = {}  # entity name -> "foreground" | "background"
     for line_number, raw in enumerate(text.splitlines(), start=1):
@@ -166,11 +159,11 @@ def parse_script(text):
         camera = parse_camera(m.group(5), f"line {line_number}")
         scenes.append(SceneSpec(index, prompt, foreground, background, camera))
     if not scenes:
-        raise EmptyScript("no scene records found")
+        raise MalformedScene("no scene records found")
     scenes.sort(key=lambda s: s.index)
     indices = [s.index for s in scenes]
     if indices != list(range(1, len(scenes) + 1)):
-        raise NonContiguousIndices(f"scene indices {indices} are not 1..{len(scenes)}")
+        raise MalformedScene(f"scene indices {indices} are not 1..{len(scenes)}")
     return VideoScript(source_prompt="", scenes=scenes)
 
 
@@ -201,8 +194,8 @@ def find_common_entities(script):
 
 
 def build_chat_request(messages, model=CHAT_MODEL):
-    return {"model": model,
-            "messages": [{"role": m.role, "content": m.content} for m in messages]}
+    """``messages`` is a list of ``{"role": ..., "content": ...}`` dicts, sent as is."""
+    return {"model": model, "messages": messages}
 
 
 def parse_chat_response(payload):
@@ -301,35 +294,35 @@ class MockChatBackend:
 def default_script_examples():
     """The shipped transcript: system instruction plus 5 example pairs."""
     data = resources.files("videostudio").joinpath("assets/script_examples.json")
-    rows = json.loads(data.read_text(encoding="utf-8"))
-    return [ChatMessage(r["role"], r["content"]) for r in rows]
+    return json.loads(data.read_text(encoding="utf-8"))
 
 
 def build_script_query(prompt):
     """System instruction + five example exchanges + the user's theme."""
     if not prompt or not prompt.strip():
         raise EmptyPrompt("script prompt is empty")
-    return default_script_examples() + [ChatMessage("user", f"Video theme: {prompt.strip()}")]
+    return default_script_examples() + [{"role": "user",
+                                         "content": f"Video theme: {prompt.strip()}"}]
 
 
 def build_aspect_query(entity):
     role = "subject" if entity.kind == "foreground" else "setting"
     return [
-        ChatMessage("system",
-                    "You help an illustrator plan reference art. Answer concisely."),
-        ChatMessage("user",
-                    f"List the visual aspects worth pinning down before drawing the "
-                    f"{role} '{entity.name}' so that it looks the same in every scene."),
+        {"role": "system",
+         "content": "You help an illustrator plan reference art. Answer concisely."},
+        {"role": "user",
+         "content": f"List the visual aspects worth pinning down before drawing the "
+                    f"{role} '{entity.name}' so that it looks the same in every scene."},
     ]
 
 
 def build_description_query(entity, aspects_answer, source_prompt):
     return build_aspect_query(entity) + [
-        ChatMessage("assistant", aspects_answer),
-        ChatMessage("user",
-                    f"Using those aspects, write one detailed visual description of "
+        {"role": "assistant", "content": aspects_answer},
+        {"role": "user",
+         "content": f"Using those aspects, write one detailed visual description of "
                     f"'{entity.name}'. Keep it consistent with this video theme: "
-                    f"{source_prompt}. Mention concrete attributes like colors and shapes."),
+                    f"{source_prompt}. Mention concrete attributes like colors and shapes."},
     ]
 
 
@@ -347,18 +340,14 @@ def generate_script(prompt, backend, max_attempts=MAX_ATTEMPTS):
     times; then raise ScriptGenerationExhausted, which says why the last
     reply was refused."""
     messages = build_script_query(prompt)
-    transcripts, refusal = [], ""
+    refusal = ""
     for _attempt in range(max_attempts):
-        reply = backend.complete(messages)
-        transcripts.append(messages + [ChatMessage("assistant", reply)])
         try:
-            script = parse_script(reply)
-        except (MalformedScene, EmptyScript, NonContiguousIndices,
-                UnknownCameraToken) as exc:
+            script = parse_script(backend.complete(messages))
+        except (MalformedScene, UnknownCameraToken) as exc:
             refusal = f"; the last reply was refused: {type(exc).__name__}: {exc}"
             continue
         script.source_prompt = prompt
         return script
     raise ScriptGenerationExhausted(
-        f"no valid script after {max_attempts} attempts{refusal[:_REFUSAL_CHARS]}",
-        transcripts)
+        f"no valid script after {max_attempts} attempts{refusal[:_REFUSAL_CHARS]}")

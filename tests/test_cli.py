@@ -249,6 +249,44 @@ def test_out_dir_is_made_before_any_stage(fixture_path, tmp_path, capsys, monkey
     assert taken.read_text() == ""
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["tm-sweep", "--config", "{steps4}", "--tms", "1,9"], 2),
+    (["tm-sweep", "--camera", "forward,slow"], 2),  # a zoom has no single translation
+    (["tm-sweep", "--config", "{frames2}", "--camera", "left,slow"], 2),  # no probe frame
+    (["script", "--prompt", PROMPT], 2),  # no chat locator
+    (["refs", "--prompt", PROMPT], 2),
+    (["script", "--prompt", PROMPT, "--mock-llm", "{missing}"], 3),
+], ids=["tm-past-steps", "tm-zoom", "tm-no-probe", "script-no-chat", "refs-no-chat",
+        "script-no-fixture"])
+def test_a_refused_argument_leaves_no_out_dir(tmp_path, capsys, argv, code):
+    configs = {"steps4": {"video_sampler": {"steps": 4, "t_m": 1}},
+               "frames2": {"model": {"frames": 2}}}
+    values = {"missing": str(tmp_path / "missing.json")}
+    for name, doc in configs.items():
+        values[name] = str(tmp_path / f"{name}.json")
+        pathlib.Path(values[name]).write_text(json.dumps(doc))
+    out = tmp_path / "new" / "out"
+    assert main([arg.format(**values) for arg in argv] + ["--out-dir", str(out)]) == code
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "new").exists()
+
+
+def test_one_check_and_one_message_for_the_intervention_step(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(pipeline, "sample_video", lambda *args: calls.append(args))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"video_sampler": {"steps": 4, "t_m": 1}}))
+    clip = tmp_path / "clip.vstn"
+    video = ["sample-video", "--prompt", PROMPT, "--config", str(config), "--out", str(clip)]
+    for argv, bad in [(video + ["--tm", "-1"], -1), (video + ["--tm", "9"], 9),
+                      (["tm-sweep", "--config", str(config), "--tms", "1,9"], 9)]:
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (f"error: t_m {bad} is outside [0, 3] "
+                                           "for 4 sampler steps\n")
+    assert calls == []
+    assert not clip.exists()
+
+
 @pytest.mark.parametrize("content", [
     "{not json",
     None,  # no file at all
@@ -417,13 +455,18 @@ def _exit_code_at_seed(cls):
 
 
 def test_every_error_class_is_raised_somewhere():
-    # an error type no code path raises is dead weight in the exit-code table
+    # an error type no code path raises is dead weight in the exit-code table; a
+    # class handed to read_bytes or read_json (or built in the callable handed
+    # there) is raised by the reader
     raised = set()
     for path in pathlib.Path(errors.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
                 func = node.exc.func
                 raised.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id in ("read_bytes", "read_json") and len(node.args) == 2):
+                raised |= {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}
     bases = {errors.VideoStudioError, errors.ValidationError}
     assert [cls.__name__ for cls in _error_classes()
             if cls not in bases and cls.__name__ not in raised] == []

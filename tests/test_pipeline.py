@@ -892,9 +892,19 @@ def _frames_past_the_checksums(manifest, tree):
     manifest["frames_per_scene"] = 10 ** 12
 
 
+def _one_frame_per_scene(manifest, tree):
+    # a run exports model.frames >= 2, and frame consistency needs two: the
+    # checksum keys match, but the tree is bad (exit 3), not the caller's input
+    manifest["frames_per_scene"] = 1
+    for rel in list(manifest["checksums"]):
+        if "/frame_" in rel and not rel.endswith("/frame_0.ppm"):
+            del manifest["checksums"][rel]
+
+
 @pytest.mark.parametrize("edit", [_drop_script, _frames_as_string, _box_of_three, _version_1,
                                   _extra_key, _missing_key, _scene_not_in_script,
-                                  _scenes_repeat, _frames_past_the_checksums])
+                                  _scenes_repeat, _frames_past_the_checksums,
+                                  _one_frame_per_scene])
 def test_malformed_manifest_is_a_checksum_mismatch(_exported, tmp_path, edit):
     tree = _tampered_tree(_exported, tmp_path, edit)
     with pytest.raises(ChecksumMismatch):

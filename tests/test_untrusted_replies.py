@@ -16,8 +16,8 @@ from videostudio.cli import main
 from videostudio.errors import BackendError, BadConfig, ChecksumMismatch
 from videostudio.pipeline import build_mock_llm_fixture, load_config, load_video
 from videostudio.ref_images import RemoteTextToImageBackend, ToyTextToImageBackend, encode_ppm
-from videostudio.script_engine import (ChatMessage, HttpChatBackend, MockChatBackend,
-                                       generate_script, parse_chat_response)
+from videostudio.script_engine import (HttpChatBackend, MockChatBackend, generate_script,
+                                       parse_chat_response)
 
 PROMPT = "a silver robot spends a day in its workshop"
 SCRIPT2 = """[Scene 1: prompt: a silver robot kneading dough in the workshop | foreground: silver robot | background: workshop | camera: right, medium]
@@ -86,7 +86,7 @@ def _vocabulary(tmp_path, monkeypatch):
 
 def _http_chat(tmp_path, monkeypatch):
     _serve(monkeypatch, (tmp_path / "deep.json").read_bytes())
-    HttpChatBackend(URL).complete([ChatMessage("user", "hi")])
+    HttpChatBackend(URL).complete([{"role": "user", "content": "hi"}])
 
 
 def _http_text_to_image(tmp_path, monkeypatch):
@@ -152,7 +152,7 @@ def test_http_transport_failure_is_a_backend_error(monkeypatch, make_error, stag
     _fail(monkeypatch, make_error, stage)
     name = type(make_error()).__name__
     with pytest.raises(BackendError, match=name):
-        HttpChatBackend(URL).complete([ChatMessage("user", "hi")])
+        HttpChatBackend(URL).complete([{"role": "user", "content": "hi"}])
     with pytest.raises(BackendError, match=name):
         RemoteTextToImageBackend(URL).generate("a red fox", 0)
 
