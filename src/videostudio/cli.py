@@ -11,13 +11,14 @@ import json
 import os
 import sys
 
+from .cond_blocks import run_gradient_suite
 from .errors import BadConfig, StageError, VideoStudioError
 from .numeric_core import derive_seed, make_dir, save_tensor, write_bytes, write_json
 from .pipeline import (_SWEEP_CAMERA, _SWEEP_TMS, _build_references, _oracle_denoiser,
                        _remove_run_records, _sample_clip, _scene_canvas_latent, _sweep_plan,
                        _write_references, _write_script, compute_metrics, export_failure,
                        export_video, load_config, load_video, resolve_backends,
-                       run_gradient_suite, run_pipeline, tm_sweep)
+                       run_pipeline, tm_sweep)
 from .sampler import sample_image
 from .script_engine import generate_script, parse_camera, serialize_script
 

@@ -1,4 +1,5 @@
-"""Conditioning blocks, toy denoisers, training step, and oracles.
+"""Conditioning blocks, toy denoisers, training step, oracles, and the
+finite-difference audit of every block's handwritten backward pass.
 
 Two block families carry all the conditioning:
 
@@ -25,9 +26,9 @@ import numpy as np
 from .action_condition import ActionEmbedding, embed_indicator
 from .errors import BadRange, BadTensorFile, ShapeMismatch
 from .numeric_core import (AttentionParams, Module, Parameter, Rng, Tensor,
-                           cross_attention, hash64, layer_norm, load_tensor,
-                           matmul, read_bytes, read_json, save_tensor, temporal_conv1d,
-                           write_json)
+                           cross_attention, derive_seed, finite_diff_check, hash64,
+                           layer_norm, load_tensor, matmul, read_bytes, read_json,
+                           save_tensor, temporal_conv1d, write_json)
 
 DEFAULT_CONTEXT_CHANNELS = 32
 TEXT_LEN = 77
@@ -502,3 +503,91 @@ def load_weights(denoiser, dirpath):
     for entry, (_, p), values in zip(entries, params, np.split(loaded, np.cumsum(sizes)[:-1])):
         p.data = values.reshape(p.data.shape).astype(np.float64)
         p.trainable = entry["trainable"]
+
+
+# --- gradient audit ---------------------------------------------------------------
+
+_GRADCHECK_TRIALS = 4
+
+
+def _gradcheck_cases(rng):
+    """``_GRADCHECK_TRIALS`` randomized shape draws each for cross-attention,
+    the tri-context block, the spatio-temporal block, the temporal convolution
+    and the action embedding, plus two layer norms, as (label, r, parameters,
+    forward).  A case draws its shapes and inputs from its own generator ``r``,
+    and ``forward()`` rebuilds its output from the parameters' current values."""
+    for i in range(_GRADCHECK_TRIALS):
+        r = rng.child("xattn", i)
+        heads = 1 + i % 2
+        cq = heads * (2 + int(r.integers(0, 2)))
+        cc, inner = 2 + int(r.integers(0, 3)), heads * (2 + int(r.integers(0, 2)))
+        n, m = 2 + int(r.integers(0, 2)), 1 + int(r.integers(0, 3))
+        p = AttentionParams.init(r.child("p"), cq, cc, inner, heads)
+        x, ctx = Tensor(r.normal((n, cq))), Tensor(r.normal((m, cc)))
+        yield (f"cross-attention[{i}]", r, [q for _, q in p.parameters()],
+               lambda: cross_attention(x, ctx, p))
+
+    for i in range(_GRADCHECK_TRIALS):
+        r = rng.child("tri", i)
+        heads = 1 + i % 2
+        ch = heads * (2 + int(r.integers(0, 2)))
+        block = TriContextBlock(r.child("b"), ch, heads)
+        n = 2 + int(r.integers(0, 2))
+        x = Tensor(r.normal((n, ch)))
+        bundle = ContextBundle(r.normal((3, ch)), r.normal((2, ch)), r.normal((2, ch)))
+        yield (f"tri-context[{i}]", r, [q for _, q in block.parameters()],
+               lambda: tri_context_forward(x, bundle, block))
+
+    for i in range(_GRADCHECK_TRIALS):
+        r = rng.child("st", i)
+        heads = 1 + i % 2
+        ch = heads * (2 + int(r.integers(0, 2)))
+        vocab = 2 + int(r.integers(0, 3))
+        block = SpatioTemporalBlock(r.child("b"), ch, vocab, heads)
+        f, sites = 2 + int(r.integers(0, 2)), 4
+        tokens = Tensor(r.normal((f, sites, ch)))
+        ctx = VidContext(r.normal((2, ch)), r.uniform(vocab))
+        yield (f"spatio-temporal[{i}]", r, [q for _, q in block.parameters()],
+               lambda: block.forward_tokens(tokens, ctx))
+
+    for i in range(_GRADCHECK_TRIALS):
+        r = rng.child("tconv", i)
+        cin, cout = 1 + int(r.integers(0, 3)), 1 + int(r.integers(0, 3))
+        f = 2 + int(r.integers(0, 3))
+        kernel = Parameter(r.normal((cout, cin, 3)) / 2.0, name="k")
+        bias = Parameter(r.normal(cout), name="b")
+        x = Tensor(r.normal((cin, f, 2, 2)))
+        yield f"temporal-conv[{i}]", r, [kernel, bias], lambda: temporal_conv1d(x, kernel, bias)
+
+    for i in range(_GRADCHECK_TRIALS):
+        r = rng.child("act", i)
+        vocab, ch = 2 + int(r.integers(0, 4)), 2 + int(r.integers(0, 4))
+        f = ActionEmbedding.init(r.child("f"), vocab, ch)
+        y_a = r.uniform(vocab)
+        yield (f"action-embedding[{i}]", r, [q for _, q in f.parameters()],
+               lambda: embed_indicator(y_a, f))
+
+    for i in range(2):
+        r = rng.child("ln", i)
+        n, ch = 2 + i, 3 + i
+        gain = Parameter(1.0 + 0.1 * r.normal(ch), name="g")
+        bias = Parameter(0.1 * r.normal(ch), name="b")
+        x = Tensor(r.normal((n, ch)))
+        yield f"layer-norm[{i}]", r, [gain, bias], lambda: layer_norm(x, gain, bias)
+
+
+def run_gradient_suite(seed=0):
+    """Finite-difference audit of every differentiable block family, in double
+    precision.  Each case is checked on ``(forward() * w).sum()``, with the
+    weight ``w`` drawn last from the case's generator in the output's shape.
+    Returns the worst relative error, the per-case table and the 1e-4
+    verdict the CLI and the acceptance suite read.
+    """
+    cases = []
+    for label, r, params, forward in _gradcheck_cases(Rng(derive_seed(seed, "gradcheck"))):
+        w = Tensor(r.normal(forward().data.shape))
+        err = finite_diff_check(lambda: (forward() * w).sum(), params)
+        cases.append({"case": label, "rel_err": err})
+    worst = max(case["rel_err"] for case in cases)
+    return {"max_rel_err": worst, "threshold": 1e-4,
+            "passed": worst < 1e-4, "cases": cases}

@@ -28,22 +28,16 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .action_condition import (ActionEmbedding, VocabularyEmbedder,
-                               build_indicator, default_vocabulary,
-                               embed_indicator, extract_action_phrases,
-                               load_vocabulary)
+from .action_condition import (VocabularyEmbedder, build_indicator, default_vocabulary,
+                               extract_action_phrases, load_vocabulary)
 from .camera_motion import synthesize_flow, warp_clip
 from .cond_blocks import (AnalyticGaussianDenoiser, ContextBundle, GaussianPrior,
-                          ImgDenoiser, SpatioTemporalBlock, TriContextBlock,
-                          VidContext, VidDenoiser, ToyFeatureExtractor,
-                          _resize_nearest, tri_context_forward)
+                          ImgDenoiser, VidContext, VidDenoiser, ToyFeatureExtractor,
+                          _resize_nearest)
 from .errors import (BadConfig, BadRange, ChecksumMismatch, ShapeMismatch, StageError,
                      TooFewFrames, UnwritablePath, ValidationError)
-from .numeric_core import (AttentionParams, Parameter, Rng, Tensor,
-                           cross_attention, derive_seed,
-                           finite_diff_check, hash64, layer_norm, load_tensor,
-                           read_bytes, read_json, save_tensor,
-                           temporal_conv1d, write_bytes, write_json)
+from .numeric_core import (Rng, derive_seed, hash64, load_tensor, read_bytes, read_json,
+                           save_tensor, write_bytes, write_json)
 from .ref_images import (MIN_SIDE, EntityReference, RgbImage, RemoteTextToImageBackend,
                          ToyTextToImageBackend, build_entity_references, decode_pgm,
                          decode_ppm, encode_pgm, encode_ppm)
@@ -61,7 +55,7 @@ __all__ = [
     "run_pipeline", "frame_consistency", "scene_consistency", "fg_bg_similarity",
     "compute_metrics", "export_video", "export_failure", "load_video",
     "estimate_translation", "expected_translation", "tm_sweep",
-    "run_gradient_suite", "build_mock_llm_fixture",
+    "build_mock_llm_fixture",
 ]
 
 
@@ -939,106 +933,6 @@ def tm_sweep(config, camera=_SWEEP_CAMERA, tms=_SWEEP_TMS):
             "anchor_mse": float(np.mean((clip - anchor) ** 2)),
         })
     return rows
-
-
-# --- gradient audit ---------------------------------------------------------------
-
-_GRADCHECK_TRIALS = 4
-
-
-def run_gradient_suite(seed=0):
-    """Finite-difference audit of every differentiable block family.
-
-    ``_GRADCHECK_TRIALS`` randomized shape draws each for cross-attention,
-    the tri-context block, the spatio-temporal block, the temporal
-    convolution and the action embedding (plus layer norm), all in double
-    precision.
-    Returns the worst relative error, the per-case table and the 1e-4
-    verdict the CLI and the acceptance suite read.
-    """
-    rng = Rng(derive_seed(seed, "gradcheck"))
-    cases = []
-
-    def audit(label, params, fn):
-        err = finite_diff_check(fn, params)
-        cases.append({"case": label, "rel_err": err})
-
-    for i in range(_GRADCHECK_TRIALS):
-        r = rng.child("xattn", i)
-        heads = 1 + i % 2
-        cq = heads * (2 + int(r.integers(0, 2)))
-        cc = 2 + int(r.integers(0, 3))
-        inner = heads * (2 + int(r.integers(0, 2)))
-        n, m = 2 + int(r.integers(0, 2)), 1 + int(r.integers(0, 3))
-        p = AttentionParams.init(r.child("p"), cq, cc, inner, heads)
-        x = Tensor(r.normal((n, cq)))
-        ctx = Tensor(r.normal((m, cc)))
-        w = Tensor(r.normal((n, cq)))
-        audit(f"cross-attention[{i}]", [q for _, q in p.parameters()],
-              lambda x=x, ctx=ctx, p=p, w=w: (cross_attention(x, ctx, p) * w).sum())
-
-    for i in range(_GRADCHECK_TRIALS):
-        r = rng.child("tri", i)
-        heads = 1 + i % 2
-        ch = heads * (2 + int(r.integers(0, 2)))
-        block = TriContextBlock(r.child("b"), ch, heads)
-        n = 2 + int(r.integers(0, 2))
-        x = Tensor(r.normal((n, ch)))
-        bundle = ContextBundle(r.normal((3, ch)), r.normal((2, ch)), r.normal((2, ch)))
-        w = Tensor(r.normal((n, ch)))
-        audit(f"tri-context[{i}]", [q for _, q in block.parameters()],
-              lambda x=x, bundle=bundle, block=block, w=w:
-              (tri_context_forward(x, bundle, block) * w).sum())
-
-    for i in range(_GRADCHECK_TRIALS):
-        r = rng.child("st", i)
-        heads = 1 + i % 2
-        ch = heads * (2 + int(r.integers(0, 2)))
-        vocab = 2 + int(r.integers(0, 3))
-        block = SpatioTemporalBlock(r.child("b"), ch, vocab, heads)
-        f, sites = 2 + int(r.integers(0, 2)), 4
-        tokens = Tensor(r.normal((f, sites, ch)))
-        ctx = VidContext(r.normal((2, ch)), r.uniform(vocab))
-        w = Tensor(r.normal((f, sites, ch)))
-        audit(f"spatio-temporal[{i}]", [q for _, q in block.parameters()],
-              lambda tokens=tokens, ctx=ctx, block=block, w=w:
-              (block.forward_tokens(tokens, ctx) * w).sum())
-
-    for i in range(_GRADCHECK_TRIALS):
-        r = rng.child("tconv", i)
-        cin, cout = 1 + int(r.integers(0, 3)), 1 + int(r.integers(0, 3))
-        f, h, w_ = 2 + int(r.integers(0, 3)), 2, 2
-        kernel = Parameter(r.normal((cout, cin, 3)) / 2.0, name="k")
-        bias = Parameter(r.normal(cout), name="b")
-        x = Tensor(r.normal((cin, f, h, w_)))
-        w = Tensor(r.normal((cout, f, h, w_)))
-        audit(f"temporal-conv[{i}]", [kernel, bias],
-              lambda x=x, kernel=kernel, bias=bias, w=w:
-              (temporal_conv1d(x, kernel, bias) * w).sum())
-
-    for i in range(_GRADCHECK_TRIALS):
-        r = rng.child("act", i)
-        vocab, ch = 2 + int(r.integers(0, 4)), 2 + int(r.integers(0, 4))
-        f = ActionEmbedding.init(r.child("f"), vocab, ch)
-        y_a = r.uniform(vocab)
-        w = Tensor(r.normal(ch))
-        audit(f"action-embedding[{i}]", [q for _, q in f.parameters()],
-              lambda y_a=y_a, f=f, w=w: (embed_indicator(y_a, f) * w).sum())
-
-    for i in range(2):
-        r = rng.child("ln", i)
-        n, ch = 2 + i, 3 + i
-        gain = Parameter(1.0 + 0.1 * r.normal(ch), name="g")
-        bias = Parameter(0.1 * r.normal(ch), name="b")
-        x = Tensor(r.normal((n, ch)))
-        w = Tensor(r.normal((n, ch)))
-        audit(f"layer-norm[{i}]", [gain, bias],
-              lambda x=x, gain=gain, bias=bias, w=w:
-              (layer_norm(x, gain, bias) * w).sum())
-
-    worst = max(case["rel_err"] for case in cases)
-    return {"max_rel_err": worst, "threshold": 1e-4,
-            "passed": worst < 1e-4, "cases": cases}
 
 
 # --- mock fixtures -----------------------------------------------------------------

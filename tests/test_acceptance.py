@@ -16,15 +16,14 @@ from videostudio.camera_motion import DIRECTIONS, SPEEDS, synthesize_flow, warp_
 from videostudio.cli import main
 from videostudio.cond_blocks import (AdamW, AnalyticGaussianDenoiser,
                                      ContextBundle, GaussianPrior,
-                                     ImgDenoiser, train_step)
+                                     ImgDenoiser, run_gradient_suite, train_step)
 from videostudio.errors import ScriptGenerationExhausted
 from videostudio.numeric_core import Rng
 from videostudio.pipeline import (_resize_nearest, build_mock_llm_fixture,
                                   decode_latent, encode_image,
                                   estimate_translation, expected_translation,
                                   fg_bg_similarity, load_config,
-                                  load_video, resolve_backends,
-                                  run_gradient_suite, run_pipeline,
+                                  load_video, resolve_backends, run_pipeline,
                                   scene_consistency, tm_sweep)
 from videostudio.ref_images import ToyTextToImageBackend
 from videostudio.sampler import (SamplerConfig, apply_camera_intervention,
