@@ -58,7 +58,7 @@ def _put_bytes(out_dir):
 
 
 def _camera(args, default):
-    return parse_camera(args.camera, "--camera") if args.camera else default
+    return default if args.camera is None else parse_camera(args.camera, "--camera")
 
 
 # --- subcommands -------------------------------------------------------------
@@ -166,9 +166,10 @@ def cmd_sample_image(args):
 def cmd_sample_video(args):
     config = _oracle_config(args)
     camera = _camera(args, ("static", "medium"))
+    # refuse a bad --tm before the scene renders
+    sampler = config.video_sampler_config(derive_seed(config.seed, "video"), args.tm)
     scene_latent = _scene_canvas_latent(config, args.prompt, config.seed)
-    clip = _sample_clip(config, scene_latent, camera, derive_seed(config.seed, "video"),
-                        args.tm)
+    clip = _sample_clip(config, scene_latent, camera, sampler)
     save_tensor(args.out, clip)
     print(f"wrote {args.out} shape {list(clip.shape)}")
     return 0

@@ -34,8 +34,8 @@ from .camera_motion import synthesize_flow, warp_clip
 from .cond_blocks import (AnalyticGaussianDenoiser, ContextBundle, GaussianPrior,
                           ImgDenoiser, VidContext, VidDenoiser, ToyFeatureExtractor,
                           _resize_nearest)
-from .errors import (BadConfig, BadRange, ChecksumMismatch, ShapeMismatch, StageError,
-                     TooFewFrames, UnwritablePath, ValidationError)
+from .errors import (BadConfig, BadRange, ChecksumMismatch, EmptyPrompt, ShapeMismatch,
+                     StageError, TooFewFrames, UnwritablePath, ValidationError)
 from .numeric_core import (Rng, derive_seed, hash64, load_tensor, read_bytes, read_json,
                            save_tensor, write_bytes, write_json)
 from .ref_images import (MIN_SIDE, EntityReference, RgbImage, RemoteTextToImageBackend,
@@ -494,7 +494,10 @@ def compute_metrics(video):
 # --- the three stages -----------------------------------------------------------
 
 def _scene_canvas_latent(config, prompt, seed):
-    """Latent of the toy text-to-image render of ``prompt`` at the latent size."""
+    """Latent of the toy text-to-image render of ``prompt`` at the latent size;
+    EmptyPrompt for a blank ``prompt``, before anything renders."""
+    if not prompt.strip():
+        raise EmptyPrompt("prompt is empty")
     c, h, w = config.latent_shape
     return encode_image(_prompt_canvas(ToyTextToImageBackend(), prompt, seed, h, w), c)
 
@@ -516,15 +519,15 @@ def _oracle_denoiser(config, target):
                                     config.noise_schedule(), target.shape)
 
 
-def _sample_clip(config, scene_latent, camera, seed, t_m=None):
-    """Oracle clip latent [C, F, H, W] for one scene latent, moved by ``camera``.
+def _sample_clip(config, scene_latent, camera, sampler):
+    """Oracle clip latent [C, F, H, W] for one scene latent, moved by ``camera``
+    and sampled under the ``sampler`` config.
 
     The clip comes from the oracle anchored on the camera-moved scene
     latent.  The oracle reads no conditioning, so none is built.
     """
     denoiser = _oracle_denoiser(config, _camera_anchor(scene_latent, camera, config.frames))
-    return sample_video(denoiser, (), camera, config.noise_schedule(),
-                        config.video_sampler_config(seed, t_m))
+    return sample_video(denoiser, (), camera, config.noise_schedule(), sampler)
 
 
 def _build_references(config, script, prompt, backends):
@@ -557,12 +560,12 @@ def _generate_scene(spec, config, references, t2i_backend, denoisers=None):
     scene_seed = derive_seed(config.seed, "scene", spec.index)
     schedule = config.noise_schedule()
     img_cfg = config.image_sampler_config(derive_seed(scene_seed, "image"))
-    video_seed = derive_seed(scene_seed, "video")
+    video_cfg = config.video_sampler_config(derive_seed(scene_seed, "video"))
     if denoisers is None:  # the oracles read no conditioning
         composite = compose_scene(spec, references, h, w, t2i_backend, scene_seed)
         oracle = _oracle_denoiser(config, encode_image(composite, c))
         scene_latent = sample_image(oracle, (), schedule, img_cfg)
-        clip_latent = _sample_clip(config, scene_latent, spec.camera, video_seed)
+        clip_latent = _sample_clip(config, scene_latent, spec.camera, video_cfg)
         scene_image = latent_to_image(scene_latent)
     else:
         image_denoiser, video_denoiser = denoisers
@@ -581,8 +584,7 @@ def _generate_scene(spec, config, references, t2i_backend, denoisers=None):
         y_a = build_indicator(extract_action_phrases(spec.prompt, vocab), vocab,
                               VocabularyEmbedder(vocab))
         clip_latent = sample_video(video_denoiser, (VidContext(y_s, y_a), scene_latent[:, None]),
-                                   spec.camera, schedule,
-                                   config.video_sampler_config(video_seed))
+                                   spec.camera, schedule, video_cfg)
     decoded = [latent_to_image(clip_latent[:, f]) for f in range(config.frames)]
     return SceneOutput(spec, scene_latent, scene_image, clip_latent, decoded)
 

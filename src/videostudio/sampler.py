@@ -96,17 +96,12 @@ class SamplerConfig:
 
 
 def respaced_timesteps(total_steps, inference_steps):
-    """Uniform respacing: tau_k = round(T * (1 - k/S)), k = 0..S."""
+    """Uniform respacing: tau_k = round(T * (1 - k/S)), k = 0..S.  For 1 <= S <= T
+    the grid runs from T to 0 and strictly decreases, its unrounded steps T/S >= 1."""
     if not 1 <= inference_steps <= total_steps:
         raise BadRange(f"inference steps {inference_steps} outside [1, {total_steps}]")
-    taus = [int(round(total_steps * (1.0 - k / inference_steps)))
+    return [int(round(total_steps * (1.0 - k / inference_steps)))
             for k in range(inference_steps + 1)]
-    if taus[0] != total_steps or taus[-1] != 0:
-        raise BadRange("respacing endpoints broke")
-    for a, b in zip(taus, taus[1:]):
-        if a <= b:
-            raise BadRange(f"respaced grid is not strictly decreasing: {a} -> {b}")
-    return taus
 
 
 def cfg_epsilon(eps_uncond, eps_cond, scale):

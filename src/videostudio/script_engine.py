@@ -158,8 +158,6 @@ def parse_script(text):
                 raise MalformedScene(f"line {line_number}: {name!r} is foreground and background")
         camera = parse_camera(m.group(5), f"line {line_number}")
         scenes.append(SceneSpec(index, prompt, foreground, background, camera))
-    if not scenes:
-        raise MalformedScene("no scene records found")
     scenes.sort(key=lambda s: s.index)
     indices = [s.index for s in scenes]
     if indices != list(range(1, len(scenes) + 1)):

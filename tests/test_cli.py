@@ -287,6 +287,49 @@ def test_one_check_and_one_message_for_the_intervention_step(tmp_path, capsys, m
     assert not clip.exists()
 
 
+def test_sample_video_refuses_a_bad_tm_before_the_scene_renders(tmp_path, capsys, monkeypatch):
+    calls = {"canvas": 0, "anchor": 0}
+
+    def counted(key, func):
+        def wrapper(*args):
+            calls[key] += 1
+            return func(*args)
+        return wrapper
+    monkeypatch.setattr(cli, "_scene_canvas_latent", counted("canvas", cli._scene_canvas_latent))
+    monkeypatch.setattr(pipeline, "_camera_anchor", counted("anchor", pipeline._camera_anchor))
+    clip = tmp_path / "clip.vstn"
+    assert main(["sample-video", "--prompt", "x", "--tm", "99", "--out", str(clip)]) == 2
+    assert capsys.readouterr().err.startswith("error: t_m 99 is outside ")
+    assert calls == {"canvas": 0, "anchor": 0}
+    assert not clip.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample-video", "--prompt", "x", "--out", "{out}"],
+    ["tm-sweep", "--tms", "1", "--out-dir", "{out}"],
+], ids=["sample-video", "tm-sweep"])
+def test_an_empty_camera_is_malformed_not_the_default(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main([arg.format(out=out) for arg in argv] + ["--camera", ""]) == 2
+    assert capsys.readouterr().err == \
+        "error: --camera: camera needs 'direction, speed', got ''\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample-image", "--prompt", ""],
+    ["sample-video", "--prompt", "  "],
+], ids=["sample-image", "sample-video"])
+def test_a_blank_prompt_exits_2_before_any_render(tmp_path, capsys, monkeypatch, argv):
+    renders = []
+    monkeypatch.setattr(pipeline, "_prompt_canvas", lambda *args: renders.append(args))
+    out = tmp_path / "out.vstn"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: prompt is empty\n"
+    assert renders == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("content", [
     "{not json",
     None,  # no file at all

@@ -212,6 +212,16 @@ def test_vid_denoiser_reference_frame_defaults_to_zeros():
         den.predict(x, 5, ctx, np.zeros((2, 2, 4, 4)))
 
 
+@pytest.mark.parametrize("shape", [(2, 2, 4, 4), (3, 3, 4, 4), (2, 3, 4, 5)],
+                         ids=["frames", "channels", "width"])
+def test_vid_denoiser_refuses_a_latent_of_the_wrong_shape(shape):
+    den = VidDenoiser(Rng(13), latent_shape=(2, 3, 4, 4), channels=8,
+                      blocks=1, heads=2, vocab_size=4, scene_channels=8)
+    ctx = VidContext(Rng(14).normal((3, 8)), np.zeros(4))
+    with pytest.raises(ShapeMismatch, match=r"^latent "):
+        den.predict(np.zeros(shape), 5, ctx, np.zeros((2, 1, 4, 4)))
+
+
 # --- the null pass ------------------------------------------------------------------------
 
 def _full_null(cond):

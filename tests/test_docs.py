@@ -6,8 +6,12 @@ import importlib
 import pathlib
 import pkgutil
 import re
+import shlex
+
+import pytest
 
 import videostudio
+from videostudio import cli
 from videostudio.pipeline import default_config
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
@@ -48,3 +52,23 @@ def test_readme_config_table_lists_every_leaf_key():
     keys = _config_table_keys()
     assert len(keys) == len(set(keys)), keys
     assert sorted(keys) == sorted(leaves(default_config()))
+
+
+def _cli_examples():
+    """Each `videostudio ...` command of README's CLI `sh` block, with its
+    backslash continuations joined."""
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = re.search(r"^```sh\n(.*?)^```", section, re.S | re.M).group(1)
+    return [line for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("videostudio ")]
+
+
+def test_readme_cli_examples_parse():
+    examples = _cli_examples()
+    assert len(examples) == 8, examples
+    parser = cli._build_parser()
+    for line in examples:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README's CLI example does not parse: {line}")

@@ -522,6 +522,29 @@ def test_conv_gradients_finite_diff():
     assert finite_diff_check(lambda: (temporal_conv1d(x, k, b) * w).sum(), [k, b]) < 1e-6
 
 
+def _attention_4_over_6():
+    # queries of 4 channels over a context of 6
+    return AttentionParams.init(Rng(12), 4, 6, 4)
+
+
+@pytest.mark.parametrize("refuse, match", [
+    (lambda: matmul(np.zeros((2, 3)), np.zeros((4, 2))), "matmul inner dims"),
+    (lambda: temporal_conv1d(np.zeros((2, 4, 3)), np.zeros((1, 2, 3)), np.zeros(1)),
+     "temporal_conv1d got"),
+    (lambda: temporal_conv1d(np.zeros((2, 4, 3, 3)), np.zeros((1, 3, 3)), np.zeros(1)),
+     "temporal_conv1d channel mismatch"),
+    (lambda: cross_attention(np.zeros((3, 5)), np.zeros((2, 6)), _attention_4_over_6()),
+     "query channels"),
+    (lambda: cross_attention(np.zeros((3, 4)), np.zeros((2, 5)), _attention_4_over_6()),
+     "context channels"),
+    (lambda: Tensor(np.zeros(3)).backward(), "needs a scalar"),
+], ids=["matmul-inner-dims", "tconv-rank", "tconv-channels", "xattn-query-channels",
+        "xattn-context-channels", "backward-non-scalar"])
+def test_ops_refuse_mismatched_shapes_with_shape_mismatch(refuse, match):
+    with pytest.raises(ShapeMismatch, match=match):
+        refuse()
+
+
 # --- optimizer ----------------------------------------------------------------
 
 def _adamw_scalar_reference(grads, lr, beta1, beta2, eps, wd, x0):

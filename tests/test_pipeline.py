@@ -14,7 +14,7 @@ from videostudio import numeric_core, pipeline
 from videostudio.cli import main
 from videostudio.cond_blocks import ToyFeatureExtractor
 from videostudio.errors import (BackendError, BadConfig, BadRange, ChecksumMismatch,
-                                MalformedScene, StageError, TooFewFrames)
+                                MalformedScene, ShapeMismatch, StageError, TooFewFrames)
 from videostudio.action_condition import default_vocabulary
 from videostudio.numeric_core import Rng
 from videostudio.pipeline import (MetricsReport, MultiSceneVideo,
@@ -288,6 +288,24 @@ def test_latent_too_small_to_decode_fails_at_load(latent, dotted):
     # RGB decodes from 3 channels and a reference tile needs MIN_SIDE pixels a side
     with pytest.raises(BadConfig, match=dotted):
         load_config(overrides={"model": {"latent": latent}})
+
+
+@pytest.mark.parametrize("refuse, cls, match", [
+    (lambda tmp: load_config(overrides={"model": {"latent": [4, 16]}}), BadConfig,
+     "model.latent must list three integers"),
+    (lambda tmp: load_config(overrides={"model": {"latent": 16}}), BadConfig,
+     "model.latent must list three integers"),
+    (lambda tmp: load_config(overrides=_nested("chat.path", str(tmp / "gone.json"))),
+     BadConfig, "chat.path points at a missing file"),
+    (lambda tmp: load_config(overrides={"vocabulary_path": str(tmp / "gone.json")}),
+     BadConfig, "vocabulary_path points at a missing file"),
+    (lambda tmp: estimate_translation(np.zeros((8, 8)), np.zeros((8, 9))), ShapeMismatch,
+     r"frames \(8, 8\) vs \(8, 9\)"),
+], ids=["latent-two-sides", "latent-not-a-list", "chat.path-missing",
+        "vocabulary_path-missing", "translation-frame-shapes"])
+def test_typed_refusals(tmp_path, refuse, cls, match):
+    with pytest.raises(cls, match=match):
+        refuse(tmp_path)
 
 
 def test_default_config_returns_fresh_copies():
