@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import EmptyPrompt, EmptyVocabulary, ShapeMismatch
-from .numeric_core import Module, Parameter, Rng, Tensor, hash64, matmul, read_json
+from .numeric_core import Rng, Tensor, hash64, read_json
 
 DROP_THRESHOLD = 0.2
 
@@ -141,22 +141,10 @@ def build_indicator(phrases, vocab, embedder):
     return values
 
 
-class ActionEmbedding(Module):
-    """The linear map f: y_a -> feature space, one per attention block."""
-
-    def __init__(self, w, b):
-        self.w, self.b = w, b
-
-    @classmethod
-    def init(cls, rng, vocab_size, channels, name="f"):
-        w = Parameter(rng.normal((vocab_size, channels)) / np.sqrt(vocab_size), name=f"{name}.w")
-        b = Parameter(np.zeros(channels), name=f"{name}.b")
-        return cls(w, b)
-
-
-def embed_indicator(y_a, f_params):
-    """Affine embedding W^T y_a + b of an indicator vector."""
+def embed_indicator(y_a, f):
+    """Affine embedding W^T y_a + b of an indicator vector, where ``f`` is the
+    ``numeric_core.Affine`` from the V categories to the feature channels."""
     y = y_a if isinstance(y_a, Tensor) else Tensor(np.asarray(y_a, dtype=np.float64))
-    if y.data.ndim != 1 or y.data.shape[0] != f_params.w.data.shape[0]:
-        raise ShapeMismatch(f"indicator {y.data.shape} vs W {f_params.w.data.shape}")
-    return matmul(y.reshape(1, -1), f_params.w).reshape(-1) + f_params.b
+    if y.data.ndim != 1 or y.data.shape[0] != f.w.data.shape[0]:
+        raise ShapeMismatch(f"indicator {y.data.shape} vs W {f.w.data.shape}")
+    return f(y.reshape(1, -1)).reshape(-1)

@@ -23,11 +23,11 @@ import os
 
 import numpy as np
 
-from .action_condition import ActionEmbedding, embed_indicator
+from .action_condition import embed_indicator
 from .errors import BadRange, BadTensorFile, ShapeMismatch
-from .numeric_core import (AttentionParams, Module, Parameter, Rng, Tensor,
+from .numeric_core import (Affine, AttentionParams, Module, Parameter, Rng, Tensor,
                            cross_attention, derive_seed, finite_diff_check, hash64,
-                           layer_norm, load_tensor, matmul, read_bytes, read_json,
+                           layer_norm, load_tensor, read_bytes, read_json,
                            save_tensor, temporal_conv1d, write_json)
 
 DEFAULT_CONTEXT_CHANNELS = 32
@@ -83,17 +83,14 @@ class TriContextBlock(Module):
     def __init__(self, rng, channels, heads=4, text_channels=None,
                  fg_channels=None, bg_channels=None, name="tri"):
         self.channels = channels
-        self.ca1 = AttentionParams.init(rng.child("ca1"), channels,
-                                        text_channels or channels, channels, heads,
-                                        trainable=False, name=f"{name}.ca1")
-        self.ca2 = AttentionParams.init(rng.child("ca2"), channels,
-                                        fg_channels or channels, channels, heads,
-                                        trainable=True, name=f"{name}.ca2")
-        self.ca3 = AttentionParams.init(rng.child("ca3"), channels,
-                                        bg_channels or channels, channels, heads,
-                                        trainable=True, name=f"{name}.ca3")
-        self.sa = AttentionParams.init(rng.child("sa"), channels, channels, channels,
-                                       heads, trainable=False, name=f"{name}.sa")
+        self.ca1 = AttentionParams(rng.child("ca1"), channels, text_channels or channels,
+                                   channels, heads, trainable=False, name=f"{name}.ca1")
+        self.ca2 = AttentionParams(rng.child("ca2"), channels, fg_channels or channels,
+                                   channels, heads, trainable=True, name=f"{name}.ca2")
+        self.ca3 = AttentionParams(rng.child("ca3"), channels, bg_channels or channels,
+                                   channels, heads, trainable=True, name=f"{name}.ca3")
+        self.sa = AttentionParams(rng.child("sa"), channels, channels, channels, heads,
+                                  trainable=False, name=f"{name}.sa")
 
 
 def tri_context_forward(x, bundle, block):
@@ -112,14 +109,13 @@ class SpatioTemporalBlock(Module):
 
     def __init__(self, rng, channels, vocab_size, heads=4, scene_channels=None,
                  name="st"):
-        self.ca = AttentionParams.init(rng.child("ca"), channels,
-                                       scene_channels or channels, channels, heads,
-                                       name=f"{name}.ca")
-        self.sa_spatial = AttentionParams.init(rng.child("sas"), channels, channels,
-                                               channels, heads, name=f"{name}.sa_spatial")
-        self.sa_temporal = AttentionParams.init(rng.child("sat"), channels, channels,
-                                                channels, heads, name=f"{name}.sa_temporal")
-        self.f = ActionEmbedding.init(rng.child("f"), vocab_size, channels, name=f"{name}.f")
+        self.ca = AttentionParams(rng.child("ca"), channels, scene_channels or channels,
+                                  channels, heads, name=f"{name}.ca")
+        self.sa_spatial = AttentionParams(rng.child("sas"), channels, channels, channels,
+                                          heads, name=f"{name}.sa_spatial")
+        self.sa_temporal = AttentionParams(rng.child("sat"), channels, channels, channels,
+                                           heads, name=f"{name}.sa_temporal")
+        self.f = Affine(rng.child("f"), vocab_size, channels, True, f"{name}.f")
 
     def residual(self, tokens, ctx):
         """What the block adds to tokens [F, HW, C]: spatial attention batches
@@ -149,13 +145,6 @@ def timestep_embedding(t, channels):
     return emb
 
 
-def _affine_params(rng, c_in, c_out, trainable, name):
-    w = Parameter(rng.normal((c_in, c_out)) / np.sqrt(c_in), trainable=trainable,
-                  name=f"{name}.w")
-    b = Parameter(np.zeros(c_out), trainable=trainable, name=f"{name}.b")
-    return w, b
-
-
 class ImgDenoiser(Module):
     """Tri-context image denoiser: embed -> K tri-context blocks -> un-embed.
 
@@ -172,9 +161,8 @@ class ImgDenoiser(Module):
         base_trainable = trainable == "all"
         self.latent_shape = tuple(latent_shape)
         self.channels = channels
-        self.w_embed, self.b_embed = _affine_params(rng.child("embed"),
-                                                    latent_shape[0], channels,
-                                                    base_trainable, "embed")
+        self.embed = Affine(rng.child("embed"), latent_shape[0], channels, base_trainable,
+                            "embed")
         self.ln_gain = Parameter(np.ones(channels), trainable=base_trainable, name="ln.gain")
         self.ln_bias = Parameter(np.zeros(channels), trainable=base_trainable, name="ln.bias")
         self.blocks = [TriContextBlock(rng.child("block", i), channels, heads,
@@ -186,8 +174,7 @@ class ImgDenoiser(Module):
             for blk in self.blocks:
                 for _, p in blk.parameters():
                     p.trainable = True
-        self.w_out, self.b_out = _affine_params(rng.child("out"), channels,
-                                                latent_shape[0], base_trainable, "out")
+        self.out = Affine(rng.child("out"), channels, latent_shape[0], base_trainable, "out")
 
     def null_cond(self, cond):
         (bundle,) = cond
@@ -199,13 +186,12 @@ class ImgDenoiser(Module):
             raise ShapeMismatch(f"latent {latent.shape} vs {self.latent_shape}")
         c_lat, h, w = latent.shape
         tokens = Tensor(latent).transpose((1, 2, 0)).reshape(h * w, c_lat)
-        tokens = matmul(tokens, self.w_embed) + self.b_embed
+        tokens = self.embed(tokens)
         tokens = tokens + Tensor(timestep_embedding(t, self.channels))
         tokens = layer_norm(tokens, self.ln_gain, self.ln_bias)
         for blk in self.blocks:
             tokens = tri_context_forward(tokens, bundle, blk)
-        out = matmul(tokens, self.w_out) + self.b_out
-        return out.reshape(h, w, c_lat).transpose((2, 0, 1))
+        return self.out(tokens).reshape(h, w, c_lat).transpose((2, 0, 1))
 
 
 class VidDenoiser(Module):
@@ -220,8 +206,7 @@ class VidDenoiser(Module):
                  heads=4, vocab_size=16, scene_channels=DEFAULT_CONTEXT_CHANNELS):
         self.latent_shape = tuple(latent_shape)
         self.channels = channels
-        self.w_embed, self.b_embed = _affine_params(rng.child("embed"),
-                                                    latent_shape[0], channels, True, "embed")
+        self.embed = Affine(rng.child("embed"), latent_shape[0], channels, True, "embed")
         self.k_temporal = Parameter(rng.normal((channels, channels, 3)) / np.sqrt(3 * channels),
                                     name="temporal.k")
         self.b_temporal = Parameter(np.zeros(channels), name="temporal.b")
@@ -231,8 +216,7 @@ class VidDenoiser(Module):
                                            heads, scene_channels=scene_channels,
                                            name=f"block{i}")
                        for i in range(blocks)]
-        self.w_out, self.b_out = _affine_params(rng.child("out"), channels,
-                                                latent_shape[0], True, "out")
+        self.out = Affine(rng.child("out"), channels, latent_shape[0], True, "out")
 
     def null_cond(self, cond):
         """The zeroed context, holding each block's residual.  Over zero y_s
@@ -260,7 +244,7 @@ class VidDenoiser(Module):
             raise ShapeMismatch(f"reference latent {ref_latent.shape} vs {(c_lat, 1, h, w)}")
         stacked = np.concatenate([ref_latent, video_latent], axis=1)  # [4, F+1, H, W]
         tokens = Tensor(stacked).transpose((1, 2, 3, 0)).reshape(frames + 1, h * w, c_lat)
-        tokens = matmul(tokens, self.w_embed) + self.b_embed  # [F+1, HW, C]
+        tokens = self.embed(tokens)  # [F+1, HW, C]
         grid = tokens.reshape(frames + 1, h, w, self.channels).transpose((3, 0, 1, 2))
         grid = temporal_conv1d(grid, self.k_temporal, self.b_temporal)
         tokens = grid.transpose((1, 2, 3, 0)).reshape(frames + 1, h * w, self.channels)
@@ -270,8 +254,7 @@ class VidDenoiser(Module):
             # a held residual goes on the left: backward then walks its graph before
             # the stem's, which keeps backward's peak memory at the full path's
             tokens = ctx.residuals[i] + tokens if ctx.residuals else blk.forward_tokens(tokens, ctx)
-        out = matmul(tokens, self.w_out) + self.b_out
-        out = out.reshape(frames + 1, h, w, c_lat).transpose((3, 0, 1, 2))
+        out = self.out(tokens).reshape(frames + 1, h, w, c_lat).transpose((3, 0, 1, 2))
         return out[:, 1:]  # strip the reference frame
 
 
@@ -522,7 +505,7 @@ def _gradcheck_cases(rng):
         cq = heads * (2 + int(r.integers(0, 2)))
         cc, inner = 2 + int(r.integers(0, 3)), heads * (2 + int(r.integers(0, 2)))
         n, m = 2 + int(r.integers(0, 2)), 1 + int(r.integers(0, 3))
-        p = AttentionParams.init(r.child("p"), cq, cc, inner, heads)
+        p = AttentionParams(r.child("p"), cq, cc, inner, heads)
         x, ctx = Tensor(r.normal((n, cq))), Tensor(r.normal((m, cc)))
         yield (f"cross-attention[{i}]", r, [q for _, q in p.parameters()],
                lambda: cross_attention(x, ctx, p))
@@ -562,7 +545,7 @@ def _gradcheck_cases(rng):
     for i in range(_GRADCHECK_TRIALS):
         r = rng.child("act", i)
         vocab, ch = 2 + int(r.integers(0, 4)), 2 + int(r.integers(0, 4))
-        f = ActionEmbedding.init(r.child("f"), vocab, ch)
+        f = Affine(r.child("f"), vocab, ch, True, "f")
         y_a = r.uniform(vocab)
         yield (f"action-embedding[{i}]", r, [q for _, q in f.parameters()],
                lambda: embed_indicator(y_a, f))

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import BadTensorFile, ShapeMismatch, UnwritablePath
 
 __all__ = [
-    "Tensor", "Parameter", "Module", "AttentionParams", "Rng",
+    "Tensor", "Parameter", "Module", "Affine", "AttentionParams", "Rng",
     "matmul", "layer_norm", "temporal_conv1d",
     "attention", "cross_attention", "no_grad",
     "finite_diff_check", "hash64", "derive_seed",
@@ -251,6 +251,19 @@ def matmul(a, b):
     return _node(np.matmul(a.data, b.data), (a, b), back)
 
 
+class Affine(Module):
+    """The linear map ``x @ w + b`` over the last axis: w [c_in, c_out] drawn
+    from ``rng`` as N(0, 1/c_in), b zeros, both named under ``name``."""
+
+    def __init__(self, rng, c_in, c_out, trainable, name):
+        self.w = Parameter(rng.normal((c_in, c_out)) / np.sqrt(c_in), trainable=trainable,
+                           name=f"{name}.w")
+        self.b = Parameter(np.zeros(c_out), trainable=trainable, name=f"{name}.b")
+
+    def __call__(self, x):
+        return matmul(x, self.w) + self.b
+
+
 _LAYER_NORM_EPS = 1e-5  # added to the variance before its square root
 
 
@@ -314,30 +327,26 @@ def temporal_conv1d(x, kernel, bias):
 
 
 class AttentionParams(Module):
-    """Projection matrices for one (cross-)attention module.
+    """Projection matrices for one (cross-)attention module, drawn from ``rng``
+    in the order w_q, w_k, w_v, w_o, each N(0, 1/rows).
 
     w_q: [C_q, d], w_k/w_v: [C_ctx, d], w_o: [d, C_q].  ``heads`` must
     divide d.
     """
 
-    def __init__(self, w_q, w_k, w_v, w_o, heads=1):
-        self.w_q, self.w_k, self.w_v, self.w_o = w_q, w_k, w_v, w_o
-        self.heads = int(heads)
-        if self.w_q.data.shape[1] % self.heads:
-            raise ShapeMismatch("attention heads must divide the inner dim")
-
-    @classmethod
-    def init(cls, rng, query_channels, context_channels, inner_dim, heads=1,
-             trainable=True, name="attn"):
+    def __init__(self, rng, query_channels, context_channels, inner_dim, heads=1,
+                 trainable=True, name="attn"):
         def mk(rows, cols, label):
             w = rng.normal((rows, cols)) / np.sqrt(rows)
             return Parameter(w, trainable=trainable, name=f"{name}.{label}")
 
-        return cls(mk(query_channels, inner_dim, "w_q"),
-                   mk(context_channels, inner_dim, "w_k"),
-                   mk(context_channels, inner_dim, "w_v"),
-                   mk(inner_dim, query_channels, "w_o"),
-                   heads=heads)
+        self.w_q = mk(query_channels, inner_dim, "w_q")
+        self.w_k = mk(context_channels, inner_dim, "w_k")
+        self.w_v = mk(context_channels, inner_dim, "w_v")
+        self.w_o = mk(inner_dim, query_channels, "w_o")
+        self.heads = int(heads)
+        if inner_dim % self.heads:
+            raise ShapeMismatch("attention heads must divide the inner dim")
 
 
 # Largest buffer an attention tile fills, and most multiply-adds in one of its matmuls:

@@ -3,14 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from videostudio.action_condition import (DROP_THRESHOLD, ActionEmbedding,
-                                          ActionVocabulary, VocabularyEmbedder,
-                                          build_indicator, default_vocabulary,
-                                          embed_indicator,
+from videostudio.action_condition import (DROP_THRESHOLD, ActionVocabulary,
+                                          VocabularyEmbedder, build_indicator,
+                                          default_vocabulary, embed_indicator,
                                           extract_action_phrases,
                                           load_vocabulary)
 from videostudio.errors import EmptyPrompt, EmptyVocabulary, ShapeMismatch
-from videostudio.numeric_core import Rng
+from videostudio.numeric_core import Affine, Rng
 
 
 def _tiny_vocab():
@@ -194,7 +193,7 @@ def test_known_phrases_assert_their_own_category():
 
 def test_embed_indicator_affine_map():
     rng = Rng(0)
-    f = ActionEmbedding.init(rng, vocab_size=3, channels=5)
+    f = Affine(rng, 3, 5, True, "f")
     y = np.array([1.0, 0.5, 0.0])
     out = embed_indicator(y, f)
     want = y @ f.w.data + f.b.data
@@ -205,7 +204,7 @@ def test_embed_indicator_affine_map():
 
 def test_embed_indicator_gradients_reach_parameters():
     rng = Rng(1)
-    f = ActionEmbedding.init(rng, vocab_size=3, channels=5)
+    f = Affine(rng, 3, 5, True, "f")
     out = embed_indicator(np.array([1.0, 0.0, 1.0]), f)
     out.sum().backward()
     assert f.w.grad is not None and f.b.grad is not None

@@ -94,7 +94,7 @@ def test_cross_attention_matches_hand_evaluation():
     rng = Rng(5)
     for i in range(5):
         r = rng.child(i)
-        p = AttentionParams.init(r.child("p"), 4, 6, 4, heads=1)
+        p = AttentionParams(r.child("p"), 4, 6, 4, heads=1)
         x = r.normal((3, 4))
         ctx = r.normal((5, 6))
         out = cross_attention(Tensor(x), Tensor(ctx), p).data
@@ -104,8 +104,8 @@ def test_cross_attention_matches_hand_evaluation():
 def test_multihead_splits_channels():
     rng = Rng(6)
     with pytest.raises(ShapeMismatch):
-        AttentionParams.init(rng, 4, 4, 6, heads=4)  # 6 % 4 != 0
-    p = AttentionParams.init(rng, 4, 4, 8, heads=2)
+        AttentionParams(rng, 4, 4, 6, heads=4)  # 6 % 4 != 0
+    p = AttentionParams(rng, 4, 4, 8, heads=2)
     x = rng.normal((3, 4))
     out = cross_attention(Tensor(x), Tensor(x), p)
     assert out.data.shape == (3, 4)
@@ -113,7 +113,7 @@ def test_multihead_splits_channels():
 
 def test_zero_length_context_gives_zero_output():
     rng = Rng(7)
-    p = AttentionParams.init(rng, 4, 6, 4)
+    p = AttentionParams(rng, 4, 6, 4)
     x = rng.normal((3, 4))
     out = cross_attention(Tensor(x), Tensor(np.zeros((0, 6))), p).data
     assert np.array_equal(out, np.zeros((3, 4)))
@@ -121,7 +121,7 @@ def test_zero_length_context_gives_zero_output():
 
 def test_attention_gradients_flow_to_all_mats():
     rng = Rng(8)
-    p = AttentionParams.init(rng, 4, 4, 4)
+    p = AttentionParams(rng, 4, 4, 4)
     x = Tensor(rng.normal((3, 4)))
     loss = cross_attention(x, x, p).sum()
     loss.backward()
@@ -464,7 +464,7 @@ def test_attention_backward_twice_doubles_the_gradient():
 
 def test_no_grad_outputs_are_leaves():
     rng = Rng(42)
-    p = AttentionParams.init(rng, 4, 4, 4, heads=2)
+    p = AttentionParams(rng, 4, 4, 4, heads=2)
     x = Tensor(rng.normal((3, 4)))
     with no_grad():
         out = cross_attention(x, x, p)
@@ -524,7 +524,7 @@ def test_conv_gradients_finite_diff():
 
 def _attention_4_over_6():
     # queries of 4 channels over a context of 6
-    return AttentionParams.init(Rng(12), 4, 6, 4)
+    return AttentionParams(Rng(12), 4, 6, 4)
 
 
 @pytest.mark.parametrize("refuse, match", [
