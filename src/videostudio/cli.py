@@ -12,7 +12,7 @@ import os
 import sys
 
 from .cond_blocks import run_gradient_suite
-from .errors import BadConfig, StageError, VideoStudioError
+from .errors import BadConfig, EmptyPrompt, StageError, UnwritablePath, VideoStudioError
 from .numeric_core import derive_seed, make_dir, save_tensor, write_bytes, write_json
 from .pipeline import (_SWEEP_CAMERA, _SWEEP_TMS, _build_references, _oracle_denoiser,
                        _remove_run_records, _sample_clip, _scene_canvas_latent, _sweep_plan,
@@ -59,6 +59,16 @@ def _put_bytes(out_dir):
 
 def _camera(args, default):
     return default if args.camera is None else parse_camera(args.camera, "--camera")
+
+
+def _prompt_and_out(args):
+    """Refuse a blank ``--prompt``, then an ``--out`` naming a directory, then make
+    ``--out``'s parent: the last checks of ``sample-*``, before anything renders."""
+    if not args.prompt.strip():
+        raise EmptyPrompt("prompt is empty")
+    if os.path.isdir(args.out) or not os.path.basename(args.out):  # "new/" names one too
+        raise UnwritablePath(f"{args.out}: cannot write: it is a directory")
+    make_dir(os.path.dirname(args.out) or ".", args.out)
 
 
 # --- subcommands -------------------------------------------------------------
@@ -153,6 +163,7 @@ def cmd_tm_sweep(args):
 
 def cmd_sample_image(args):
     config = _oracle_config(args)
+    _prompt_and_out(args)
     schedule = config.noise_schedule()
     target = _scene_canvas_latent(config, args.prompt, config.seed)
     denoiser = _oracle_denoiser(config, target)
@@ -166,8 +177,8 @@ def cmd_sample_image(args):
 def cmd_sample_video(args):
     config = _oracle_config(args)
     camera = _camera(args, ("static", "medium"))
-    # refuse a bad --tm before the scene renders
     sampler = config.video_sampler_config(derive_seed(config.seed, "video"), args.tm)
+    _prompt_and_out(args)
     scene_latent = _scene_canvas_latent(config, args.prompt, config.seed)
     clip = _sample_clip(config, scene_latent, camera, sampler)
     save_tensor(args.out, clip)

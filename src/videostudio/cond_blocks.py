@@ -161,8 +161,7 @@ class ImgDenoiser(Module):
         base_trainable = trainable == "all"
         self.latent_shape = tuple(latent_shape)
         self.channels = channels
-        self.embed = Affine(rng.child("embed"), latent_shape[0], channels, base_trainable,
-                            "embed")
+        self.embed = Affine(rng.child("embed"), latent_shape[0], channels, base_trainable, "embed")
         self.ln_gain = Parameter(np.ones(channels), trainable=base_trainable, name="ln.gain")
         self.ln_bias = Parameter(np.zeros(channels), trainable=base_trainable, name="ln.bias")
         self.blocks = [TriContextBlock(rng.child("block", i), channels, heads,
@@ -409,13 +408,9 @@ class ToyFeatureExtractor:
         if image.ndim != 3 or image.shape[2] != 3:
             raise ShapeMismatch(f"image must be [H, W, 3], got {image.shape}")
         canvas = _resize_nearest(image, 64, 64)
-        rows = np.zeros((IMAGE_TOKENS, self.channels))
-        p = _PATCH
-        for gy in range(_GRID):
-            for gx in range(_GRID):
-                patch = canvas[gy * p:(gy + 1) * p, gx * p:(gx + 1) * p, :]
-                rows[gy * _GRID + gx] = patch.reshape(-1) @ self._proj
-        return rows
+        # [gy, py, gx, px, 3] -> one row per patch in grid order, flattened as (py, px, 3)
+        patches = canvas.reshape(_GRID, _PATCH, _GRID, _PATCH, 3).transpose(0, 2, 1, 3, 4)
+        return patches.reshape(IMAGE_TOKENS, -1) @ self._proj
 
 
 def _resize_nearest(image, out_h, out_w):

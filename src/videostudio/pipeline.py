@@ -24,6 +24,7 @@ import copy
 import functools
 import hashlib
 import os
+import urllib.parse
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -34,8 +35,8 @@ from .camera_motion import synthesize_flow, warp_clip
 from .cond_blocks import (AnalyticGaussianDenoiser, ContextBundle, GaussianPrior,
                           ImgDenoiser, VidContext, VidDenoiser, ToyFeatureExtractor,
                           _resize_nearest)
-from .errors import (BadConfig, BadRange, ChecksumMismatch, EmptyPrompt, ShapeMismatch,
-                     StageError, TooFewFrames, UnwritablePath, ValidationError)
+from .errors import (BadConfig, BadRange, ChecksumMismatch, ShapeMismatch, StageError,
+                     TooFewFrames, UnwritablePath, ValidationError)
 from .numeric_core import (Rng, derive_seed, hash64, load_tensor, read_bytes, read_json,
                            save_tensor, write_bytes, write_json)
 from .ref_images import (MIN_SIDE, EntityReference, RgbImage, RemoteTextToImageBackend,
@@ -131,6 +132,16 @@ def _want_text(doc, dotted):
     return value
 
 
+def _is_http_url(text):
+    """Whether ``text`` is an http(s) URL with a host; ``urlopen`` would also
+    serve ``file:``, ``data:`` and ``ftp:`` URLs."""
+    try:
+        parts = urllib.parse.urlsplit(text)
+    except ValueError:  # a malformed IPv6 host
+        return False
+    return parts.scheme in ("http", "https") and bool(parts.hostname)
+
+
 def _want_choice(doc, dotted, choices):
     value = _lookup(doc, dotted)
     if not isinstance(value, str) or value not in choices:
@@ -193,7 +204,10 @@ class PipelineConfig:
         _want_int(doc, "video_sampler.t_m", 0, doc["video_sampler"]["steps"] - 1)
 
         for dotted in ("chat.url", "chat.model", "text_to_image.url"):
-            _want_text(doc, dotted)
+            value = _want_text(doc, dotted)
+            if dotted.endswith(".url") and value and not _is_http_url(value):
+                raise BadConfig(f"{dotted} must be an http:// or https:// URL with a host, "
+                                f"got {_shown(value)}")
         for dotted in ("chat.path", "vocabulary_path"):
             value = _want_text(doc, dotted)
             if value is not None and not os.path.exists(value):
@@ -494,10 +508,7 @@ def compute_metrics(video):
 # --- the three stages -----------------------------------------------------------
 
 def _scene_canvas_latent(config, prompt, seed):
-    """Latent of the toy text-to-image render of ``prompt`` at the latent size;
-    EmptyPrompt for a blank ``prompt``, before anything renders."""
-    if not prompt.strip():
-        raise EmptyPrompt("prompt is empty")
+    """Latent of the toy text-to-image render of ``prompt`` at the latent size."""
     c, h, w = config.latent_shape
     return encode_image(_prompt_canvas(ToyTextToImageBackend(), prompt, seed, h, w), c)
 

@@ -1,6 +1,7 @@
 import ast
 import json
 import pathlib
+import urllib.request
 
 import numpy as np
 import pytest
@@ -330,6 +331,31 @@ def test_a_blank_prompt_exits_2_before_any_render(tmp_path, capsys, monkeypatch,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["sample-image", "sample-video"])
+@pytest.mark.parametrize("out", ["{dir}", "{file}/out.vstn", "{dir}/new/"],
+                         ids=["a-directory", "under-a-file", "a-new-directory"])
+def test_sample_refuses_an_unusable_out_before_any_render(tmp_path, capsys, monkeypatch,
+                                                          command, out):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    calls = {"render": 0, "sampler": 0}
+
+    def counted(key, func):
+        def wrapper(*args):
+            calls[key] += 1
+            return func(*args)
+        return wrapper
+    monkeypatch.setattr(pipeline, "_prompt_canvas", counted("render", pipeline._prompt_canvas))
+    monkeypatch.setattr(cli, "sample_image", counted("sampler", cli.sample_image))
+    monkeypatch.setattr(pipeline, "sample_video", counted("sampler", pipeline.sample_video))
+    out = out.format(dir=tmp_path, file=taken)
+    assert main([command, "--prompt", PROMPT, "--out", out]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {out}: cannot write")
+    assert calls == {"render": 0, "sampler": 0}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+    assert taken.read_text() == ""
+
+
 @pytest.mark.parametrize("content", [
     "{not json",
     None,  # no file at all
@@ -345,6 +371,21 @@ def test_untrusted_mock_fixture_exits_3(tmp_path, capsys, content):
     assert main(["script", "--prompt", PROMPT, "--mock-llm", str(path)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: mock fixture ") and err.count("\n") == 1
+
+
+def test_generate_refuses_a_file_chat_url_before_any_chat_call(tmp_path, capsys, monkeypatch):
+    reply = tmp_path / "reply.json"
+    reply.write_text(json.dumps({"choices": [{"message": {"content": "x"}}]}))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"chat": {"url": reply.as_uri()}}))
+    calls = []
+    monkeypatch.setattr(urllib.request, "urlopen", lambda *args, **kw: calls.append(args))
+    out = tmp_path / "out"
+    assert main(["generate", "--prompt", PROMPT, "--config", str(config),
+                 "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: chat.url must be an http:// or https://")
+    assert calls == []
+    assert not out.exists()
 
 
 def test_validation_failures_exit_two(fixture_path, tmp_path, capsys):

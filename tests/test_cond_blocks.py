@@ -507,6 +507,19 @@ def test_extractor_shapes_and_determinism():
     assert np.array_equal(f1, f2)
 
 
+@pytest.mark.parametrize("shape", [(64, 64, 3), (20, 24, 3), (130, 70, 3)])
+def test_image_features_match_the_per_patch_loop(shape):
+    # the loop that the one reshape replaced: patch (gy, gx) of the 64x64 canvas,
+    # flattened as (py, px, 3), is row gy * 16 + gx; a matmul over all rows sums in
+    # another order, so rows agree to a few float64 ulps of their O(1) values
+    ex = ToyFeatureExtractor(channels=8)
+    img = Rng(32).uniform(shape)
+    canvas, p = cond_blocks._resize_nearest(img, 64, 64), 4
+    want = np.array([canvas[gy * p:(gy + 1) * p, gx * p:(gx + 1) * p].reshape(-1) @ ex._proj
+                     for gy in range(16) for gx in range(16)])
+    assert np.max(np.abs(ex.image_features(img) - want)) <= 1e-12
+
+
 def test_extractor_padding_and_validation():
     ex = ToyFeatureExtractor(channels=8)
     short = ex.text_features("cat")

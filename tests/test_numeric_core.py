@@ -12,7 +12,7 @@ import videostudio
 from videostudio import numeric_core
 from videostudio.cond_blocks import AdamW
 from videostudio.errors import BadTensorFile, ShapeMismatch
-from videostudio.numeric_core import (AttentionParams, Parameter, Rng, Tensor,
+from videostudio.numeric_core import (Affine, AttentionParams, Parameter, Rng, Tensor,
                                       attention, cross_attention, derive_seed,
                                       finite_diff_check, hash64,
                                       layer_norm, load_tensor, matmul, no_grad,
@@ -117,6 +117,24 @@ def test_zero_length_context_gives_zero_output():
     x = rng.normal((3, 4))
     out = cross_attention(Tensor(x), Tensor(np.zeros((0, 6))), p).data
     assert np.array_equal(out, np.zeros((3, 4)))
+
+
+def test_parameterised_parts_draw_from_one_rng_in_order():
+    # the draws fix every default checkpoint's initial values, and the assignment
+    # order fixes the parameters() layout that save_weights and AdamW follow
+    f = Affine(Rng(9), 3, 5, False, "f")
+    assert [(name, q.trainable) for name, q in f.parameters()] == [("f.w", False),
+                                                                   ("f.b", False)]
+    assert np.array_equal(f.w.data, Rng(9).normal((3, 5)) / np.sqrt(3))
+    assert np.array_equal(f.b.data, np.zeros(5))
+    x = Rng(10).normal((2, 4, 3))
+    assert np.allclose(f(Tensor(x)).data, x @ f.w.data + f.b.data, atol=1e-12)
+    p, r = AttentionParams(Rng(11), 4, 6, 8, heads=2, name="a"), Rng(11)
+    want = [("a.w_q", r.normal((4, 8)) / np.sqrt(4)), ("a.w_k", r.normal((6, 8)) / np.sqrt(6)),
+            ("a.w_v", r.normal((6, 8)) / np.sqrt(6)), ("a.w_o", r.normal((8, 4)) / np.sqrt(8))]
+    assert [name for name, _ in p.parameters()] == [name for name, _ in want]
+    for (_, got), (_, w) in zip(p.parameters(), want):
+        assert np.array_equal(got.data, w) and got.trainable
 
 
 def test_attention_gradients_flow_to_all_mats():

@@ -241,6 +241,27 @@ def test_config_string_keys_are_typed(tmp_path, key, value):
                 os.close(value)
 
 
+@pytest.mark.parametrize("key", ["chat.url", "text_to_image.url"])
+@pytest.mark.parametrize("url", [
+    "file:///etc/hostname",
+    'data:application/json,{"choices": []}',
+    "ftp://localhost/reply.json",
+    "localhost:8080/v1",
+    "http:///v1",
+    "http://[::1/v1",
+], ids=["file", "data", "ftp", "no-scheme", "no-host", "bad-ipv6-host"])
+def test_backend_urls_must_be_http_with_a_host(key, url):
+    # urlopen serves file:, data: and ftp: too, which would skip the backend entirely
+    with pytest.raises(BadConfig, match=key + " must be an http:// or https:// URL"):
+        load_config(overrides=_nested(key, url))
+
+
+@pytest.mark.parametrize("url", ["http://localhost:9/v1", "https://example.org/v1", ""])
+def test_http_and_https_backend_urls_load(url):
+    config = load_config(overrides={"chat": {"url": url}, "text_to_image": {"url": url}})
+    assert config.doc["chat"]["url"] == config.doc["text_to_image"]["url"] == url
+
+
 @pytest.mark.parametrize("text", [
     "{not json",
     '[{"embedding": [1.0, 0.0]}]',
